@@ -5,33 +5,16 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import NotNef, NotNegativeDefinite, NullMismatch
+from .errors import NotNef, NotNegativeDefinite, NullMismatch, RankTooLargeForEnumeration
 from .lattice import DivisorClass, is_negative_definite, solve_gram_system
-from .surface import NegativeCurve, SurfaceModel, is_nef
+from .surface import SurfaceModel, is_nef
 from .zariski import ChamberDescriptor, null_set
 
 MAX_ENUMERABLE_CURVES = 63
 
 
-def _resolve_curves(
-    model: SurfaceModel, support: "ChamberDescriptor | Iterable[str] | Iterable[NegativeCurve]"
-) -> list[NegativeCurve]:
-    if isinstance(support, ChamberDescriptor):
-        labels: Iterable = support.support
-    else:
-        labels = support
-    curves: list[NegativeCurve] = []
-    for item in labels:
-        if isinstance(item, NegativeCurve):
-            curves.append(model.curve_by_label(item.label))
-        else:
-            curves.append(model.curve_by_label(item))
-    return curves
-
-
 def construct_nef_with_null(
-    model: SurfaceModel,
-    support: "ChamberDescriptor | Iterable[str] | Iterable[NegativeCurve]",
+    model: SurfaceModel, support: "ChamberDescriptor | Iterable[str]"
 ) -> DivisorClass:
     """A nef class whose null set is exactly the given curve set.
 
@@ -39,8 +22,11 @@ def construct_nef_with_null(
     conditions against the support; ampleness of A forces every t_i to be
     strictly positive.  The resulting class is verified to be nef and to
     vanish against no curve outside the support (NullMismatch otherwise).
+    This is the constructive side of the theorem ``enumerate_chambers``
+    relies on; the tests use it as an oracle for that theorem.
     """
-    curves = _resolve_curves(model, support)
+    labels = support.support if isinstance(support, ChamberDescriptor) else support
+    curves = [model.curve_by_label(label) for label in labels]
     if not curves:
         return model.ample
     classes = [c.cls for c in curves]
@@ -114,16 +100,30 @@ def face_of(model: SurfaceModel, nef_class: DivisorClass) -> Face:
 def enumerate_chambers(model: SurfaceModel) -> list[ChamberDescriptor]:
     """Every chamber of the big cone, as a sorted list of support descriptors.
 
-    Walks the subset lattice of the curve list depth-first, extending only
-    supports whose pairing matrix stays negative definite (any principal
-    submatrix of a negative definite matrix is negative definite, so pruning
-    is safe).  Each surviving support is verified to be realizable as an
-    exact null set; the empty support (the nef chamber) is always included.
+    Chambers correspond one to one with the curve sets whose intersection
+    matrix is negative definite (Bauer-Funke-Neumann, *Counting Zariski
+    chambers on del Pezzo surfaces*, J. Algebra 324, 2010), the empty set
+    giving the nef chamber.  The model's invariants are what the theorem
+    needs: with A the ample witness, A**2 > 0, A.C > 0 and C**2 < 0 for
+    every listed curve, and C_i.C_j >= 0 for distinct ones.  So when the
+    Gram matrix G of a set S is negative definite, -G is a nonsingular
+    M-matrix and G^-1 <= 0 entrywise; t = -G^-1 (A.C_S) is then strictly
+    positive, and P = A + sum(t_i C_i) has P.C = 0 on S, P.C >= A.C > 0 off
+    S and P**2 = P.A > 0.  P is nef with null set exactly S, so no runtime
+    realizability check is needed (``construct_nef_with_null`` builds P and
+    the tests check it on every bundled model).
+
+    The walk is depth-first over the subset lattice of the curve list and
+    extends only supports whose Gram matrix stays negative definite; every
+    principal submatrix of a negative definite matrix is negative definite,
+    so this pruning loses nothing.  Raises RankTooLargeForEnumeration for
+    more than MAX_ENUMERABLE_CURVES curves.
     """
     curves = model.curves
     if len(curves) > MAX_ENUMERABLE_CURVES:
-        raise ValueError(
-            f"chamber enumeration supports at most {MAX_ENUMERABLE_CURVES} curves"
+        raise RankTooLargeForEnumeration(
+            f"chamber enumeration supports at most {MAX_ENUMERABLE_CURVES} curves;"
+            f" the model lists {len(curves)}"
         )
     max_size = model.lattice.rank - 1
     pair_table = [
@@ -139,10 +139,6 @@ def enumerate_chambers(model: SurfaceModel) -> list[ChamberDescriptor]:
             candidate = stack + [idx]
             gram = [[pair_table[i][j] for j in candidate] for i in candidate]
             if not is_negative_definite(gram):
-                continue
-            try:
-                construct_nef_with_null(model, [curves[i].label for i in candidate])
-            except (NotNegativeDefinite, NullMismatch):
                 continue
             found.append(
                 ChamberDescriptor(tuple(curves[i].label for i in candidate))

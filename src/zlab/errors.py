@@ -38,7 +38,7 @@ class NotAmple(ZlabError):
 
 
 class UnrealizableSupport(ZlabError):
-    """No nef class has exactly the requested null set."""
+    """A curve set supports no chamber: unknown label or not negative definite."""
 
 
 class NullMismatch(ZlabError):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .errors import LatticeMismatch, NotNegativeDefinite, SignatureError
 
@@ -271,15 +271,18 @@ def _to_fraction_rows(matrix: Matrix) -> list[list[Fraction]]:
     return rows
 
 
-def signature(gram: Matrix) -> tuple[int, int, int]:
-    """Inertia (n_plus, n_minus, n_zero) of a symmetric matrix.
+def _pivots(a: list[list[Fraction]]) -> Iterator[Fraction]:
+    """Reduce the symmetric matrix ``a`` by congruence in place, yielding pivots.
 
-    Computed by exact symmetric Gaussian reduction (congruence to a diagonal
-    form), so the result is not subject to eigenvalue rounding.
+    Step k clears row and column k of the trailing block and stores the
+    multipliers a[i][k] / pivot below the diagonal.  A zero diagonal entry is
+    first repaired by swapping in a later non-zero one or by folding in a row
+    j with a[k][j] != 0; an all-zero row yields the pivot 0.  The pivot signs
+    are the signature (Sylvester).  Every pivot is negative exactly when the
+    matrix is negative definite, and then no repair ran, so ``a`` holds
+    matrix = L*D*L^T with D on the diagonal and unit-lower L below it.
     """
-    a = _to_fraction_rows(gram)
     n = len(a)
-    pos = neg = zero = 0
     for k in range(n):
         if a[k][k] == 0:
             swap = next((j for j in range(k + 1, n) if a[j][j] != 0), None)
@@ -289,80 +292,84 @@ def signature(gram: Matrix) -> tuple[int, int, int]:
                     row[k], row[swap] = row[swap], row[k]
             else:
                 j = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
-                if j is None:
-                    zero += 1
-                    continue
-                # fold row/column j into k; the new diagonal entry is 2*a[k][j]
-                for i in range(n):
-                    a[k][i] += a[j][i]
-                for i in range(n):
-                    a[i][k] += a[i][j]
+                if j is not None:
+                    for i in range(k, n):
+                        a[k][i] += a[j][i]
+                    for i in range(k, n):
+                        a[i][k] += a[i][j]
         pivot = a[k][k]
-        if pivot > 0:
-            pos += 1
-        else:
-            neg += 1
-        factors = [a[i][k] / pivot for i in range(k + 1, n)]
+        yield pivot
+        if pivot == 0:
+            continue
+        row_k = a[k]
         for i in range(k + 1, n):
-            f = factors[i - k - 1]
-            if f == 0:
-                continue
-            row_i, row_k = a[i], a[k]
-            for j in range(k, n):
-                row_i[j] -= f * row_k[j]
-        for i in range(k + 1, n):
-            a[i][k] = Fraction(0)
-            a[k][i] = Fraction(0)
-    return pos, neg, zero
+            row_i = a[i]
+            f = row_i[k] / pivot
+            row_i[k] = f
+            if f:
+                for j in range(k + 1, n):
+                    row_i[j] -= f * row_k[j]
+
+
+def _negative_definite_factor(matrix: Matrix) -> "list[list[Fraction]] | None":
+    """The factor left by :func:`_pivots`, or None at the first pivot >= 0.
+
+    Callers raise after this returns, so a traceback keeps no reduced copy.
+    """
+    a = _to_fraction_rows(matrix)
+    return a if all(p < 0 for p in _pivots(a)) else None
+
+
+def _substitute(factor: list[list[Fraction]], rhs: Sequence[Rational]) -> list[Fraction]:
+    """x with L*D*L^T x = rhs: one forward and one back substitution."""
+    n = len(factor)
+    y = [Fraction(b) for b in rhs]
+    for i in range(1, n):
+        row = factor[i]
+        y[i] -= sum(row[j] * y[j] for j in range(i) if row[j])
+    x = [Fraction(0)] * n
+    for i in reversed(range(n)):
+        x[i] = y[i] / factor[i][i] - sum(
+            factor[j][i] * x[j] for j in range(i + 1, n) if factor[j][i]
+        )
+    return x
+
+
+def signature(gram: Matrix) -> tuple[int, int, int]:
+    """Inertia (n_plus, n_minus, n_zero) of a symmetric matrix.
+
+    Computed by exact symmetric Gaussian reduction (congruence to a diagonal
+    form), so the result is not subject to eigenvalue rounding.
+    """
+    pivots = list(_pivots(_to_fraction_rows(gram)))
+    return sum(p > 0 for p in pivots), sum(p < 0 for p in pivots), pivots.count(0)
 
 
 def is_negative_definite(gram: Matrix) -> bool:
-    n = len(gram)
-    return signature(gram) == (0, n, 0)
+    """True iff every pivot is negative; stops at the first one that is not."""
+    return _negative_definite_factor(gram) is not None
 
 
 def solve_symmetric(matrix: Matrix, rhs: Sequence[Rational]) -> list[Fraction]:
-    """Exact solution of matrix @ x = rhs; raises ValueError if singular."""
-    n = len(matrix)
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot_row is None:
-            raise ValueError("singular matrix")
-        a[col], a[pivot_row] = a[pivot_row], a[col]
-        pivot = a[col][col]
-        for r in range(n):
-            if r == col or a[r][col] == 0:
-                continue
-            f = a[r][col] / pivot
-            for c in range(col, n + 1):
-                a[r][c] -= f * a[col][c]
-    return [a[i][n] / a[i][i] for i in range(n)]
+    """Exact solution of matrix @ x = rhs; raises NotNegativeDefinite unless
+    the matrix is negative definite (so also when it is singular)."""
+    if len(rhs) != len(matrix):
+        raise ValueError("rhs length must match the matrix size")
+    factor = _negative_definite_factor(matrix)
+    if factor is None:
+        raise NotNegativeDefinite("matrix is not negative definite")
+    return _substitute(factor, rhs)
 
 
 def invert_matrix(matrix: Matrix) -> list[list[Fraction]]:
-    """Exact inverse by Gauss-Jordan elimination."""
-    n = len(matrix)
-    a = [[Fraction(x) for x in row] for row in matrix]
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix is not square")
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot_row is None:
-            raise ValueError("singular matrix")
-        a[col], a[pivot_row] = a[pivot_row], a[col]
-        inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
-        pivot = a[col][col]
-        a[col] = [x / pivot for x in a[col]]
-        inv[col] = [x / pivot for x in inv[col]]
-        for r in range(n):
-            if r == col or a[r][col] == 0:
-                continue
-            f = a[r][col]
-            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-            inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return inv
+    """Exact inverse of a negative definite matrix (else NotNegativeDefinite).
+
+    The inverse is symmetric, so row j solves matrix @ x = e_j."""
+    factor = _negative_definite_factor(matrix)
+    if factor is None:
+        raise NotNegativeDefinite("matrix is not negative definite")
+    n = len(factor)
+    return [_substitute(factor, [int(i == j) for i in range(n)]) for j in range(n)]
 
 
 def inverse_is_nonpositive(matrix: Matrix) -> bool:
@@ -372,10 +379,7 @@ def inverse_is_nonpositive(matrix: Matrix) -> bool:
     non-negative this is expected to hold; the point of keeping it as a
     runtime check is that the property is *tested*, never assumed.
     """
-    if not is_negative_definite(matrix):
-        raise NotNegativeDefinite("matrix is not negative definite")
-    inverse = invert_matrix(matrix)
-    return all(entry <= 0 for row in inverse for entry in row)
+    return all(entry <= 0 for row in invert_matrix(matrix) for entry in row)
 
 
 # ---------------------------------------------------------------------------
@@ -541,13 +545,4 @@ def solve_gram_system(
     fails the definiteness test, which signals that the input set cannot
     support the negative part of any decomposition.
     """
-    if len(curves) != len(rhs):
-        raise ValueError("rhs length must match the number of curves")
-    if not curves:
-        return []
-    gram = gram_matrix(curves)
-    if not is_negative_definite(gram):
-        raise NotNegativeDefinite(
-            "pairing matrix of the curve set is not negative definite"
-        )
-    return solve_symmetric(gram, [Fraction(x) for x in rhs])
+    return solve_symmetric(gram_matrix(curves), rhs)

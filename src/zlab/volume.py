@@ -7,18 +7,15 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable
 
-from .chambers import construct_nef_with_null
 from .errors import (
     LatticeMismatch,
     NegativeDimension,
     NotNegativeDefinite,
     NotPseudoEffective,
-    NullMismatch,
-    UnrealizableSupport,
 )
 from .lattice import DivisorClass, gram_matrix, invert_matrix
 from .surface import SurfaceModel
-from .zariski import ChamberDescriptor, zariski_decompose
+from .zariski import ChamberDescriptor, support_curves, zariski_decompose
 
 
 def vol(model: SurfaceModel, divisor: DivisorClass) -> Fraction:
@@ -78,23 +75,19 @@ def volume_polynomial(
     Inside a chamber the negative part depends linearly on D (its
     coefficients solve the fixed support's pairing system with right-hand
     side (D . C_i)), so D |-> D - N(D) is linear and the volume is the
-    pullback of the intersection form along it.
+    pullback of the intersection form along it.  Raises UnrealizableSupport
+    unless the support's intersection matrix is negative definite.
     """
     if not isinstance(chamber, ChamberDescriptor):
         chamber = ChamberDescriptor.from_labels(chamber)
-    try:
-        construct_nef_with_null(model, chamber)
-    except (NotNegativeDefinite, NullMismatch, KeyError) as exc:
-        raise UnrealizableSupport(str(exc)) from exc
+    classes = [c.cls for c in support_curves(model, chamber)]
     rank = model.lattice.rank
     gram = model.lattice.gram
     if not chamber.support:
         matrix = tuple(tuple(Fraction(g) for g in row) for row in gram)
         return QuadraticVolumePolynomial(chamber, matrix)
 
-    classes = [model.curve_by_label(lbl).cls for lbl in chamber.support]
-    support_gram = gram_matrix(classes)
-    inverse = invert_matrix(support_gram)
+    inverse = invert_matrix(gram_matrix(classes))
     rows = [model.lattice.gram_row_times(cls.coords) for cls in classes]
     k = len(classes)
     # substitution matrix M with M @ D = D - N(D)

@@ -106,6 +106,28 @@ class ChamberDescriptor:
         return "{" + ", ".join(self.support) + "}"
 
 
+def support_curves(
+    model: SurfaceModel, support: "ChamberDescriptor | Iterable[str]"
+) -> list[NegativeCurve]:
+    """The curves of a chamber support, sorted by label.
+
+    A curve set supports a chamber exactly when its intersection matrix is
+    negative definite (see ``enumerate_chambers``), so that is all this
+    checks; UnrealizableSupport otherwise, and on an unknown label.
+    """
+    if not isinstance(support, ChamberDescriptor):
+        support = ChamberDescriptor.from_labels(support)
+    try:
+        curves = [model.curve_by_label(label) for label in support.support]
+    except KeyError as exc:
+        raise UnrealizableSupport(f"support {support}: {exc}") from exc
+    if not is_negative_definite(gram_matrix([c.cls for c in curves])):
+        raise UnrealizableSupport(
+            f"support {support} has an intersection matrix that is not negative definite"
+        )
+    return curves
+
+
 def zariski_decompose(model: SurfaceModel, divisor: DivisorClass) -> ZariskiDecomposition:
     """Unique decomposition divisor = P + N for a pseudo-effective class.
 
@@ -212,17 +234,7 @@ def chamber_closure_contains(
     divisor: DivisorClass,
 ) -> bool:
     """Closure test: Neg(D) inside the reference support inside Null(P_D)."""
-    from .chambers import construct_nef_with_null  # local import avoids a cycle
-    from .errors import NullMismatch
-
-    if isinstance(reference_support, ChamberDescriptor):
-        labels = reference_support.label_set
-    else:
-        labels = frozenset(reference_support)
-    try:
-        construct_nef_with_null(model, sorted(labels))
-    except (NotNegativeDefinite, NullMismatch, KeyError) as exc:
-        raise UnrealizableSupport(str(exc)) from exc
+    labels = frozenset(c.label for c in support_curves(model, reference_support))
     decomposition = _decompose_big(model, divisor)
     if not decomposition.support_labels <= labels:
         return False

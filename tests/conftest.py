@@ -42,6 +42,18 @@ def k3_model(diag: int) -> SurfaceModel:
     return SurfaceModel(lattice=lattice, ample=lattice.divisor([1, 0]), curves=(curve,))
 
 
+def a2_chain_model() -> SurfaceModel:
+    """Rank-3 model over (H, E1, E2) with two (-2)-curves meeting once."""
+    lattice = IntersectionLattice(
+        [[2, 1, 1], [1, -2, 1], [1, 1, -2]], ["H", "E1", "E2"]
+    )
+    curves = (
+        NegativeCurve("E1", lattice.divisor([0, 1, 0])),
+        NegativeCurve("E2", lattice.divisor([0, 0, 1])),
+    )
+    return SurfaceModel(lattice=lattice, ample=lattice.divisor([1, 0, 0]), curves=curves)
+
+
 def random_rational(rng: random.Random, lo: int, hi: int, max_den: int = 4) -> Fraction:
     den = rng.randint(1, max_den)
     return Fraction(rng.randint(lo * den, hi * den), den)

@@ -14,11 +14,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_big_class
+from conftest import a2_chain_model, random_big_class
 from zlab import (
-    IntersectionLattice,
-    NegativeCurve,
-    SurfaceModel,
     chamber_of,
     destabilizing_numbers,
     enumerate_chambers,
@@ -32,14 +29,7 @@ from zlab import (
 
 @pytest.fixture(scope="module")
 def a2():
-    lattice = IntersectionLattice(
-        [[2, 1, 1], [1, -2, 1], [1, 1, -2]], ["H", "E1", "E2"]
-    )
-    curves = (
-        NegativeCurve("E1", lattice.divisor([0, 1, 0])),
-        NegativeCurve("E2", lattice.divisor([0, 0, 1])),
-    )
-    return SurfaceModel(lattice=lattice, ample=lattice.divisor([1, 0, 0]), curves=curves)
+    return a2_chain_model()
 
 
 def test_coupled_decomposition(a2):

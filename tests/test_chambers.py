@@ -7,9 +7,14 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import dp_model, random_big_class
+from conftest import a2_chain_model, dp_model, k3_model, random_big_class
 from zlab import (
+    IntersectionLattice,
+    NegativeCurve,
+    SurfaceModel,
     chamber_of,
     construct_nef_with_null,
     enumerate_chambers,
@@ -17,7 +22,13 @@ from zlab import (
     null_set,
     on_chamber_boundary,
 )
-from zlab.errors import NotNef, NotNegativeDefinite
+from zlab.errors import (
+    NotNef,
+    NotNegativeDefinite,
+    NullMismatch,
+    RankTooLargeForEnumeration,
+    SignatureError,
+)
 from zlab.lattice import gram_matrix, is_negative_definite
 
 
@@ -67,28 +78,98 @@ def test_enumerate_chambers_dp1_dp2(dp2):
     ]
 
 
+BUNDLED_MODELS = {
+    "a2": a2_chain_model,
+    "k3(1)": lambda: k3_model(1),
+    "k3(2)": lambda: k3_model(2),
+}
+
+
+def bundled_model(key):
+    """del_pezzo(key) for an integer key, else the named bundled model."""
+    return dp_model(key) if isinstance(key, int) else BUNDLED_MODELS[key]()
+
+
+def negative_definite_subsets(curves):
+    """Every curve subset with a negative definite Gram matrix (the empty one
+    included), found by scanning the full power set with no size bound."""
+    return [
+        subset
+        for size in range(len(curves) + 1)
+        for subset in combinations(curves, size)
+        if is_negative_definite(gram_matrix([c.cls for c in subset]))
+    ]
+
+
 def brute_force_chambers(model):
-    """All curve subsets that are negative definite and realizable, found by
-    scanning the full power set."""
-    out = [()]
-    curves = model.curves
-    for size in range(1, len(curves) + 1):
-        for subset in combinations(curves, size):
-            gram = gram_matrix([c.cls for c in subset])
-            if not is_negative_definite(gram):
-                continue
-            try:
-                witness = construct_nef_with_null(model, [c.label for c in subset])
-            except Exception:
-                continue
-            if null_set(model, witness) == {c.label for c in subset}:
-                out.append(tuple(sorted(c.label for c in subset)))
+    """The chamber supports the theorem predicts: all negative definite curve
+    subsets, sorted like ``enumerate_chambers``."""
+    out = [tuple(sorted(c.label for c in s)) for s in negative_definite_subsets(model.curves)]
     return sorted(out, key=lambda s: (len(s), s))
 
 
-@pytest.mark.parametrize("r", [2, 3])
-def test_enumeration_matches_power_set_scan(r):
-    model = dp_model(r)
+@pytest.mark.parametrize("key", [1, 2, 3, 4, "a2", "k3(1)", "k3(2)"])
+def test_enumeration_matches_power_set_scan(key):
+    model = bundled_model(key)
+    assert [c.support for c in enumerate_chambers(model)] == brute_force_chambers(model)
+
+
+@pytest.mark.parametrize("key", [1, 2, 3, 4, 5, "a2", "k3(1)", "k3(2)"])
+def test_enumerated_supports_are_exact_null_sets(key):
+    """Oracle for the realizability check enumeration no longer runs."""
+    model = bundled_model(key)
+    for chamber in enumerate_chambers(model):
+        witness = construct_nef_with_null(model, chamber)
+        assert null_set(model, witness) == chamber.label_set
+
+
+@st.composite
+def user_models(draw):
+    """Small models that SurfaceModel accepts: a hyperbolic lattice of rank
+    2-4, an ample witness and up to six curves meeting pairwise >= 0."""
+    rank = draw(st.integers(2, 4))
+    gram = [[0] * rank for _ in range(rank)]
+    gram[0][0] = draw(st.integers(1, 4))
+    for i in range(1, rank):
+        gram[i][i] = draw(st.integers(-4, -1))
+        for j in range(i):
+            gram[i][j] = gram[j][i] = draw(st.integers(-1, 1))
+    try:
+        lattice = IntersectionLattice(gram, [f"b{i}" for i in range(rank)])
+    except SignatureError:
+        assume(False)
+    tail = st.lists(st.integers(-1, 1), min_size=rank - 1, max_size=rank - 1)
+    ample = lattice.divisor([draw(st.integers(1, 3))] + draw(tail))
+    assume(ample.square > 0)
+    vectors = st.lists(st.sampled_from([0, 0, 1, -1, 2, -2]), min_size=rank, max_size=rank)
+    curves: list[NegativeCurve] = []
+    for coords in draw(st.lists(vectors, min_size=8, max_size=24)):
+        cls = lattice.divisor(coords)
+        if (
+            len(curves) < 6
+            and cls.square < 0
+            and ample.dot(cls) > 0
+            and all(cls.dot(c.cls) >= 0 for c in curves)
+        ):
+            curves.append(NegativeCurve(f"C{len(curves)}", cls))
+    return SurfaceModel(lattice=lattice, ample=ample, curves=tuple(curves))
+
+
+@settings(max_examples=80, deadline=None)
+@given(user_models())
+def test_negative_definite_iff_exact_null_set_on_user_models(model):
+    """The theorem behind enumerate_chambers, on models it was not tuned to:
+    a curve set is negative definite exactly when some nef class has it as
+    its exact null set."""
+    definite = negative_definite_subsets(model.curves)
+    for size in range(len(model.curves) + 1):
+        for subset in combinations(model.curves, size):
+            labels = {c.label for c in subset}
+            try:
+                realized = null_set(model, construct_nef_with_null(model, labels)) == labels
+            except (NotNegativeDefinite, NullMismatch):
+                realized = False
+            assert realized == (subset in definite)
     assert [c.support for c in enumerate_chambers(model)] == brute_force_chambers(model)
 
 
@@ -146,5 +227,5 @@ def test_random_big_classes_land_in_exactly_one_chamber(dp2, dp3):
 
 
 def test_enumeration_cap():
-    with pytest.raises(ValueError):
+    with pytest.raises(RankTooLargeForEnumeration):
         enumerate_chambers(dp_model(8))

@@ -227,6 +227,15 @@ def test_exit_codes(capsys):
     assert code == 1
 
 
+def test_chambers_enum_refuses_too_many_curves(capsys):
+    code, out, err = run_cli(capsys, ["chambers-enum", "--delpezzo", "8"])
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "RankTooLargeForEnumeration"
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()

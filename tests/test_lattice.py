@@ -20,7 +20,7 @@ from zlab import (
     sqrt_fraction,
 )
 from zlab.errors import LatticeMismatch, NotNegativeDefinite, SignatureError
-from zlab.lattice import gram_matrix, invert_matrix, is_negative_definite
+from zlab.lattice import gram_matrix, invert_matrix, is_negative_definite, solve_symmetric
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=6)
 
@@ -236,3 +236,42 @@ def test_qi_power():
     assert x**0 == 1
     assert x**3 == x * x * x
     assert float(x**2) == pytest.approx(float(x) ** 2)
+
+
+# -- the L*D*L^T factor behind solve_symmetric and invert_matrix ---------------
+
+
+def test_factor_solves_and_inverts_fuzzed_matrices_exactly():
+    from test_acceptance import _fuzzed_qualifying_matrix
+
+    rng = random.Random(707)
+    for _ in range(200):
+        matrix = _fuzzed_qualifying_matrix(rng)
+        n = len(matrix)
+        rhs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
+        x = solve_symmetric(matrix, rhs)
+        assert [sum(matrix[i][j] * x[j] for j in range(n)) for i in range(n)] == rhs
+        inverse = invert_matrix(matrix)
+        product = [
+            [sum(matrix[i][t] * inverse[t][j] for t in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+        assert product == [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        [[1, 0], [0, -1]],  # indefinite
+        [[-1, 2], [2, -1]],  # indefinite, negative diagonal
+        [[-1, 1], [1, -1]],  # singular
+        [[0, 0], [0, -1]],  # singular, zero pivot swapped away
+        [[0, 1], [1, 0]],  # zero diagonal folded
+        [[-2, 1, 0], [1, -2, 1], [0, 1, 0]],  # fails only at the last pivot
+    ],
+)
+def test_factor_rejects_matrices_that_are_not_negative_definite(matrix):
+    with pytest.raises(NotNegativeDefinite):
+        solve_symmetric(matrix, [1] * len(matrix))
+    with pytest.raises(NotNegativeDefinite):
+        invert_matrix(matrix)
