@@ -97,10 +97,6 @@ def parse_surface(text: str) -> SurfaceModel:
         for entry in row:
             if not isinstance(entry, int) or isinstance(entry, bool):
                 raise SchemaError("gram entries must be integers")
-    for i in range(len(gram)):
-        for j in range(len(gram)):
-            if gram[i][j] != gram[j][i]:
-                raise SchemaError("gram matrix must be symmetric")
     try:
         lattice = IntersectionLattice(gram, basis)
     except ValueError as exc:

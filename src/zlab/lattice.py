@@ -543,6 +543,12 @@ def solve_gram_system(
 
     Raises NotNegativeDefinite when the pairing matrix of the given curves
     fails the definiteness test, which signals that the input set cannot
-    support the negative part of any decomposition.
+    support the negative part of any decomposition.  In signature
+    (1, rank - 1) no rank or more classes are negative definite, so such
+    input is refused before any pairing is computed.
     """
+    if curves and len(curves) >= curves[0].lattice.rank:
+        raise NotNegativeDefinite(
+            f"{len(curves)} classes in rank {curves[0].lattice.rank} are never negative definite"
+        )
     return solve_symmetric(gram_matrix(curves), rhs)

@@ -23,11 +23,11 @@ from .errors import (
     RankTooLargeForEnumeration,
 )
 from .lattice import DivisorClass
-from .surface import NegativeCurve, SurfaceModel, enumerate_roots, is_nef, simple_roots
+from .surface import NegativeCurve, SurfaceModel, is_nef, simple_roots
 from .volume import vol
 
 DEFAULT_ORBIT_CAP = 10_000_000
-GROUP_ENUMERATION_MAX_R = 6
+MAX_FINITE_R = 8
 
 
 def reflect(divisor: DivisorClass, alpha: DivisorClass) -> DivisorClass:
@@ -49,16 +49,14 @@ def _orbit_cap(explicit: "int | None") -> int:
         raise OutOfRange(f"ZLAB_ORBIT_CAP must be an integer, got {env!r}") from exc
 
 
-def weyl_orbit(
-    model: SurfaceModel, start: DivisorClass, cap: "int | None" = None
-) -> set[DivisorClass]:
-    """Closure of a class under the simple-root reflections, by breadth-first search.
+def _orbit(
+    start: DivisorClass, generators: tuple[DivisorClass, ...], cap: "int | None"
+) -> list[DivisorClass]:
+    """Closure of a class under reflections in ``generators``, by breadth-first search.
 
     Deduplication keys on the exact coordinate tuples, so distinct classes
-    never collide.  Exceeding the size cap raises OrbitTooLarge.
+    never collide.  Exceeding ``cap`` raises OrbitTooLarge; None means no cap.
     """
-    cap = _orbit_cap(cap)
-    generators = simple_roots(model)
     seen: dict[tuple[Fraction, ...], DivisorClass] = {start.coords: start}
     frontier = deque([start])
     while frontier:
@@ -66,47 +64,42 @@ def weyl_orbit(
         for alpha in generators:
             image = reflect(current, alpha)
             if image.coords not in seen:
-                if len(seen) >= cap:
+                if cap is not None and len(seen) >= cap:
                     raise OrbitTooLarge(f"orbit exceeded the cap of {cap}")
                 seen[image.coords] = image
                 frontier.append(image)
-    return set(seen.values())
+    return list(seen.values())
 
 
-def weyl_group_order(model: SurfaceModel, max_r: int = GROUP_ENUMERATION_MAX_R) -> int:
-    """Order of the group generated by the simple-root reflections.
+def weyl_orbit(
+    model: SurfaceModel, start: DivisorClass, cap: "int | None" = None
+) -> set[DivisorClass]:
+    """Closure of a class under the simple-root reflections (see ``_orbit``)."""
+    return set(_orbit(start, simple_roots(model), _orbit_cap(cap)))
 
-    Every group element fixes the canonical class and the roots span its
-    orthogonal complement, so the action on the (finite) root set is
-    faithful; elements are enumerated as root permutations, which keeps the
-    breadth-first closure cheap even at 51840 elements.
+
+def weyl_group_order(model: SurfaceModel) -> int:
+    """Order of the group W_r generated by the simple-root reflections.
+
+    W_k is generated by the simple roots supported on L, E1..Ek, and the
+    orbit-stabiliser tower |W_k| = |W_k . E_k| * |W_{k-1}| makes the order a
+    product of r orbits of at most 240 classes each.  For k != 3, E_k pairs
+    -1 with E_k - E_{k-1} and 0 with every other generator of W_k, so it lies
+    in the closed fundamental chamber of W_k, whose stabiliser is the
+    parabolic subgroup of the generators orthogonal to it: W_{k-1} (Humphreys,
+    Reflection Groups and Coxeter Groups, 1.12).  E_3 pairs +1 with
+    L-E1-E2-E3, so that step (12 = 6 * 2) rests on the tests' enumeration of
+    the group as root permutations.  For r > 8 the group is infinite.
     """
     r = model.lattice.rank - 1
-    if r > max_r:
-        raise RankTooLargeForEnumeration(
-            f"full group enumeration is capped at r = {max_r}"
-        )
-    system = enumerate_roots(model)
-    roots = system.roots
-    if not system.simple or not roots:
-        return 1
-    index = {root.coords: i for i, root in enumerate(roots)}
-    n = len(roots)
-    generators = []
-    for alpha in system.simple:
-        images = bytes(index[reflect(root, alpha).coords] for root in roots)
-        generators.append(images)
-    identity = bytes(range(n))
-    seen = {identity}
-    frontier = deque([identity])
-    while frontier:
-        current = frontier.popleft()
-        for gen in generators:
-            composed = bytes(map(gen.__getitem__, current))
-            if composed not in seen:
-                seen.add(composed)
-                frontier.append(composed)
-    return len(seen)
+    if r > MAX_FINITE_R:
+        raise RankTooLargeForEnumeration(f"the reflection group is infinite at r = {r}")
+    generators = simple_roots(model)
+    order = 1
+    for k in range(1, r + 1):
+        tower = tuple(alpha for alpha in generators if not any(alpha.coords[k + 1 :]))
+        order *= len(_orbit(model.lattice.basis_divisor(k), tower, None))
+    return order
 
 
 def k3_reflection_volume(

@@ -113,7 +113,8 @@ def support_curves(
 
     A curve set supports a chamber exactly when its intersection matrix is
     negative definite (see ``enumerate_chambers``), so that is all this
-    checks; UnrealizableSupport otherwise, and on an unknown label.
+    checks; UnrealizableSupport otherwise, and on an unknown label.  Rank or
+    more curves are refused unbuilt: signature (1, rank - 1) forbids them.
     """
     if not isinstance(support, ChamberDescriptor):
         support = ChamberDescriptor.from_labels(support)
@@ -121,7 +122,9 @@ def support_curves(
         curves = [model.curve_by_label(label) for label in support.support]
     except KeyError as exc:
         raise UnrealizableSupport(f"support {support}: {exc}") from exc
-    if not is_negative_definite(gram_matrix([c.cls for c in curves])):
+    if len(curves) >= model.lattice.rank or not is_negative_definite(
+        gram_matrix([c.cls for c in curves])
+    ):
         raise UnrealizableSupport(
             f"support {support} has an intersection matrix that is not negative definite"
         )

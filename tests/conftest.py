@@ -54,6 +54,20 @@ def a2_chain_model() -> SurfaceModel:
     return SurfaceModel(lattice=lattice, ample=lattice.divisor([1, 0, 0]), curves=curves)
 
 
+def rank_ten_model() -> SurfaceModel:
+    """Standard basis L, E1..E9 with K = -3L + sum(E_i): r = 9, infinite Weyl group."""
+    lattice = IntersectionLattice(
+        [[1 if i == j == 0 else -(i == j) for j in range(10)] for i in range(10)],
+        ["L"] + [f"E{i}" for i in range(1, 10)],
+    )
+    return SurfaceModel(
+        lattice=lattice,
+        ample=lattice.divisor([4] + [-1] * 9),
+        curves=(),
+        canonical=lattice.divisor([-3] + [1] * 9),
+    )
+
+
 def random_rational(rng: random.Random, lo: int, hi: int, max_den: int = 4) -> Fraction:
     den = rng.randint(1, max_den)
     return Fraction(rng.randint(lo * den, hi * den), den)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import rank_ten_model
 from zlab.cli import main, parse_surface, surface_to_json
 from zlab.errors import (
     AmpleWitnessError,
@@ -61,6 +62,20 @@ def test_parse_surface_schema_errors():
     bad_rational = dict(DP2_JSON, ample=["3", "-1", "x"])
     with pytest.raises(SchemaError):
         parse_surface(json.dumps(bad_rational))
+
+
+def test_asymmetric_surface_file_is_one_schema_error_line(capsys, tmp_path):
+    path = tmp_path / "asym.json"
+    path.write_text(json.dumps(dict(DP2_JSON, gram=[[1, 0, 0], [1, -1, 0], [0, 0, -1]])))
+    code, out, err = run_cli(capsys, ["zariski", "--surface", str(path), "--class", "1,0,0"])
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "SchemaError",
+        "message": "gram matrix must be symmetric",
+    }
 
 
 def test_parse_surface_signature_error():
@@ -148,6 +163,23 @@ def test_weyl_subcommands(capsys):
     )
     assert code == 0
     assert json.loads(out)["size"] == 6
+
+
+def test_weyl_order_beyond_the_permutation_oracle(capsys):
+    code, out, _ = run_cli(capsys, ["weyl-order", "--delpezzo", "7"])
+    assert code == 0
+    assert out == '{"order": 2903040}\n'
+
+
+def test_weyl_order_refuses_an_infinite_group(capsys, tmp_path):
+    path = tmp_path / "rank10.json"
+    path.write_text(json.dumps(surface_to_json(rank_ten_model())))
+    code, out, err = run_cli(capsys, ["weyl-order", "--surface", str(path)])
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "RankTooLargeForEnumeration"
 
 
 def test_k3_reflect(capsys, tmp_path):

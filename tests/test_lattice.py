@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zlab.lattice
 from conftest import dp_model
 from zlab import (
     IntersectionLattice,
@@ -121,6 +122,15 @@ def test_solve_gram_rejects_indefinite_sets():
     line = dp2_class(1, -1, -1)
     with pytest.raises(NotNegativeDefinite):
         solve_gram_system([E1, line], [-1, -1])
+
+
+def test_solve_gram_refuses_rank_many_classes_unbuilt(monkeypatch):
+    built = []
+    monkeypatch.setattr(zlab.lattice, "gram_matrix", built.append)
+    E1, E2, line = dp2_class(0, 1, 0), dp2_class(0, 0, 1), dp2_class(1, -1, -1)
+    with pytest.raises(NotNegativeDefinite):
+        solve_gram_system([E1, E2, line], [-1, -1, -1])
+    assert built == []
 
 
 def test_solve_gram_substitution_reproduces_rhs():

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
 
-from conftest import dp_model, k3_model, random_big_class
+from conftest import dp_model, k3_model, random_big_class, rank_ten_model
+import zlab.weyl
 from zlab import (
     enumerate_roots,
     is_nef,
@@ -72,7 +74,8 @@ def test_orbit_of_one_curve_is_the_whole_curve_set(r):
 
 
 def test_orbits_available_above_the_group_cap():
-    """Full group enumeration stops at rank 7, but orbits stay cheap."""
+    """Orbits at r = 7 stay cheap, as does the group order from the orbit
+    tower; only the root-permutation oracle of these tests stops at r = 6."""
     dp7 = dp_model(7)
     assert len(weyl_orbit(dp7, dp7.lattice.basis_divisor(1))) == 56
     roots7 = enumerate_roots(dp7).roots
@@ -100,17 +103,75 @@ def test_rank_two_orbits_document_the_small_cases(dp2):
     assert {d.format() for d in weyl_orbit(dp2, lat.basis_divisor(1))} == {"E1", "E2"}
 
 
+def permutation_group_order(model) -> int:
+    """Oracle: the group enumerated element by element as root permutations.
+
+    Every group element fixes the canonical class and the roots span its
+    orthogonal complement, so the action on the finite root set is faithful.
+    """
+    system = enumerate_roots(model)
+    roots = system.roots
+    if not system.simple or not roots:
+        return 1
+    index = {root.coords: i for i, root in enumerate(roots)}
+    generators = [
+        bytes(index[reflect(root, alpha).coords] for root in roots)
+        for alpha in system.simple
+    ]
+    identity = bytes(range(len(roots)))
+    seen = {identity}
+    frontier = deque([identity])
+    while frontier:
+        current = frontier.popleft()
+        for gen in generators:
+            composed = bytes(map(gen.__getitem__, current))
+            if composed not in seen:
+                seen.add(composed)
+                frontier.append(composed)
+    return len(seen)
+
+
 def test_group_orders():
     assert weyl_group_order(dp_model(1)) == 1
     assert weyl_group_order(dp_model(2)) == 2
     assert weyl_group_order(dp_model(3)) == 12
     assert weyl_group_order(dp_model(4)) == 120
     assert weyl_group_order(dp_model(5)) == 1920
+    assert weyl_group_order(dp_model(7)) == 2_903_040
+    assert weyl_group_order(dp_model(8)) == 696_729_600
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
+def test_group_order_matches_permutation_oracle(r):
+    assert weyl_group_order(dp_model(r)) == permutation_group_order(dp_model(r))
+
+
+def test_group_order_work_is_the_orbit_tower(monkeypatch):
+    """One reflection per orbit element and generator of its tower step: the
+    sum over k = 1..8 of |W_k . E_k| times the number of W_k generators."""
+    calls = 0
+    plain = zlab.weyl.reflect
+
+    def counting(divisor, alpha):
+        nonlocal calls
+        calls += 1
+        return plain(divisor, alpha)
+
+    monkeypatch.setattr(zlab.weyl, "reflect", counting)
+    assert weyl_group_order(dp_model(8)) == 696_729_600
+    orbits = [1, 2, 6, 10, 16, 27, 56, 240]
+    generators = [0, 1, 3, 4, 5, 6, 7, 8]
+    assert calls == sum(o * g for o, g in zip(orbits, generators)) == 2614
+
+
+def test_group_order_ignores_the_orbit_cap(monkeypatch):
+    monkeypatch.setenv("ZLAB_ORBIT_CAP", "2")
+    assert weyl_group_order(dp_model(4)) == 120
 
 
 def test_group_order_rank_cap():
     with pytest.raises(RankTooLargeForEnumeration):
-        weyl_group_order(dp_model(7))
+        weyl_group_order(rank_ten_model())
 
 
 def test_simple_reflections_permute_the_curves():

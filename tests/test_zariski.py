@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zlab.lattice
+import zlab.zariski
 from conftest import dp_model, random_ample_class, random_big_class
 from zlab import (
     chamber_closure_contains,
@@ -25,10 +27,12 @@ from zlab.errors import (
     LatticeMismatch,
     NotBig,
     NotNef,
+    NotNegativeDefinite,
     NotPseudoEffective,
     UnrealizableSupport,
 )
 from zlab.lattice import gram_matrix, is_negative_definite
+from zlab.zariski import support_curves
 
 
 def test_decomposition_worked_values(dp2):
@@ -227,6 +231,37 @@ def test_decomposition_on_the_largest_model():
         doubled = zariski_decompose(model, 2 * divisor)
         assert doubled.positive.coords == (2 * dec.positive).coords
     assert seen_nonempty
+
+
+def count_gram_sizes(monkeypatch) -> list[int]:
+    """Record the size of every Gram matrix built through either module."""
+    sizes: list[int] = []
+
+    def counting(classes):
+        sizes.append(len(classes))
+        return gram_matrix(classes)
+
+    monkeypatch.setattr(zlab.lattice, "gram_matrix", counting)
+    monkeypatch.setattr(zlab.zariski, "gram_matrix", counting)
+    return sizes
+
+
+def test_oversized_support_fails_before_its_gram_matrix(monkeypatch):
+    """This dp8 class augments to all 240 curves; no 9 or more classes are
+    negative definite in signature (1, 8), so no such matrix is ever built."""
+    model = dp_model(8)
+    sizes = count_gram_sizes(monkeypatch)
+    coords = "3,3/2,-3,-3,5,-2/3,5,4,7/2".split(",")
+    with pytest.raises(NotNegativeDefinite):
+        zariski_decompose(model, model.lattice.divisor([Fraction(x) for x in coords]))
+    assert sizes and max(sizes) < model.lattice.rank
+
+
+def test_support_of_rank_many_curves_is_refused_unbuilt(dp2, monkeypatch):
+    sizes = count_gram_sizes(monkeypatch)
+    with pytest.raises(UnrealizableSupport):
+        support_curves(dp2, ["E1", "E2", "L-E1-E2"])
+    assert sizes == []
 
 
 # -- continuity across a wall ----------------------------------------------
