@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .errors import NotNef, NotNegativeDefinite, NullMismatch, RankTooLargeForEnumeration
-from .lattice import DivisorClass, is_negative_definite, solve_gram_system
+from .lattice import DivisorClass, is_negative_definite, solve_symmetric
 from .surface import SurfaceModel, is_nef
 from .zariski import ChamberDescriptor, null_set
 
@@ -26,23 +26,23 @@ def construct_nef_with_null(
     relies on; the tests use it as an oracle for that theorem.
     """
     labels = support.support if isinstance(support, ChamberDescriptor) else support
-    curves = [model.curve_by_label(label) for label in labels]
-    if not curves:
+    indices = [model.curve_index(label) for label in labels]
+    if not indices:
         return model.ample
-    classes = [c.cls for c in curves]
-    coefficients = solve_gram_system(
-        classes, [-model.ample.dot(cls) for cls in classes]
+    ample_pairings = model.curve_pairings(model.ample)
+    coefficients = solve_symmetric(
+        model.curve_gram(indices), [-ample_pairings[i] for i in indices]
     )
     if any(t <= 0 for t in coefficients):
         raise NotNegativeDefinite(
             "orthogonality system produced a non-positive coefficient"
         )
     result = model.ample
-    for cls, t in zip(classes, coefficients):
-        result = result + t * cls
+    for i, t in zip(indices, coefficients):
+        result = result + t * model.curves[i].cls
     if not is_nef(model, result):
         raise NullMismatch("constructed class is not nef")
-    if null_set(model, result) != frozenset(c.label for c in curves):
+    if null_set(model, result) != frozenset(model.curves[i].label for i in indices):
         raise NullMismatch("constructed class has extra null curves")
     return result
 
@@ -54,12 +54,15 @@ class Face(NamedTuple):
     orthogonal_basis: tuple[DivisorClass, ...]
 
 
-def _orthogonal_complement_basis(
-    model: SurfaceModel, classes: Sequence[DivisorClass]
-) -> tuple[DivisorClass, ...]:
-    """Exact basis of {v : v . C = 0 for all C} inside the lattice."""
+def face_of(model: SurfaceModel, nef_class: DivisorClass) -> Face:
+    """Null set of a nef class and an exact basis of its orthogonal complement
+    {v : v . C = 0 for every null curve C}, by Gauss-Jordan on the rows G @ C."""
+    if not is_nef(model, nef_class):
+        raise NotNef("face is only defined for nef classes")
+    labels = null_set(model, nef_class)
+    indices = [model.curve_index(label) for label in sorted(labels)]
     rank = model.lattice.rank
-    rows = [list(model.lattice.gram_row_times(cls.coords)) for cls in classes]
+    rows = [[Fraction(x) for x in row] for row in model.curve_rows(indices)]
     pivots: list[int] = []
     row_index = 0
     for col in range(rank):
@@ -85,16 +88,7 @@ def _orthogonal_complement_basis(
         for row_pos, col in enumerate(pivots):
             coords[col] = -rows[row_pos][free]
         basis.append(model.lattice.divisor(coords))
-    return tuple(basis)
-
-
-def face_of(model: SurfaceModel, nef_class: DivisorClass) -> Face:
-    """Null set of a nef class and an exact basis of its orthogonal complement."""
-    if not is_nef(model, nef_class):
-        raise NotNef("face is only defined for nef classes")
-    labels = null_set(model, nef_class)
-    classes = [model.curve_by_label(lbl).cls for lbl in sorted(labels)]
-    return Face(labels, _orthogonal_complement_basis(model, classes))
+    return Face(labels, tuple(basis))
 
 
 def enumerate_chambers(model: SurfaceModel) -> list[ChamberDescriptor]:
@@ -126,9 +120,6 @@ def enumerate_chambers(model: SurfaceModel) -> list[ChamberDescriptor]:
             f" the model lists {len(curves)}"
         )
     max_size = model.lattice.rank - 1
-    pair_table = [
-        [ci.cls.dot(cj.cls) for cj in curves] for ci in curves
-    ]
     found: list[ChamberDescriptor] = [ChamberDescriptor(())]
     stack: list[int] = []
 
@@ -137,8 +128,7 @@ def enumerate_chambers(model: SurfaceModel) -> list[ChamberDescriptor]:
             return
         for idx in range(next_start, len(curves)):
             candidate = stack + [idx]
-            gram = [[pair_table[i][j] for j in candidate] for i in candidate]
-            if not is_negative_definite(gram):
+            if not is_negative_definite(model.curve_gram(candidate)):
                 continue
             found.append(
                 ChamberDescriptor(tuple(curves[i].label for i in candidate))

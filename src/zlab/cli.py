@@ -41,14 +41,19 @@ def _fraction_str(value: Fraction) -> str:
 
 
 def _parse_fraction(text: str) -> Fraction:
+    text = str(text)
+    if "e" in text.lower():  # "1e3000000" takes seconds to build, then cannot print
+        raise SchemaError(f"not a rational number (no exponents): {text!r}")
     try:
-        return Fraction(str(text))
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"not a rational number: {text!r}") from exc
 
 
 def _parse_coords(text: str, lattice: IntersectionLattice) -> DivisorClass:
-    parts = [p for p in text.split(",") if p != ""]
+    parts = text.split(",")
+    if "" in parts:
+        raise SchemaError(f"empty coordinate in {text!r}")
     if len(parts) != lattice.rank:
         raise SchemaError(
             f"expected {lattice.rank} comma-separated coordinates, got {len(parts)}"

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Sequence, Union
 
 from .errors import LatticeMismatch, NotNegativeDefinite, SignatureError
@@ -433,12 +434,6 @@ class IntersectionLattice:
     def zero(self) -> "DivisorClass":
         return self.divisor([0] * self.rank)
 
-    def gram_row_times(self, coords: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """gram @ coords, used to cache pairing rows for hot loops."""
-        return tuple(
-            sum(g * c for g, c in zip(row, coords)) for row in self.gram
-        )
-
 
 @dataclass(frozen=True)
 class DivisorClass:
@@ -470,7 +465,7 @@ class DivisorClass:
             total += xi * sum(g * y for g, y in zip(row, other.coords) if g)
         return total
 
-    @property
+    @cached_property
     def square(self) -> Fraction:
         return self.dot(self)
 

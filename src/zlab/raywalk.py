@@ -23,8 +23,8 @@ from .errors import (
     NotAmple,
     NotNegativeDefinite,
 )
-from .lattice import DivisorClass, QuadraticIrrational, solve_gram_system, sqrt_fraction
-from .surface import NegativeCurve, SurfaceModel
+from .lattice import DivisorClass, QuadraticIrrational, solve_symmetric, sqrt_fraction
+from .surface import SurfaceModel
 from .zariski import (
     ChamberDescriptor,
     _decompose_big,
@@ -87,18 +87,21 @@ def is_ample(model: SurfaceModel, divisor: DivisorClass) -> bool:
 
 def _affine_segment(
     model: SurfaceModel,
-    support: list[NegativeCurve],
+    support: list[int],
     bundle: DivisorClass,
     ample: DivisorClass,
 ):
-    """Affine data on a fixed support: coefficients x(t) = x0 + t*x1 and
-    candidate positive part P(t) = p0 + t*p1."""
-    classes = [c.cls for c in support]
-    x0 = solve_gram_system(classes, [bundle.dot(cls) for cls in classes])
-    x1 = solve_gram_system(classes, [-ample.dot(cls) for cls in classes])
+    """Affine data on a fixed support of curve indices: coefficients
+    x(t) = x0 + t*x1 and candidate positive part P(t) = p0 + t*p1."""
+    b = model.curve_pairings(bundle)
+    a = model.curve_pairings(ample)
+    gram = model.curve_gram(support)
+    x0 = solve_symmetric(gram, [b[i] for i in support])
+    x1 = solve_symmetric(gram, [-a[i] for i in support])
     p0 = bundle
     p1 = -ample
-    for cls, u, v in zip(classes, x0, x1):
+    for i, u, v in zip(support, x0, x1):
+        cls = model.curves[i].cls
         p0 = p0 - u * cls
         p1 = p1 - v * cls
     return x0, x1, p0, p1
@@ -106,7 +109,7 @@ def _affine_segment(
 
 def _absorb_walls(
     model: SurfaceModel,
-    support: list[NegativeCurve],
+    support: list[int],
     bundle: DivisorClass,
     ample: DivisorClass,
     lam: Fraction,
@@ -117,11 +120,11 @@ def _absorb_walls(
         x0, x1, p0, p1 = _affine_segment(model, support, bundle, ample)
         f0 = model.curve_pairings(p0)
         f1 = model.curve_pairings(p1)
-        in_support = {c.label for c in support}
+        in_support = set(support)
         entrants = [
-            c
-            for c, a, b in zip(model.curves, f0, f1)
-            if c.label not in in_support and b < 0 and a + lam * b == 0
+            i
+            for i, (a, b) in enumerate(zip(f0, f1))
+            if i not in in_support and b < 0 and a + lam * b == 0
         ]
         if not entrants:
             return support, x0, x1, p0, p1, f0, f1
@@ -166,7 +169,7 @@ def destabilizing_numbers(
         raise NotAmple("the direction class must be ample in the model")
     initial = _decompose_big(model, bundle)
 
-    support = list(initial.support)
+    support = [model.curve_index(c.label) for c in initial.support]
     lam = Fraction(0)
     seg_start = Fraction(0)
     segments: list[RaySegment] = []
@@ -184,7 +187,7 @@ def destabilizing_numbers(
             threshold = QuadraticIrrational(lam)
             if lam > seg_start:
                 segments.append(
-                    RaySegment(seg_start, threshold, _descriptor(support))
+                    RaySegment(seg_start, threshold, _descriptor(model, support))
                 )
             elif breakpoints and breakpoints[-1] == lam:
                 breakpoints.pop()
@@ -193,12 +196,12 @@ def destabilizing_numbers(
                     last.lambda_start, threshold, last.support
                 )
             break
-        descriptor = _descriptor(support)
-        in_support = {c.label for c in support}
+        descriptor = _descriptor(model, support)
+        in_support = set(support)
 
         wall: Optional[Fraction] = None
-        for c, a, b in zip(model.curves, f0, f1):
-            if c.label in in_support or b >= 0:
+        for i, (a, b) in enumerate(zip(f0, f1)):
+            if i in in_support or b >= 0:
                 continue
             assert a + lam * b >= 0, "segment invariant broken"
             root = -a / b
@@ -231,8 +234,8 @@ def destabilizing_numbers(
         if exit_root is not None:
             segments.append(RaySegment(seg_start, exit_root, descriptor))
             support = [
-                c
-                for c, u, v in zip(support, x0, x1)
+                i
+                for i, u, v in zip(support, x0, x1)
                 if not (v < 0 and u + exit_root * v == 0)
             ]
             lam = seg_start = exit_root
@@ -249,8 +252,8 @@ def destabilizing_numbers(
     )
 
 
-def _descriptor(support: list[NegativeCurve]) -> ChamberDescriptor:
-    return ChamberDescriptor.from_labels(c.label for c in support)
+def _descriptor(model: SurfaceModel, support: list[int]) -> ChamberDescriptor:
+    return ChamberDescriptor.from_labels(model.curves[i].label for i in support)
 
 
 def is_stable(model: SurfaceModel, divisor: DivisorClass) -> bool:

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import isqrt
-from typing import NamedTuple, Optional
+from math import isqrt, lcm
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     AmpleWitnessError,
@@ -24,7 +23,17 @@ from .errors import (
     OutOfRange,
     UnsupportedLattice,
 )
-from .lattice import DivisorClass, IntersectionLattice
+from .lattice import DivisorClass, IntersectionLattice, Rational
+
+
+def _integer_coords(coords: Sequence[Fraction], scale: int) -> list[int]:
+    """scale * coords as ints; scale must be a multiple of every denominator."""
+    return [x.numerator * (scale // x.denominator) for x in coords]
+
+
+def _exact(value: int, scale: int) -> Rational:
+    """value / scale, kept a plain int at scale 1 (int / int would be a float)."""
+    return value if scale == 1 else Fraction(value, scale)
 
 
 @dataclass(frozen=True)
@@ -49,6 +58,8 @@ class SurfaceModel:
     and pairs strictly positively with every curve; curve classes are
     pairwise distinct and pair non-negatively with each other (distinct
     irreducible curves meet non-negatively).
+    Every pairing against a listed curve, named by its index in ``curves``,
+    reads the integer pairing kernel built here.
     """
 
     lattice: IntersectionLattice
@@ -64,8 +75,8 @@ class SurfaceModel:
             raise AmpleWitnessError("ample witness must have positive square")
         if self.canonical is not None and self.canonical.lattice != self.lattice:
             raise LatticeMismatch("canonical class lives in a different lattice")
-        labels = [c.label for c in self.curves]
-        if len(set(labels)) != len(labels):
+        index = {c.label: i for i, c in enumerate(self.curves)}
+        if len(index) != len(self.curves):
             raise CurvePairingError("curve labels must be distinct")
         seen: set[tuple[Fraction, ...]] = set()
         for curve in self.curves:
@@ -74,37 +85,64 @@ class SurfaceModel:
             if curve.cls.coords in seen:
                 raise CurvePairingError(f"curve class {curve.label} is duplicated")
             seen.add(curve.cls.coords)
-            if self.ample.dot(curve.cls) <= 0:
+        # The pairing kernel: s clears every curve denominator, rows[i] is
+        # G @ (s*C_i) in integers and gram[i][j] is C_i . C_j, a plain int
+        # when s = 1 and an exact Fraction otherwise.
+        scale = lcm(*(x.denominator for c in self.curves for x in c.cls.coords))
+        scaled = [_integer_coords(c.cls.coords, scale) for c in self.curves]
+        rows = tuple(
+            tuple(sum(g * x for g, x in zip(row, v)) for row in self.lattice.gram)
+            for v in scaled
+        )
+        square = scale * scale
+        gram = tuple(
+            tuple(
+                _exact(sum(x * y for x, y in zip(row, v)), square) for v in scaled
+            )
+            for row in rows
+        )
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_gram", gram)
+        for curve, p in zip(self.curves, self.curve_pairings(self.ample)):
+            if p <= 0:
                 raise AmpleWitnessError(
                     f"ample witness pairs non-positively with {curve.label}"
                 )
         for i, ci in enumerate(self.curves):
-            for cj in self.curves[i + 1 :]:
-                if ci.cls.dot(cj.cls) < 0:
+            for j in range(i + 1, len(self.curves)):
+                if gram[i][j] < 0:
                     raise CurvePairingError(
-                        f"distinct curves {ci.label}, {cj.label} pair negatively"
+                        f"distinct curves {ci.label}, {self.curves[j].label} pair negatively"
                     )
 
-    @cached_property
-    def _curve_rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        # gram @ C for each curve, so pairings against curves cost O(rank)
-        return tuple(
-            self.lattice.gram_row_times(c.cls.coords) for c in self.curves
-        )
-
     def curve_pairings(self, divisor: DivisorClass) -> list[Fraction]:
-        """[D . C for C in curves], computed from cached gram rows."""
+        """[D . C for C in curves]: D's denominators are cleared once and each
+        pairing is one integer dot product with a kernel row."""
         coords = divisor.coords
-        return [
-            sum(x * y for x, y in zip(coords, row) if y)
-            for row in self._curve_rows
-        ]
+        d = lcm(*(x.denominator for x in coords))
+        v = _integer_coords(coords, d)
+        den = d * self._scale
+        return [Fraction(sum(x * y for x, y in zip(v, row)), den) for row in self._rows]
+
+    def curve_gram(self, indices: Sequence[int]) -> list[list[Rational]]:
+        """The intersection matrix (C_i . C_j) of the curves at ``indices``."""
+        gram = self._gram
+        return [[gram[i][j] for j in indices] for i in indices]
+
+    def curve_rows(self, indices: Sequence[int]) -> list[list[Rational]]:
+        """The rows G @ C_i of the curves at ``indices``, so D . C_i = D @ row."""
+        return [[_exact(x, self._scale) for x in self._rows[i]] for i in indices]
+
+    def curve_index(self, label: str) -> int:
+        try:
+            return self._index[label]
+        except KeyError:
+            raise KeyError(f"no curve labelled {label!r}") from None
 
     def curve_by_label(self, label: str) -> NegativeCurve:
-        for curve in self.curves:
-            if curve.label == label:
-                return curve
-        raise KeyError(f"no curve labelled {label!r}")
+        return self.curves[self.curve_index(label)]
 
     def is_nef(self, divisor: DivisorClass) -> bool:
         return is_nef(self, divisor)
@@ -227,21 +265,14 @@ class RootSystem(NamedTuple):
     simple: tuple[DivisorClass, ...]
 
 
-def enumerate_roots(model: SurfaceModel) -> RootSystem:
-    """All roots (square -2, orthogonal to K) together with the simple ones.
-
-    Both alpha and -alpha appear in ``roots``.  The simple roots are
-    L-E1-E2-E3 (when r >= 3) and E_{i+1}-E_i for i = 1..r-1; for r >= 3 they
-    generate the whole reflection group.
-    """
+def simple_roots(model: SurfaceModel) -> tuple[DivisorClass, ...]:
+    """L-E1-E2-E3 (when r >= 3) and E_{i+1}-E_i for i = 1..r-1; for r >= 3
+    they generate the whole reflection group."""
     if model.canonical is None:
         raise MissingCanonical("root enumeration needs a canonical class")
     lattice = model.lattice
     if not _is_standard_del_pezzo(lattice):
         raise UnsupportedLattice("root enumeration needs the standard basis")
-    roots = tuple(
-        _classes_by_degree_constraints(lattice, k_degree=0, self_intersection=-2)
-    )
     r = lattice.rank - 1
     simple: list[DivisorClass] = []
     if r >= 3:
@@ -251,8 +282,14 @@ def enumerate_roots(model: SurfaceModel) -> RootSystem:
         coords[i] = 1
         coords[i - 1] = -1
         simple.append(lattice.divisor(coords))
-    return RootSystem(roots=roots, simple=tuple(simple))
+    return tuple(simple)
 
 
-def simple_roots(model: SurfaceModel) -> tuple[DivisorClass, ...]:
-    return enumerate_roots(model).simple
+def enumerate_roots(model: SurfaceModel) -> RootSystem:
+    """All roots (square -2, orthogonal to K) together with the simple ones.
+
+    Both alpha and -alpha appear in ``roots``.
+    """
+    simple = simple_roots(model)
+    roots = _classes_by_degree_constraints(model.lattice, k_degree=0, self_intersection=-2)
+    return RootSystem(roots=tuple(roots), simple=simple)

@@ -13,9 +13,9 @@ from .errors import (
     NotNegativeDefinite,
     NotPseudoEffective,
 )
-from .lattice import DivisorClass, gram_matrix, invert_matrix
+from .lattice import DivisorClass
 from .surface import SurfaceModel
-from .zariski import ChamberDescriptor, support_curves, zariski_decompose
+from .zariski import ChamberDescriptor, _resolve_support, zariski_decompose
 
 
 def vol(model: SurfaceModel, divisor: DivisorClass) -> Fraction:
@@ -80,36 +80,20 @@ def volume_polynomial(
     """
     if not isinstance(chamber, ChamberDescriptor):
         chamber = ChamberDescriptor.from_labels(chamber)
-    classes = [c.cls for c in support_curves(model, chamber)]
-    rank = model.lattice.rank
+    indices, inverse = _resolve_support(model, chamber)
     gram = model.lattice.gram
-    if not chamber.support:
-        matrix = tuple(tuple(Fraction(g) for g in row) for row in gram)
-        return QuadraticVolumePolynomial(chamber, matrix)
-
-    inverse = invert_matrix(gram_matrix(classes))
-    rows = [model.lattice.gram_row_times(cls.coords) for cls in classes]
-    k = len(classes)
-    # substitution matrix M with M @ D = D - N(D)
+    rank = model.lattice.rank
+    # With R the rows G @ C_i and G_S the support's matrix, D - N(D) is
+    # D - C^T G_S^-1 R D, and pulling G back along it leaves G - R^T G_S^-1 R.
+    rows = model.curve_rows(indices)
+    k = len(indices)
     weighted = [
-        [sum(inverse[i][t] * rows[t][j] for t in range(k)) for j in range(rank)]
-        for i in range(k)
-    ]
-    substitution = [
-        [
-            Fraction(int(i == j))
-            - sum(classes[t].coords[i] * weighted[t][j] for t in range(k))
-            for j in range(rank)
-        ]
-        for i in range(rank)
-    ]
-    gm = [
-        [sum(Fraction(gram[i][t]) * substitution[t][j] for t in range(rank)) for j in range(rank)]
-        for i in range(rank)
+        [sum(inverse[s][t] * rows[t][j] for t in range(k)) for j in range(rank)]
+        for s in range(k)
     ]
     quadratic = tuple(
         tuple(
-            sum(substitution[t][i] * gm[t][j] for t in range(rank))
+            Fraction(gram[i][j]) - sum(rows[s][i] * weighted[s][j] for s in range(k))
             for j in range(rank)
         )
         for i in range(rank)

@@ -110,12 +110,11 @@ def k3_reflection_volume(
     Computed honestly through the Zariski decomposition of the reflected
     class; for t = P.E the value equals P**2 + t**2/2.
     """
-    if isinstance(curve, str):
-        curve = model.curve_by_label(curve)
-    else:
-        curve = model.curve_by_label(curve.label)
-    if curve.cls.square != -2:
-        raise NotMinusTwoClass(f"{curve.label} has square {curve.cls.square}, not -2")
+    index = model.curve_index(curve if isinstance(curve, str) else curve.label)
+    curve = model.curves[index]
+    square = model.curve_gram([index])[0][0]
+    if square != -2:
+        raise NotMinusTwoClass(f"{curve.label} has square {square}, not -2")
     if not is_nef(model, nef_class):
         raise NotNef("reflection volume expects a nef class")
     return vol(model, reflect(nef_class, curve.cls))

@@ -23,7 +23,7 @@ from .errors import (
     NotPseudoEffective,
     UnrealizableSupport,
 )
-from .lattice import DivisorClass, gram_matrix, is_negative_definite, solve_gram_system
+from .lattice import DivisorClass, invert_matrix, is_negative_definite, solve_symmetric
 from .surface import NegativeCurve, SurfaceModel, is_nef
 
 
@@ -45,18 +45,15 @@ class ZariskiDecomposition:
         object.__setattr__(self, "coefficients", pairs)
         if any(coeff <= 0 for _, coeff in pairs):
             raise ValueError("negative-part coefficients must be strictly positive")
-        reconstructed = self.positive
-        for curve, coeff in pairs:
-            reconstructed = reconstructed + coeff * curve.cls
-        if reconstructed.coords != self.input.coords:
+        if (self.positive + self.negative).coords != self.input.coords:
             raise ValueError("positive and negative part do not sum to the input")
         if not is_nef(self.model, self.positive):
             raise ValueError("positive part is not nef")
-        if any(self.positive.dot(curve.cls) != 0 for curve, _ in pairs):
+        indices = [self.model.curve_index(curve.label) for curve, _ in pairs]
+        pairings = self.model.curve_pairings(self.positive)
+        if any(pairings[i] != 0 for i in indices):
             raise ValueError("positive part is not orthogonal to the support")
-        if pairs and not is_negative_definite(
-            gram_matrix([curve.cls for curve, _ in pairs])
-        ):
+        if indices and not is_negative_definite(self.model.curve_gram(indices)):
             raise ValueError("support pairing matrix is not negative definite")
 
     @property
@@ -106,36 +103,46 @@ class ChamberDescriptor:
         return "{" + ", ".join(self.support) + "}"
 
 
+def _resolve_support(
+    model: SurfaceModel, support: ChamberDescriptor
+) -> tuple[list[int], list[list[Fraction]]]:
+    """Curve indices of a support, sorted by label, and the inverse of its
+    intersection matrix.
+
+    A curve set supports a chamber exactly when that matrix is negative
+    definite (see ``enumerate_chambers``), so that is all this checks;
+    UnrealizableSupport otherwise, and on an unknown label.  Rank or more
+    curves are refused unread: signature (1, rank - 1) forbids them.
+    """
+    try:
+        indices = [model.curve_index(label) for label in support.support]
+    except KeyError as exc:
+        raise UnrealizableSupport(f"support {support}: {exc}") from exc
+    if len(indices) < model.lattice.rank:
+        try:
+            return indices, invert_matrix(model.curve_gram(indices))
+        except NotNegativeDefinite:
+            pass
+    raise UnrealizableSupport(
+        f"support {support} has an intersection matrix that is not negative definite"
+    )
+
+
 def support_curves(
     model: SurfaceModel, support: "ChamberDescriptor | Iterable[str]"
 ) -> list[NegativeCurve]:
-    """The curves of a chamber support, sorted by label.
-
-    A curve set supports a chamber exactly when its intersection matrix is
-    negative definite (see ``enumerate_chambers``), so that is all this
-    checks; UnrealizableSupport otherwise, and on an unknown label.  Rank or
-    more curves are refused unbuilt: signature (1, rank - 1) forbids them.
-    """
+    """The curves of a chamber support, sorted by label (see ``_resolve_support``)."""
     if not isinstance(support, ChamberDescriptor):
         support = ChamberDescriptor.from_labels(support)
-    try:
-        curves = [model.curve_by_label(label) for label in support.support]
-    except KeyError as exc:
-        raise UnrealizableSupport(f"support {support}: {exc}") from exc
-    if len(curves) >= model.lattice.rank or not is_negative_definite(
-        gram_matrix([c.cls for c in curves])
-    ):
-        raise UnrealizableSupport(
-            f"support {support} has an intersection matrix that is not negative definite"
-        )
-    return curves
+    return [model.curves[i] for i in _resolve_support(model, support)[0]]
 
 
 def zariski_decompose(model: SurfaceModel, divisor: DivisorClass) -> ZariskiDecomposition:
     """Unique decomposition divisor = P + N for a pseudo-effective class.
 
     Raises NotNegativeDefinite when the accumulated support stops being
-    negative definite and NotPseudoEffective when no decomposition can exist
+    negative definite (at once for rank or more curves, which signature
+    (1, rank - 1) forbids) and NotPseudoEffective when no decomposition can exist
     (the candidate positive part fails nefness with no curve left to add, or
     the class already pairs non-positively with the ample witness).
     """
@@ -149,34 +156,36 @@ def zariski_decompose(model: SurfaceModel, divisor: DivisorClass) -> ZariskiDeco
         )
 
     pairings = model.curve_pairings(divisor)
-    support = [c for c, p in zip(model.curves, pairings) if p < 0]
-    in_support = {c.label for c in support}
+    support = [i for i, p in enumerate(pairings) if p < 0]
     positive = divisor
     coefficients: list[Fraction] = []
     for _ in range(len(model.curves) + 1):
-        classes = [c.cls for c in support]
-        coefficients = solve_gram_system(
-            classes, [divisor.dot(cls) for cls in classes]
+        if len(support) >= model.lattice.rank:  # refused unread, see the docstring
+            raise NotNegativeDefinite(
+                f"{len(support)} classes in rank {model.lattice.rank} are never negative definite"
+            )
+        coefficients = solve_symmetric(
+            model.curve_gram(support), [pairings[i] for i in support]
         )
         positive = divisor
-        for cls, coeff in zip(classes, coefficients):
-            positive = positive - coeff * cls
+        for i, coeff in zip(support, coefficients):
+            positive = positive - coeff * model.curves[i].cls
+        in_support = set(support)
         violating = [
-            c
-            for c, p in zip(model.curves, model.curve_pairings(positive))
-            if p < 0 and c.label not in in_support
+            i
+            for i, p in enumerate(model.curve_pairings(positive))
+            if p < 0 and i not in in_support
         ]
         if not violating:
             break
         support.extend(violating)
-        in_support.update(c.label for c in violating)
     if not is_nef(model, positive):
         raise NotPseudoEffective(
             "no curve left to add but the candidate positive part is not nef"
         )
     pairs = tuple(
-        (curve, coeff)
-        for curve, coeff in zip(support, coefficients)
+        (model.curves[i], coeff)
+        for i, coeff in zip(support, coefficients)
         if coeff != 0
     )
     return ZariskiDecomposition(model, divisor, positive, pairs)

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from zlab import (
     DivisorClass,
@@ -15,6 +17,7 @@ from zlab import (
     del_pezzo,
     is_big,
 )
+from zlab.errors import SignatureError
 
 _DP_CACHE: dict[int, SurfaceModel] = {}
 
@@ -113,3 +116,35 @@ def random_ample_class(model: SurfaceModel, rng: random.Random) -> DivisorClass:
         candidate = scale * model.ample + rng.randint(0, 3) * model.lattice.basis_divisor(0)
         if is_ample(model, candidate):
             return candidate
+
+
+@st.composite
+def user_models(draw):
+    """Small models that SurfaceModel accepts: a hyperbolic lattice of rank
+    2-4, an ample witness and up to six curves meeting pairwise >= 0."""
+    rank = draw(st.integers(2, 4))
+    gram = [[0] * rank for _ in range(rank)]
+    gram[0][0] = draw(st.integers(1, 4))
+    for i in range(1, rank):
+        gram[i][i] = draw(st.integers(-4, -1))
+        for j in range(i):
+            gram[i][j] = gram[j][i] = draw(st.integers(-1, 1))
+    try:
+        lattice = IntersectionLattice(gram, [f"b{i}" for i in range(rank)])
+    except SignatureError:
+        assume(False)
+    tail = st.lists(st.integers(-1, 1), min_size=rank - 1, max_size=rank - 1)
+    ample = lattice.divisor([draw(st.integers(1, 3))] + draw(tail))
+    assume(ample.square > 0)
+    vectors = st.lists(st.sampled_from([0, 0, 1, -1, 2, -2]), min_size=rank, max_size=rank)
+    curves: list[NegativeCurve] = []
+    for coords in draw(st.lists(vectors, min_size=8, max_size=24)):
+        cls = lattice.divisor(coords)
+        if (
+            len(curves) < 6
+            and cls.square < 0
+            and ample.dot(cls) > 0
+            and all(cls.dot(c.cls) >= 0 for c in curves)
+        ):
+            curves.append(NegativeCurve(f"C{len(curves)}", cls))
+    return SurfaceModel(lattice=lattice, ample=ample, curves=tuple(curves))

@@ -7,14 +7,10 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
+from hypothesis import given, settings
 
-from conftest import a2_chain_model, dp_model, k3_model, random_big_class
+from conftest import a2_chain_model, dp_model, k3_model, random_big_class, user_models
 from zlab import (
-    IntersectionLattice,
-    NegativeCurve,
-    SurfaceModel,
     chamber_of,
     construct_nef_with_null,
     enumerate_chambers,
@@ -27,7 +23,6 @@ from zlab.errors import (
     NotNegativeDefinite,
     NullMismatch,
     RankTooLargeForEnumeration,
-    SignatureError,
 )
 from zlab.lattice import gram_matrix, is_negative_definite
 
@@ -121,38 +116,6 @@ def test_enumerated_supports_are_exact_null_sets(key):
     for chamber in enumerate_chambers(model):
         witness = construct_nef_with_null(model, chamber)
         assert null_set(model, witness) == chamber.label_set
-
-
-@st.composite
-def user_models(draw):
-    """Small models that SurfaceModel accepts: a hyperbolic lattice of rank
-    2-4, an ample witness and up to six curves meeting pairwise >= 0."""
-    rank = draw(st.integers(2, 4))
-    gram = [[0] * rank for _ in range(rank)]
-    gram[0][0] = draw(st.integers(1, 4))
-    for i in range(1, rank):
-        gram[i][i] = draw(st.integers(-4, -1))
-        for j in range(i):
-            gram[i][j] = gram[j][i] = draw(st.integers(-1, 1))
-    try:
-        lattice = IntersectionLattice(gram, [f"b{i}" for i in range(rank)])
-    except SignatureError:
-        assume(False)
-    tail = st.lists(st.integers(-1, 1), min_size=rank - 1, max_size=rank - 1)
-    ample = lattice.divisor([draw(st.integers(1, 3))] + draw(tail))
-    assume(ample.square > 0)
-    vectors = st.lists(st.sampled_from([0, 0, 1, -1, 2, -2]), min_size=rank, max_size=rank)
-    curves: list[NegativeCurve] = []
-    for coords in draw(st.lists(vectors, min_size=8, max_size=24)):
-        cls = lattice.divisor(coords)
-        if (
-            len(curves) < 6
-            and cls.square < 0
-            and ample.dot(cls) > 0
-            and all(cls.dot(c.cls) >= 0 for c in curves)
-        ):
-            curves.append(NegativeCurve(f"C{len(curves)}", cls))
-    return SurfaceModel(lattice=lattice, ample=ample, curves=tuple(curves))
 
 
 @settings(max_examples=80, deadline=None)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -147,6 +148,20 @@ def test_fractional_class_input(capsys):
     )
     assert code == 0
     assert json.loads(out) == {"volume": "1"}
+
+
+@pytest.mark.parametrize("cls", ["3,,-1,-1", "3,-1,-1,", "1e3000000,-1,-1", "3,-1,-1E0"])
+def test_malformed_class_is_one_schema_error_line(capsys, cls):
+    """Empty fields were dropped silently, so "3,,-1,-1" read as 3,-1,-1; an
+    exponent like 1e3000000 took seconds and then failed with a traceback."""
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, ["volume", "--delpezzo", "2", "--class", cls])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "SchemaError"
 
 
 def test_delpezzo_count(capsys):

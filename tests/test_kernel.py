@@ -1,0 +1,85 @@
+"""The surface model's pairing kernel against the pairing of arbitrary classes."""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from conftest import user_models
+from test_acceptance import _negative_definite_subsets, _oracle_decompose
+from zlab import DivisorClass, NegativeCurve, SurfaceModel, del_pezzo, zariski_decompose
+from zlab.errors import CurvePairingError
+from zlab.lattice import gram_matrix
+
+FACTORS = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(3, 2), Fraction(5, 6)]
+RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def scaled_user_models(draw):
+    """A user model whose curves are rescaled by positive rationals, so their
+    classes share a common denominator s > 1.  Positive rescaling keeps every
+    invariant SurfaceModel checks, except that two classes may now coincide."""
+    base = draw(user_models())
+    assume(base.curves)
+    curves = tuple(
+        NegativeCurve(c.label, draw(st.sampled_from(FACTORS)) * c.cls) for c in base.curves
+    )
+    assume(any(x.denominator > 1 for c in curves for x in c.cls.coords))
+    try:
+        return SurfaceModel(lattice=base.lattice, ample=base.ample, curves=curves)
+    except CurvePairingError:
+        assume(False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(scaled_user_models(), st.data())
+def test_kernel_matches_pairing_on_scaled_user_models(model, data):
+    n = len(model.curves)
+    classes = [c.cls for c in model.curves]
+    kernel = model.curve_gram(range(n))
+    assert kernel == gram_matrix(classes)
+    rows = model.curve_rows(range(n))
+    divisor = model.lattice.divisor(
+        data.draw(st.lists(RATIONALS, min_size=model.lattice.rank, max_size=model.lattice.rank))
+    )
+    pairings = model.curve_pairings(divisor)
+    assert pairings == [divisor.dot(cls) for cls in classes]
+    assert pairings == [sum(x * g for x, g in zip(divisor.coords, row)) for row in rows]
+    for value in [x for row in kernel + rows for x in row] + pairings:
+        assert type(value) in (int, Fraction)
+
+    # A + sum(t_i C_i) is big, so it has a decomposition for the oracle to find.
+    ts = data.draw(st.lists(st.fractions(0, 3, max_denominator=3), min_size=n, max_size=n))
+    big = model.ample
+    for t, cls in zip(ts, classes):
+        big = big + t * cls
+    dec = zariski_decompose(model, big)
+    got = (dec.positive.coords, tuple(sorted((c.label, x) for c, x in dec.coefficients)))
+    assert got == _oracle_decompose(model, big, _negative_definite_subsets(model))
+
+
+def test_integer_kernel_stores_plain_ints():
+    model = del_pezzo(3)
+    for row in model.curve_gram(range(len(model.curves))) + model.curve_rows(range(6)):
+        assert all(type(x) is int for x in row)
+
+
+def test_del_pezzo_8_pairs_each_curve_once(monkeypatch):
+    """The kernel pairs curves with integer rows, so the only class pairings
+    left are the ample square and the 240 curve squares NegativeCurve checks
+    (validating by class pairings took 29,161 DivisorClass.dot calls)."""
+    calls = 0
+    plain = DivisorClass.dot
+
+    def counting(self, other):
+        nonlocal calls
+        calls += 1
+        return plain(self, other)
+
+    monkeypatch.setattr(DivisorClass, "dot", counting)
+    model = del_pezzo(8)
+    assert len(model.curves) == 240
+    assert calls <= 241

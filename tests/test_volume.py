@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from conftest import random_big_class
+import zlab.lattice
+from conftest import dp_model, random_big_class
 from zlab import (
     QuadraticIrrational,
     chamber_of,
@@ -18,6 +20,7 @@ from zlab import (
     volume_polynomial,
 )
 from zlab.errors import NegativeDimension, UnrealizableSupport
+from zlab.lattice import gram_matrix, invert_matrix
 
 
 def test_vol_worked_values(dp2):
@@ -51,10 +54,57 @@ def test_volume_polynomial_matrices(dp2):
 
 
 def test_volume_polynomial_requires_realizable_support(dp2):
-    with pytest.raises(UnrealizableSupport):
+    message = "support {E1, L-E1-E2} has an intersection matrix that is not negative definite"
+    with pytest.raises(UnrealizableSupport, match=re.escape(message)):
         volume_polynomial(dp2, ("E1", "L-E1-E2"))
     with pytest.raises(UnrealizableSupport):
         volume_polynomial(dp2, ("nope",))
+
+
+def test_volume_polynomial_eliminates_once(dp2, monkeypatch):
+    calls = 0
+    plain = zlab.lattice._negative_definite_factor
+
+    def counting(matrix):
+        nonlocal calls
+        calls += 1
+        return plain(matrix)
+
+    monkeypatch.setattr(zlab.lattice, "_negative_definite_factor", counting)
+    volume_polynomial(dp2, ("E1", "E2"))
+    assert calls == 1
+
+
+def substitution_form(model, chamber):
+    """Oracle: M^T G M with M = I - C G_S^-1 R the substitution D |-> D - N(D)."""
+    gram = model.lattice.gram
+    rank = model.lattice.rank
+    classes = [model.curve_by_label(label).cls for label in chamber.support]
+    inverse = invert_matrix(gram_matrix(classes))
+    rows = [[sum(g * c for g, c in zip(row, cls.coords)) for row in gram] for cls in classes]
+    k = len(classes)
+    m = [
+        [
+            int(i == j)
+            - sum(classes[s].coords[i] * inverse[s][t] * rows[t][j] for s in range(k) for t in range(k))
+            for j in range(rank)
+        ]
+        for i in range(rank)
+    ]
+    return tuple(
+        tuple(
+            Fraction(sum(m[a][i] * gram[a][b] * m[b][j] for a in range(rank) for b in range(rank)))
+            for j in range(rank)
+        )
+        for i in range(rank)
+    )
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_volume_form_equals_the_substitution_pullback(r):
+    model = dp_model(r)
+    for chamber in enumerate_chambers(model):
+        assert volume_polynomial(model, chamber).matrix == substitution_form(model, chamber)
 
 
 def test_polynomials_agree_with_vol_in_every_chamber(dp2, dp3):

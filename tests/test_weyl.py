@@ -9,8 +9,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import dp_model, k3_model, random_big_class, rank_ten_model
+import zlab.surface
 import zlab.weyl
 from zlab import (
+    DivisorClass,
     enumerate_roots,
     is_nef,
     k3_reflection_volume,
@@ -162,6 +164,38 @@ def test_group_order_work_is_the_orbit_tower(monkeypatch):
     orbits = [1, 2, 6, 10, 16, 27, 56, 240]
     generators = [0, 1, 3, 4, 5, 6, 7, 8]
     assert calls == sum(o * g for o, g in zip(orbits, generators)) == 2614
+
+
+def test_group_order_pairs_once_per_reflection(monkeypatch):
+    """reflect pairs D with alpha once; alpha's square is computed once per
+    generator rather than once per reflection (5,228 DivisorClass.dot calls)."""
+    model = dp_model(8)
+    calls = 0
+    plain = DivisorClass.dot
+
+    def counting(self, other):
+        nonlocal calls
+        calls += 1
+        return plain(self, other)
+
+    monkeypatch.setattr(DivisorClass, "dot", counting)
+    assert weyl_group_order(model) == 696_729_600
+    assert calls <= 2614 + 8
+
+
+def test_simple_roots_skip_the_root_enumeration(monkeypatch):
+    calls = 0
+    plain = zlab.surface._classes_by_degree_constraints
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(zlab.surface, "_classes_by_degree_constraints", counting)
+    simple = simple_roots(dp_model(8))
+    assert calls == 0
+    assert simple == enumerate_roots(dp_model(8)).simple and len(simple) == 8
 
 
 def test_group_order_ignores_the_orbit_cap(monkeypatch):

@@ -10,10 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import zlab.lattice
-import zlab.zariski
 from conftest import dp_model, random_ample_class, random_big_class
 from zlab import (
+    SurfaceModel,
     chamber_closure_contains,
     chamber_of,
     is_big,
@@ -233,24 +232,24 @@ def test_decomposition_on_the_largest_model():
     assert seen_nonempty
 
 
-def count_gram_sizes(monkeypatch) -> list[int]:
-    """Record the size of every Gram matrix built through either module."""
+def count_kernel_reads(monkeypatch) -> list[int]:
+    """Record the size of every submatrix read from a model's pairing kernel."""
     sizes: list[int] = []
+    plain = SurfaceModel.curve_gram
 
-    def counting(classes):
-        sizes.append(len(classes))
-        return gram_matrix(classes)
+    def counting(self, indices):
+        sizes.append(len(indices))
+        return plain(self, indices)
 
-    monkeypatch.setattr(zlab.lattice, "gram_matrix", counting)
-    monkeypatch.setattr(zlab.zariski, "gram_matrix", counting)
+    monkeypatch.setattr(SurfaceModel, "curve_gram", counting)
     return sizes
 
 
 def test_oversized_support_fails_before_its_gram_matrix(monkeypatch):
     """This dp8 class augments to all 240 curves; no 9 or more classes are
-    negative definite in signature (1, 8), so no such matrix is ever built."""
+    negative definite in signature (1, 8), so no such matrix is ever read."""
     model = dp_model(8)
-    sizes = count_gram_sizes(monkeypatch)
+    sizes = count_kernel_reads(monkeypatch)
     coords = "3,3/2,-3,-3,5,-2/3,5,4,7/2".split(",")
     with pytest.raises(NotNegativeDefinite):
         zariski_decompose(model, model.lattice.divisor([Fraction(x) for x in coords]))
@@ -258,7 +257,7 @@ def test_oversized_support_fails_before_its_gram_matrix(monkeypatch):
 
 
 def test_support_of_rank_many_curves_is_refused_unbuilt(dp2, monkeypatch):
-    sizes = count_gram_sizes(monkeypatch)
+    sizes = count_kernel_reads(monkeypatch)
     with pytest.raises(UnrealizableSupport):
         support_curves(dp2, ["E1", "E2", "L-E1-E2"])
     assert sizes == []
