@@ -107,36 +107,36 @@ def enumerate_chambers(model: SurfaceModel) -> list[ChamberDescriptor]:
     realizability check is needed (``construct_nef_with_null`` builds P and
     the tests check it on every bundled model).
 
-    The walk is depth-first over the subset lattice of the curve list and
-    extends only supports whose Gram matrix stays negative definite; every
-    principal submatrix of a negative definite matrix is negative definite,
-    so this pruning loses nothing.  Raises RankTooLargeForEnumeration for
-    more than MAX_ENUMERABLE_CURVES curves.
+    The walk is depth-first over the subset lattice and extends only negative
+    definite supports: their principal submatrices are negative definite, so
+    this pruning loses nothing, and a curve joins only curves whose 2x2 block
+    is negative definite, C_i**2 * C_j**2 > (C_i.C_j)**2.  A curve C meeting
+    no curve of such a set S gives the matrix diag(G_S, C**2), negative
+    definite as C**2 < 0, so only candidates meeting S are eliminated.  More
+    than MAX_ENUMERABLE_CURVES curves raise RankTooLargeForEnumeration.
     """
     curves = model.curves
-    if len(curves) > MAX_ENUMERABLE_CURVES:
+    n = len(curves)
+    if n > MAX_ENUMERABLE_CURVES:
         raise RankTooLargeForEnumeration(
             f"chamber enumeration supports at most {MAX_ENUMERABLE_CURVES} curves;"
-            f" the model lists {len(curves)}"
+            f" the model lists {n}"
         )
-    max_size = model.lattice.rank - 1
-    found: list[ChamberDescriptor] = [ChamberDescriptor(())]
-    stack: list[int] = []
+    g = model.curve_gram(range(n))
+    pairs = [sum(1 << j for j in range(n) if g[i][i] * g[j][j] > g[i][j] ** 2) for i in range(n)]
+    meets = [sum(1 << j for j in range(n) if g[i][j]) for i in range(n)]
+    found = [ChamberDescriptor(())]
 
-    def descend(next_start: int) -> None:
-        if len(stack) >= max_size:
-            return
-        for idx in range(next_start, len(curves)):
-            candidate = stack + [idx]
-            if not is_negative_definite(model.curve_gram(candidate)):
+    def descend(stack: tuple[int, ...], allowed: int, met: int) -> None:
+        while allowed:
+            idx = allowed.bit_length() - 1
+            allowed ^= 1 << idx
+            support = stack + (idx,)
+            if met >> idx & 1 and not is_negative_definite(model.curve_gram(support)):
                 continue
-            found.append(
-                ChamberDescriptor(tuple(curves[i].label for i in candidate))
-            )
-            stack.append(idx)
-            descend(idx + 1)
-            stack.pop()
+            found.append(ChamberDescriptor(tuple(curves[i].label for i in support)))
+            descend(support, allowed & pairs[idx], met | meets[idx])
 
-    descend(0)
+    descend((), (1 << n) - 1, 0)
     found.sort(key=lambda chamber: (len(chamber.support), chamber.support))
     return found

@@ -85,46 +85,39 @@ def is_ample(model: SurfaceModel, divisor: DivisorClass) -> bool:
     return all(p > 0 for p in model.curve_pairings(divisor))
 
 
-def _affine_segment(
-    model: SurfaceModel,
-    support: list[int],
-    bundle: DivisorClass,
-    ample: DivisorClass,
-):
-    """Affine data on a fixed support of curve indices: coefficients
-    x(t) = x0 + t*x1 and candidate positive part P(t) = p0 + t*p1."""
-    b = model.curve_pairings(bundle)
-    a = model.curve_pairings(ample)
-    gram = model.curve_gram(support)
-    x0 = solve_symmetric(gram, [b[i] for i in support])
-    x1 = solve_symmetric(gram, [-a[i] for i in support])
-    p0 = bundle
-    p1 = -ample
-    for i, u, v in zip(support, x0, x1):
-        cls = model.curves[i].cls
-        p0 = p0 - u * cls
-        p1 = p1 - v * cls
-    return x0, x1, p0, p1
-
-
 def _absorb_walls(
     model: SurfaceModel,
     support: list[int],
     bundle: DivisorClass,
     ample: DivisorClass,
     lam: Fraction,
+    pairings: tuple[list[Fraction], list[Fraction]],
 ):
-    """Add every curve whose wall passes through lam with decreasing pairing."""
+    """Add every curve whose wall passes through lam with decreasing pairing.
+
+    Returns the affine data on the grown support: coefficients x(t) = x0 +
+    t*x1, candidate positive part P(t) = p0 + t*p1 and its curve pairings
+    f0 + t*f1.  ``pairings`` holds the curve pairings of the bundle and of
+    the ample class, computed once per walk.
+    """
+    b, a = pairings
     support = list(support)
     while True:
-        x0, x1, p0, p1 = _affine_segment(model, support, bundle, ample)
+        gram = model.curve_gram(support)
+        x0 = solve_symmetric(gram, [b[i] for i in support])
+        x1 = solve_symmetric(gram, [-a[i] for i in support])
+        p0, p1 = bundle, -ample
+        for i, u, v in zip(support, x0, x1):
+            cls = model.curves[i].cls
+            p0 = p0 - u * cls
+            p1 = p1 - v * cls
         f0 = model.curve_pairings(p0)
         f1 = model.curve_pairings(p1)
         in_support = set(support)
         entrants = [
             i
-            for i, (a, b) in enumerate(zip(f0, f1))
-            if i not in in_support and b < 0 and a + lam * b == 0
+            for i, (g0, g1) in enumerate(zip(f0, f1))
+            if i not in in_support and g1 < 0 and g0 + lam * g1 == 0
         ]
         if not entrants:
             return support, x0, x1, p0, p1, f0, f1
@@ -168,6 +161,7 @@ def destabilizing_numbers(
     if not is_ample(model, ample):
         raise NotAmple("the direction class must be ample in the model")
     initial = _decompose_big(model, bundle)
+    pairings = (model.curve_pairings(bundle), model.curve_pairings(ample))
 
     support = [model.curve_index(c.label) for c in initial.support]
     lam = Fraction(0)
@@ -179,7 +173,7 @@ def destabilizing_numbers(
     for _ in range(2 * len(model.curves) + 8):
         try:
             support, x0, x1, p0, p1, f0, f1 = _absorb_walls(
-                model, support, bundle, ample, lam
+                model, support, bundle, ample, lam, pairings
             )
         except NotNegativeDefinite:
             # entering curves broke definiteness: the class cannot stay big,

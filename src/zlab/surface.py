@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
+from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -94,13 +95,12 @@ class SurfaceModel:
             tuple(sum(g * x for g, x in zip(row, v)) for row in self.lattice.gram)
             for v in scaled
         )
-        square = scale * scale
-        gram = tuple(
-            tuple(
-                _exact(sum(x * y for x, y in zip(row, v)), square) for v in scaled
-            )
-            for row in rows
-        )
+        n, square = len(scaled), scale * scale
+        gram = [[0] * n for _ in range(n)]
+        for i, row in enumerate(rows):  # the upper half, mirrored
+            for j in range(i, n):
+                gram[i][j] = gram[j][i] = _exact(sum(map(mul, row, scaled[j])), square)
+        gram = tuple(map(tuple, gram))
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_scale", scale)
         object.__setattr__(self, "_rows", rows)
@@ -148,13 +148,18 @@ class SurfaceModel:
         return is_nef(self, divisor)
 
 
-def is_nef(model: SurfaceModel, divisor: DivisorClass) -> bool:
-    """Nefness test under the model assumption (complete curve list)."""
+def is_nef(
+    model: SurfaceModel, divisor: DivisorClass, pairings: "Sequence[Rational] | None" = None
+) -> bool:
+    """Nefness test under the model assumption (complete curve list); a caller
+    holding ``model.curve_pairings(divisor)`` passes it as ``pairings``."""
     if divisor.lattice != model.lattice:
         raise LatticeMismatch("class lives in a different lattice")
     if divisor.square < 0 or divisor.dot(model.ample) < 0:
         return False
-    return all(p >= 0 for p in model.curve_pairings(divisor))
+    if pairings is None:
+        pairings = model.curve_pairings(divisor)
+    return all(p >= 0 for p in pairings)
 
 
 # ---------------------------------------------------------------------------

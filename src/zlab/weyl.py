@@ -13,8 +13,9 @@ P**2 + t**2 - t/2 at t = 1).
 from __future__ import annotations
 
 import os
-from collections import deque
 from fractions import Fraction
+from math import lcm
+
 from .errors import (
     NotMinusTwoClass,
     NotNef,
@@ -54,21 +55,36 @@ def _orbit(
 ) -> list[DivisorClass]:
     """Closure of a class under reflections in ``generators``, by breadth-first search.
 
-    Deduplication keys on the exact coordinate tuples, so distinct classes
-    never collide.  Exceeding ``cap`` raises OrbitTooLarge; None means no cap.
+    It runs on integer tuples, the start's denominators cleared once: an
+    integral (-2)-class alpha sends v to v + (v . alpha) * alpha, read off the
+    nonzero entries of alpha and G @ alpha, and fixes v when v . alpha = 0.
+    Exceeding ``cap`` raises OrbitTooLarge; None means no cap.
     """
-    seen: dict[tuple[Fraction, ...], DivisorClass] = {start.coords: start}
-    frontier = deque([start])
-    while frontier:
-        current = frontier.popleft()
-        for alpha in generators:
-            image = reflect(current, alpha)
-            if image.coords not in seen:
-                if cap is not None and len(seen) >= cap:
-                    raise OrbitTooLarge(f"orbit exceeded the cap of {cap}")
-                seen[image.coords] = image
-                frontier.append(image)
-    return list(seen.values())
+    gram = start.lattice.gram
+    steps = []
+    for alpha in generators:
+        if alpha.square != -2 or any(x.denominator != 1 for x in alpha.coords):
+            raise NotMinusTwoClass(f"{alpha} is not an integral class of square -2")
+        a = [(i, x.numerator) for i, x in enumerate(alpha.coords) if x]
+        row = [(i, s) for i, g in enumerate(gram) if (s := sum(g[j] * y for j, y in a))]
+        steps.append((a, row))
+    d = lcm(*(x.denominator for x in start.coords))
+    orbit = [tuple(x.numerator * (d // x.denominator) for x in start.coords)]
+    seen = set(orbit)
+    for v in orbit:
+        for a, row in steps:
+            t = sum(v[i] * s for i, s in row)
+            if t:
+                image = list(v)
+                for i, y in a:
+                    image[i] += t * y
+                image = tuple(image)
+                if image not in seen:
+                    if cap is not None and len(seen) >= cap:
+                        raise OrbitTooLarge(f"orbit exceeded the cap of {cap}")
+                    seen.add(image)
+                    orbit.append(image)
+    return [start.lattice.divisor([Fraction(x, d) for x in v] if d > 1 else v) for v in orbit]
 
 
 def weyl_orbit(

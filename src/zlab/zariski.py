@@ -47,10 +47,10 @@ class ZariskiDecomposition:
             raise ValueError("negative-part coefficients must be strictly positive")
         if (self.positive + self.negative).coords != self.input.coords:
             raise ValueError("positive and negative part do not sum to the input")
-        if not is_nef(self.model, self.positive):
+        pairings = self.model.curve_pairings(self.positive)
+        if not is_nef(self.model, self.positive, pairings):
             raise ValueError("positive part is not nef")
         indices = [self.model.curve_index(curve.label) for curve, _ in pairs]
-        pairings = self.model.curve_pairings(self.positive)
         if any(pairings[i] != 0 for i in indices):
             raise ValueError("positive part is not orthogonal to the support")
         if indices and not is_negative_definite(self.model.curve_gram(indices)):
@@ -148,16 +148,15 @@ def zariski_decompose(model: SurfaceModel, divisor: DivisorClass) -> ZariskiDeco
     """
     if divisor.lattice != model.lattice:
         raise LatticeMismatch("class lives in a different lattice")
-    if is_nef(model, divisor):
+    pairings = model.curve_pairings(divisor)
+    if is_nef(model, divisor, pairings):
         return ZariskiDecomposition(model, divisor, divisor, ())
     if divisor.dot(model.ample) <= 0:
         raise NotPseudoEffective(
             "class pairs non-positively with the ample witness and is not nef"
         )
-
-    pairings = model.curve_pairings(divisor)
     support = [i for i, p in enumerate(pairings) if p < 0]
-    positive = divisor
+    positive, positive_pairings = divisor, pairings
     coefficients: list[Fraction] = []
     for _ in range(len(model.curves) + 1):
         if len(support) >= model.lattice.rank:  # refused unread, see the docstring
@@ -171,15 +170,14 @@ def zariski_decompose(model: SurfaceModel, divisor: DivisorClass) -> ZariskiDeco
         for i, coeff in zip(support, coefficients):
             positive = positive - coeff * model.curves[i].cls
         in_support = set(support)
+        positive_pairings = model.curve_pairings(positive)
         violating = [
-            i
-            for i, p in enumerate(model.curve_pairings(positive))
-            if p < 0 and i not in in_support
+            i for i, p in enumerate(positive_pairings) if p < 0 and i not in in_support
         ]
         if not violating:
             break
         support.extend(violating)
-    if not is_nef(model, positive):
+    if not is_nef(model, positive, positive_pairings):
         raise NotPseudoEffective(
             "no curve left to add but the candidate positive part is not nef"
         )

@@ -3,14 +3,20 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
 
 from conftest import a2_chain_model, dp_model, k3_model, random_big_class, user_models
+import zlab.chambers
 from zlab import (
+    IntersectionLattice,
+    NegativeCurve,
+    SurfaceModel,
     chamber_of,
     construct_nef_with_null,
     enumerate_chambers,
@@ -153,6 +159,82 @@ def test_dp5_count_matches_power_set_scan():
             if is_negative_definite(gram_matrix([c.cls for c in subset])):
                 count += 1
     assert count == len(enumerate_chambers(model)) == 393
+
+
+CURVE_COUNTS = [1, 3, 6, 10, 16, 27, 56]  # N_r, the (-1)-curves of dp_r
+WEYL_ORDERS = [1, 2, 12, 120, 1920, 51840, 2903040]  # |W(E_r)|
+CHAMBER_TOTALS = [2, 5, 18, 76, 393, 2764, 33645]
+
+
+@pytest.mark.parametrize("r", range(1, 8))
+def test_chamber_counts_by_size_match_the_orbit_formula(r):
+    """W(E_r) acts transitively on ordered k-tuples of disjoint (-1)-curves
+    (Bauer-Funke-Neumann), so there are N_r * N_{r-1} ... N_{r-k+1} / k! chambers
+    with k curves for k < r, and |W_r| / r! with r curves."""
+    expected = []
+    for k in range(r + 1):
+        if k < r:
+            expected.append(prod(CURVE_COUNTS[r - 1 - i] for i in range(k)) // factorial(k))
+        else:
+            expected.append(WEYL_ORDERS[r - 1] // factorial(r))
+    sizes = Counter(len(c.support) for c in enumerate_chambers(dp_model(r)))
+    assert [sizes[k] for k in range(r + 1)] == expected
+    assert sum(expected) == CHAMBER_TOTALS[r - 1]
+
+
+def affine_triangle_model():
+    """Three (-2)-curves meeting pairwise once: every pair is an A2 chain and
+    negative definite, the triple is only semi-definite (E1 + E2 + E3 has
+    square 0)."""
+    lattice = IntersectionLattice(
+        [[2, 1, 1, 1], [1, -2, 1, 1], [1, 1, -2, 1], [1, 1, 1, -2]],
+        ["H", "E1", "E2", "E3"],
+    )
+    curves = tuple(
+        NegativeCurve(f"E{i}", lattice.basis_divisor(i)) for i in range(1, 4)
+    )
+    return SurfaceModel(lattice=lattice, ample=lattice.basis_divisor(0), curves=curves)
+
+
+def counting_eliminations(monkeypatch):
+    calls = []
+    plain = zlab.chambers.is_negative_definite
+
+    def counting(gram):
+        calls.append(len(gram))
+        return plain(gram)
+
+    monkeypatch.setattr(zlab.chambers, "is_negative_definite", counting)
+    return calls
+
+
+@pytest.mark.parametrize("r", range(1, 8))
+def test_del_pezzo_enumeration_eliminates_nothing(r, monkeypatch):
+    """On del Pezzo models two curves are compatible exactly when they are
+    disjoint, so every accepted set is block diagonal and no Gram matrix is
+    eliminated, dp7 and its 33,645 chambers included."""
+    calls = counting_eliminations(monkeypatch)
+    assert len(enumerate_chambers(dp_model(r))) == CHAMBER_TOTALS[r - 1]
+    assert calls == []
+
+
+@pytest.mark.parametrize("key", ["k3(1)", "k3(2)"])
+def test_single_curve_enumeration_eliminates_nothing(key, monkeypatch):
+    """A lone curve meets no stack, so its 1x1 block C**2 < 0 is accepted unread."""
+    calls = counting_eliminations(monkeypatch)
+    assert [c.support for c in enumerate_chambers(bundled_model(key))] == [(), ("E",)]
+    assert calls == []
+
+
+@pytest.mark.parametrize("make", [a2_chain_model, affine_triangle_model])
+def test_meeting_curves_are_eliminated(make, monkeypatch):
+    """Curves that meet the stack take the elimination, which keeps the A2
+    pairs and refuses the semi-definite triangle."""
+    model = make()
+    calls = counting_eliminations(monkeypatch)
+    chambers = [c.support for c in enumerate_chambers(model)]
+    assert calls and all(size >= 2 for size in calls)
+    assert chambers == brute_force_chambers(model)
 
 
 def test_supports_are_pairwise_orthogonal_on_del_pezzo():

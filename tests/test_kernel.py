@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 
 from conftest import user_models
 from test_acceptance import _negative_definite_subsets, _oracle_decompose
-from zlab import DivisorClass, NegativeCurve, SurfaceModel, del_pezzo, zariski_decompose
+from zlab import (
+    DivisorClass,
+    NegativeCurve,
+    SurfaceModel,
+    del_pezzo,
+    destabilizing_numbers,
+    zariski_decompose,
+)
 from zlab.errors import CurvePairingError
 from zlab.lattice import gram_matrix
 
@@ -83,3 +90,27 @@ def test_del_pezzo_8_pairs_each_curve_once(monkeypatch):
     model = del_pezzo(8)
     assert len(model.curves) == 240
     assert calls <= 241
+
+
+def test_each_class_is_paired_once(monkeypatch):
+    """A decomposition pairs its input once, each candidate positive part once
+    and the checked positive part once more; a walk pairs the bundle and the
+    direction once rather than on every round (the counts were 6 and 24)."""
+    dp7, dp8 = del_pezzo(7), del_pezzo(8)
+    calls = 0
+    plain = SurfaceModel.curve_pairings
+
+    def counting(self, divisor):
+        nonlocal calls
+        calls += 1
+        return plain(self, divisor)
+
+    monkeypatch.setattr(SurfaceModel, "curve_pairings", counting)
+    dec = zariski_decompose(dp8, dp8.lattice.divisor([10, -6, -5, -2, -2, -1, -1, -1, -1]))
+    assert [c.label for c in dec.support] == ["L-E1-E2"]
+    assert calls == 3  # input, one round's candidate, the invariant check
+    calls = 0
+    bundle = dp7.lattice.divisor([9, -3, -3, -2, -2, -1, -1, -1])
+    walk = destabilizing_numbers(dp7, bundle, dp7.ample)
+    assert walk.breakpoints == (1, 2) and len(walk.segments) == 3
+    assert calls == 15

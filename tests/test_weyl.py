@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import dp_model, k3_model, random_big_class, rank_ten_model
+from conftest import dp_model, k3_model, random_big_class, random_class, rank_ten_model
 import zlab.surface
 import zlab.weyl
 from zlab import (
@@ -47,6 +47,19 @@ def test_reflect_worked_values(dp2):
 def test_reflect_requires_minus_two(dp2):
     with pytest.raises(NotMinusTwoClass):
         reflect(dp2.ample, dp2.lattice.basis_divisor(1))  # square -1
+
+
+def test_orbit_search_refuses_generators_reflect_would_refuse(dp3):
+    """The integer search keeps reflect's guard: a generator of square -1, and
+    the class (L - 3E1)/2 of square -2 that is not integral, both raise."""
+    lat = dp3.lattice
+    start = dp3.ample
+    with pytest.raises(NotMinusTwoClass):
+        zlab.weyl._orbit(start, (lat.basis_divisor(1),), None)
+    half = lat.divisor([Fraction(1, 2), Fraction(-3, 2), 0, 0])
+    assert half.square == -2
+    with pytest.raises(NotMinusTwoClass):
+        zlab.weyl._orbit(start, (half,), None)
 
 
 def test_reflection_is_an_involutive_isometry():
@@ -149,26 +162,30 @@ def test_group_order_matches_permutation_oracle(r):
 
 
 def test_group_order_work_is_the_orbit_tower(monkeypatch):
-    """One reflection per orbit element and generator of its tower step: the
-    sum over k = 1..8 of |W_k . E_k| times the number of W_k generators."""
-    calls = 0
-    plain = zlab.weyl.reflect
+    """The orbit search pairs every state with every generator of its tower
+    step once, so its work is the sum over k = 1..8 of |W_k . E_k| times the
+    number of W_k generators: 2,614 state-generator pairs, as many as the
+    reflections the search made when it ran on ``reflect``."""
+    searches = []
+    plain = zlab.weyl._orbit
 
-    def counting(divisor, alpha):
-        nonlocal calls
-        calls += 1
-        return plain(divisor, alpha)
+    def counting(start, generators, cap):
+        orbit = plain(start, generators, cap)
+        searches.append((len(orbit), len(generators)))
+        return orbit
 
-    monkeypatch.setattr(zlab.weyl, "reflect", counting)
+    monkeypatch.setattr(zlab.weyl, "_orbit", counting)
     assert weyl_group_order(dp_model(8)) == 696_729_600
     orbits = [1, 2, 6, 10, 16, 27, 56, 240]
     generators = [0, 1, 3, 4, 5, 6, 7, 8]
-    assert calls == sum(o * g for o, g in zip(orbits, generators)) == 2614
+    assert searches == list(zip(orbits, generators))
+    assert sum(o * g for o, g in searches) == 2614
 
 
 def test_group_order_pairs_once_per_reflection(monkeypatch):
-    """reflect pairs D with alpha once; alpha's square is computed once per
-    generator rather than once per reflection (5,228 DivisorClass.dot calls)."""
+    """The integer search pairs states with precomputed integer rows, so the
+    only class pairings left are the eight generator squares checked once
+    each (pairing through ``reflect`` took 2,614 + 8 DivisorClass.dot calls)."""
     model = dp_model(8)
     calls = 0
     plain = DivisorClass.dot
@@ -180,7 +197,58 @@ def test_group_order_pairs_once_per_reflection(monkeypatch):
 
     monkeypatch.setattr(DivisorClass, "dot", counting)
     assert weyl_group_order(model) == 696_729_600
-    assert calls <= 2614 + 8
+    assert calls <= 8
+
+
+def reflect_orbit(model, start, cap):
+    """Oracle: the orbit by breadth-first search through ``reflect``, with the
+    cap checked before each insertion."""
+    seen = {start.coords: start}
+    frontier = deque([start])
+    while frontier:
+        current = frontier.popleft()
+        for alpha in simple_roots(model):
+            image = reflect(current, alpha)
+            if image.coords not in seen:
+                if len(seen) >= cap:
+                    raise OrbitTooLarge(f"orbit exceeded the cap of {cap}")
+                seen[image.coords] = image
+                frontier.append(image)
+    return set(seen.values())
+
+
+ORACLE_CAP = 600
+
+
+@pytest.mark.parametrize("r", [3, 4, 5, 6, 7])
+def test_integer_orbit_matches_reflect_oracle(r):
+    """Seeded integer and fractional classes, in the span of K and one or two
+    curves so that most orbits stay below the cap, and a generic one above it:
+    the same set, and OrbitTooLarge at the same cap."""
+    model = dp_model(r)
+    rng = random.Random(61 + r)
+    curves = [c.cls for c in model.curves]
+    starts = [random_class(model, rng, max_den=1), random_class(model, rng)]
+    for trial in range(8):
+        den = 1 if trial % 2 else rng.randint(2, 5)
+        start = Fraction(rng.randint(-3, 3), den) * model.canonical
+        for cls in rng.sample(curves, 1 + trial % 3 // 2):
+            start = start + Fraction(rng.randint(1, 4), den) * cls
+        starts.append(start)
+    for start in starts:
+        try:
+            expected = reflect_orbit(model, start, ORACLE_CAP)
+        except OrbitTooLarge:
+            with pytest.raises(OrbitTooLarge):
+                weyl_orbit(model, start, cap=ORACLE_CAP)
+            continue
+        size = len(expected)
+        assert weyl_orbit(model, start, cap=size) == expected
+        if size > 1:
+            with pytest.raises(OrbitTooLarge):
+                reflect_orbit(model, start, size - 1)
+            with pytest.raises(OrbitTooLarge):
+                weyl_orbit(model, start, cap=size - 1)
 
 
 def test_simple_roots_skip_the_root_enumeration(monkeypatch):
