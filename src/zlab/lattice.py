@@ -25,18 +25,27 @@ Rational = Union[int, Fraction]
 
 
 def squarefree_split(n: int) -> tuple[int, int]:
-    """Write n = s**2 * m with m squarefree; return (s, m)."""
+    """Write n = s**2 * m with m squarefree; return (s, m).
+
+    Trial division by d stops once d**3 exceeds the unfactored part r: every
+    prime of r is then at least d, so r is 1, p, p*q or p**2 and isqrt decides.
+    """
     if n < 0:
         raise ValueError("negative radicand")
     if n in (0, 1):
         return 1, n
-    s, m, d = 1, n, 2
-    while d * d <= m:
-        while m % (d * d) == 0:
-            m //= d * d
-            s *= d
+    s, m, r, d = 1, 1, n, 2
+    while d * d * d <= r:
+        if r % d == 0:
+            while r % (d * d) == 0:
+                r //= d * d
+                s *= d
+            if r % d == 0:
+                r //= d
+                m *= d
         d += 1
-    return s, m
+    t = math.isqrt(r)
+    return (s * t, m) if t * t == r else (s, m * r)
 
 
 class QuadraticIrrational:
@@ -65,6 +74,14 @@ class QuadraticIrrational:
             else:
                 b, m = b * s, mf
         self._a, self._b, self._m = a, b, m
+
+    @classmethod
+    def _field(cls, a: Fraction, b: Fraction, m: int) -> "QuadraticIrrational":
+        """a + b*sqrt(m) for m already squarefree, as arithmetic takes it from
+        canonical operands; only b == 0 is folded, so nothing is factored."""
+        out = object.__new__(cls)
+        out._a, out._b, out._m = a, b, (m if b else 0)
+        return out
 
     @property
     def a(self) -> Fraction:
@@ -109,12 +126,12 @@ class QuadraticIrrational:
         if o is None:
             return NotImplemented
         m = self._common_radicand(o)
-        return QuadraticIrrational(self._a + o._a, self._b + o._b, m)
+        return self._field(self._a + o._a, self._b + o._b, m)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QuadraticIrrational":
-        return QuadraticIrrational(-self._a, -self._b, self._m)
+        return self._field(-self._a, -self._b, self._m)
 
     def __sub__(self, other: object) -> "QuadraticIrrational":
         o = self._coerce(other)
@@ -130,7 +147,7 @@ class QuadraticIrrational:
         if o is None:
             return NotImplemented
         m = self._common_radicand(o)
-        return QuadraticIrrational(
+        return self._field(
             self._a * o._a + self._b * o._b * m,
             self._a * o._b + self._b * o._a,
             m,
@@ -143,7 +160,7 @@ class QuadraticIrrational:
             raise ZeroDivisionError("inverse of zero")
         # (a + b sqrt(m))(a - b sqrt(m)) = a^2 - b^2 m, nonzero for m squarefree
         norm = self._a * self._a - self._b * self._b * self._m
-        return QuadraticIrrational(self._a / norm, -self._b / norm, self._m)
+        return self._field(self._a / norm, -self._b / norm, self._m)
 
     def __truediv__(self, other: object) -> "QuadraticIrrational":
         o = self._coerce(other)
@@ -248,9 +265,12 @@ def sqrt_fraction(value: Rational) -> QuadraticIrrational:
     value = Fraction(value)
     if value < 0:
         raise ValueError("square root of a negative rational")
-    # sqrt(p/q) = sqrt(p*q)/q
-    radicand = value.numerator * value.denominator
-    return QuadraticIrrational(0, Fraction(1, value.denominator), radicand)
+    # p/q is reduced, so sqrt(p/q) = sp*sqrt(mp*mq)/(sq*mq) with mp*mq squarefree
+    sp, mp = squarefree_split(value.numerator)
+    sq, mq = squarefree_split(value.denominator)
+    if mp * mq <= 1:  # zero or the square of a rational
+        return QuadraticIrrational(Fraction(sp * mp, sq))
+    return QuadraticIrrational._field(Fraction(0), Fraction(sp, sq * mq), mp * mq)
 
 
 # ---------------------------------------------------------------------------

@@ -78,11 +78,17 @@ class RayWalkResult:
 
 def is_ample(model: SurfaceModel, divisor: DivisorClass) -> bool:
     """Strict positivity against the square, the witness and every curve."""
+    return _ample_pairings(model, divisor) is not None
+
+
+def _ample_pairings(model: SurfaceModel, divisor: DivisorClass) -> "list[Fraction] | None":
+    """The curve pairings of an ample class, or None when it is not ample."""
     if divisor.lattice != model.lattice:
         raise LatticeMismatch("class lives in a different lattice")
     if divisor.square <= 0 or divisor.dot(model.ample) <= 0:
-        return False
-    return all(p > 0 for p in model.curve_pairings(divisor))
+        return None
+    pairings = model.curve_pairings(divisor)
+    return pairings if all(p > 0 for p in pairings) else None
 
 
 def _absorb_walls(
@@ -158,10 +164,11 @@ def destabilizing_numbers(
     without recording a breakpoint; it cannot occur for an ample direction,
     where supports only grow.
     """
-    if not is_ample(model, ample):
+    ample_pairings = _ample_pairings(model, ample)
+    if ample_pairings is None:
         raise NotAmple("the direction class must be ample in the model")
     initial = _decompose_big(model, bundle)
-    pairings = (model.curve_pairings(bundle), model.curve_pairings(ample))
+    pairings = (model.curve_pairings(bundle), ample_pairings)
 
     support = [model.curve_index(c.label) for c in initial.support]
     lam = Fraction(0)

@@ -52,10 +52,11 @@ def _orbit_cap(explicit: "int | None") -> int:
 
 def _orbit(
     start: DivisorClass, generators: tuple[DivisorClass, ...], cap: "int | None"
-) -> list[DivisorClass]:
+) -> tuple[list[tuple[int, ...]], int]:
     """Closure of a class under reflections in ``generators``, by breadth-first search.
 
-    It runs on integer tuples, the start's denominators cleared once: an
+    It runs on integer tuples and returns them with the common denominator d
+    of the start, cleared once, so the orbit is {v / d}: an
     integral (-2)-class alpha sends v to v + (v . alpha) * alpha, read off the
     nonzero entries of alpha and G @ alpha, and fixes v when v . alpha = 0.
     Exceeding ``cap`` raises OrbitTooLarge; None means no cap.
@@ -84,14 +85,15 @@ def _orbit(
                         raise OrbitTooLarge(f"orbit exceeded the cap of {cap}")
                     seen.add(image)
                     orbit.append(image)
-    return [start.lattice.divisor([Fraction(x, d) for x in v] if d > 1 else v) for v in orbit]
+    return orbit, d
 
 
 def weyl_orbit(
     model: SurfaceModel, start: DivisorClass, cap: "int | None" = None
 ) -> set[DivisorClass]:
     """Closure of a class under the simple-root reflections (see ``_orbit``)."""
-    return set(_orbit(start, simple_roots(model), _orbit_cap(cap)))
+    orbit, d = _orbit(start, simple_roots(model), _orbit_cap(cap))
+    return {start.lattice.divisor([Fraction(x, d) for x in v] if d > 1 else v) for v in orbit}
 
 
 def weyl_group_order(model: SurfaceModel) -> int:
@@ -114,7 +116,7 @@ def weyl_group_order(model: SurfaceModel) -> int:
     order = 1
     for k in range(1, r + 1):
         tower = tuple(alpha for alpha in generators if not any(alpha.coords[k + 1 :]))
-        order *= len(_orbit(model.lattice.basis_divisor(k), tower, None))
+        order *= len(_orbit(model.lattice.basis_divisor(k), tower, None)[0])
     return order
 
 

@@ -149,9 +149,10 @@ def zariski_decompose(model: SurfaceModel, divisor: DivisorClass) -> ZariskiDeco
     if divisor.lattice != model.lattice:
         raise LatticeMismatch("class lives in a different lattice")
     pairings = model.curve_pairings(divisor)
-    if is_nef(model, divisor, pairings):
+    witness = divisor.dot(model.ample)  # is_nef inlined: the test below reuses it
+    if divisor.square >= 0 and witness >= 0 and all(p >= 0 for p in pairings):
         return ZariskiDecomposition(model, divisor, divisor, ())
-    if divisor.dot(model.ample) <= 0:
+    if witness <= 0:
         raise NotPseudoEffective(
             "class pairs non-positively with the ample witness and is not nef"
         )

@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from conftest import rank_ten_model
-from zlab.cli import main, parse_surface, surface_to_json
+from zlab.cli import _qi_json, main, parse_surface, surface_to_json
+from zlab.cutkosky import volume_closed_form
 from zlab.errors import (
     AmpleWitnessError,
     CurvePairingError,
@@ -297,9 +302,23 @@ def test_bad_orbit_cap_env(capsys, monkeypatch):
     assert json.loads(err)["error"] == "OutOfRange"
 
 
-def test_installed_entry_point():
-    import subprocess
+def test_cutkosky_vol_with_seven_digit_eps_finishes():
+    """The radicand 45 + 78 eps + 49 eps**2 at this eps has a 52-bit numerator
+    and a 46-bit denominator; trial division to the square root of their
+    98-bit product did not finish in 20 s."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    result = subprocess.run(
+        [sys.executable, "-m", "zlab.cli", "cutkosky-vol", "--eps", "1234567/7654321"],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    expected = _qi_json(volume_closed_form(Fraction(1234567, 7654321)))
+    assert result.stdout == json.dumps(expected) + "\n"
 
+
+def test_installed_entry_point():
     result = subprocess.run(
         ["zlab", "delpezzo", "--r", "2", "--count-curves"],
         capture_output=True,

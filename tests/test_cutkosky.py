@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import zlab.lattice
 from zlab import (
     QuadraticIrrational,
     abelian_surface,
@@ -165,3 +166,24 @@ def test_certificate_needs_enough_samples():
         nonpolynomiality_certificate(SAMPLES[:6])
     with pytest.raises(TooFewSamples):
         nonpolynomiality_certificate(SAMPLES + [Fraction(0)])
+
+
+@pytest.mark.parametrize("eps", [Fraction(3, 7), Fraction(1234567, 7654321), Fraction(1)])
+def test_volume_factors_its_radicand_once(monkeypatch, eps):
+    """Both volume routes split the radicand's numerator and denominator once
+    each; field arithmetic never factors again (18 splits per volume_L_eps
+    when every arithmetic result was normalised)."""
+    calls = 0
+    plain = zlab.lattice.squarefree_split
+
+    def counting(n):
+        nonlocal calls
+        calls += 1
+        return plain(n)
+
+    monkeypatch.setattr(zlab.lattice, "squarefree_split", counting)
+    for route in (volume_L_eps, volume_closed_form):
+        calls = 0
+        route(eps)
+        assert calls <= 2
+    assert volume_L_eps(eps) == volume_closed_form(eps)

@@ -95,7 +95,8 @@ def test_del_pezzo_8_pairs_each_curve_once(monkeypatch):
 def test_each_class_is_paired_once(monkeypatch):
     """A decomposition pairs its input once, each candidate positive part once
     and the checked positive part once more; a walk pairs the bundle and the
-    direction once rather than on every round (the counts were 6 and 24)."""
+    direction once rather than on every round, and reuses the direction's
+    pairings from its ampleness test (the counts were 6 and 24, then 3 and 15)."""
     dp7, dp8 = del_pezzo(7), del_pezzo(8)
     calls = 0
     plain = SurfaceModel.curve_pairings
@@ -113,4 +114,24 @@ def test_each_class_is_paired_once(monkeypatch):
     bundle = dp7.lattice.divisor([9, -3, -3, -2, -2, -1, -1, -1])
     walk = destabilizing_numbers(dp7, bundle, dp7.ample)
     assert walk.breakpoints == (1, 2) and len(walk.segments) == 3
-    assert calls == 15
+    assert calls == 14
+
+
+def test_decomposition_pairs_its_input_with_the_witness_once(monkeypatch):
+    """The input's pairing with the ample witness serves both the nef test and
+    the pseudo-effectivity test; the other two pairings belong to the final
+    nef check and the invariant check of the positive part (4 while the nef
+    test and the pseudo-effectivity test each paired the input)."""
+    dp8 = del_pezzo(8)
+    calls = 0
+    plain = DivisorClass.dot
+
+    def counting(self, other):
+        nonlocal calls
+        calls += other is dp8.ample or self is dp8.ample
+        return plain(self, other)
+
+    monkeypatch.setattr(DivisorClass, "dot", counting)
+    dec = zariski_decompose(dp8, dp8.lattice.divisor([10, -6, -5, -2, -2, -1, -1, -1, -1]))
+    assert [c.label for c in dec.support] == ["L-E1-E2"]
+    assert calls == 3

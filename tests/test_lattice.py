@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,13 @@ from zlab import (
     sqrt_fraction,
 )
 from zlab.errors import LatticeMismatch, NotNegativeDefinite, SignatureError
-from zlab.lattice import gram_matrix, invert_matrix, is_negative_definite, solve_symmetric
+from zlab.lattice import (
+    gram_matrix,
+    invert_matrix,
+    is_negative_definite,
+    solve_symmetric,
+    squarefree_split,
+)
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=6)
 
@@ -171,6 +178,98 @@ def test_invert_matrix_exact():
     ]
 
 
+# -- squarefree_split against trial division to the square root ---------------
+
+
+def trial_division_split(n):
+    """n = s**2 * m with m squarefree, dividing out d*d for every d <= sqrt(m)."""
+    if n in (0, 1):
+        return 1, n
+    s, m, d = 1, n, 2
+    while d * d <= m:
+        while m % (d * d) == 0:
+            m //= d * d
+            s *= d
+        d += 1
+    return s, m
+
+
+def _primes_from(start, count):
+    out, n = [], start
+    while len(out) < count:
+        if all(n % d for d in range(2, int(n**0.5) + 1)):
+            out.append(n)
+        n += 1
+    return out
+
+
+PRIMES_NEAR_1E4 = _primes_from(9_973, 6)  # 9973 is the largest prime below 10**4
+
+
+def test_split_matches_oracle_below_20000():
+    for n in range(20_000):
+        assert squarefree_split(n) == trial_division_split(n), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9 - 1))
+def test_split_matches_oracle_on_random_integers(n):
+    s, m = squarefree_split(n)
+    assert (s, m) == trial_division_split(n)
+    assert s * s * m == n
+
+
+def _structured():
+    cases = []
+    for i, p in enumerate(PRIMES_NEAR_1E4):
+        q = PRIMES_NEAR_1E4[(i + 1) % len(PRIMES_NEAR_1E4)]
+        cases += [p * p, p**3, p * q, p * p * q, p * q * q, 2 * p * p, 12 * p * q]
+        # around d**3 for the divisor d at which the search stops
+        cases += [p**3 - 1, p**3 + 1, p**3 - p, p**3 + p, (p + 1) ** 3]
+    return cases
+
+
+@pytest.mark.parametrize("n", _structured())
+def test_split_matches_oracle_on_structured_integers(n):
+    assert squarefree_split(n) == trial_division_split(n)
+
+
+def _line_events(fn, n, budget):
+    """Line events executed inside ``fn(n)``; stops with None past ``budget``."""
+    code, count = fn.__code__, 0
+
+    class Exceeded(Exception):
+        pass
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+            if count > budget:
+                raise Exceeded
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        fn(n)
+    except Exceeded:
+        return None
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+@pytest.mark.parametrize("p, q", [(999_983, 1_000_003), (1_000_003, 1_000_033)])
+def test_split_work_stops_at_the_cube_root(p, q):
+    """A product of two primes near 10**6 is settled after about n**(1/3)
+    ~ 10**4 trial divisors; searching to the square root would take 10**6."""
+    n = p * q
+    budget = 4 * round(n ** (1 / 3)) + 40
+    assert _line_events(zlab.lattice.squarefree_split, n, budget) is not None
+    assert squarefree_split(n) == (1, n)
+
+
 # -- quadratic irrationals ---------------------------------------------------
 
 
@@ -239,6 +338,61 @@ def test_qi_field_identities(a1, b1, a2, b2, m):
     if not (y.a == 0 and y.b == 0):
         assert (x * y) / y == x
         assert y * y.inverse() == 1
+
+
+def test_sqrt_fraction_zero_and_squares():
+    for value, root in [(0, 0), (Fraction(49, 16), Fraction(7, 4))]:
+        x = sqrt_fraction(value)
+        assert (x.a, x.b, x.m) == (root, 0, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10**7), st.integers(min_value=1, max_value=10**7))
+def test_sqrt_fraction_matches_the_product_route(p, q):
+    """Splitting p and q apart gives the triple of sqrt(p*q)/q, normalised."""
+    value = Fraction(p, q)
+    root = sqrt_fraction(value)
+    p, q = value.numerator, value.denominator
+    expected = QuadraticIrrational(0, Fraction(1, q), p * q)
+    assert (root.a, root.b, root.m) == (expected.a, expected.b, expected.m)
+    assert root * root == value
+
+
+radicands = st.integers(min_value=0, max_value=5_000)
+
+
+def _is_canonical(x):
+    if x.b == 0:
+        return x.m == 0
+    return x.m > 1 and trial_division_split(x.m) == (1, x.m)
+
+
+def _public(x):
+    return QuadraticIrrational(x.a, x.b, x.m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rationals, rationals, rationals, rationals, radicands, st.booleans())
+def test_qi_arithmetic_results_are_canonical(a1, b1, a2, b2, m, rational_y):
+    """Every result has the triple the public constructor gives it, a
+    squarefree radicand, and a hash that agrees with equality."""
+    x = QuadraticIrrational(a1, b1, m)
+    y = QuadraticIrrational(a2) if rational_y else QuadraticIrrational(a2, b2, m)
+    results = [x + y, y + x, x - y, y - x, x * y, -x, x**2, a2 + x, a2 * x, a2 - x]
+    for v in (x, y):
+        if v != 0:
+            results += [v.inverse(), (x + y) / v, a1 / v]
+    for r in results:
+        assert isinstance(r.a, Fraction) and isinstance(r.b, Fraction)
+        assert _is_canonical(r), r
+        again = _public(r)
+        assert (r.a, r.b, r.m) == (again.a, again.b, again.m)
+        assert r == again and hash(r) == hash(again)
+        if r.is_rational:
+            assert r == r.a and hash(r) == hash(r.a)
+    assert (x * y) - (y * x) == 0
+    if y != 0:
+        assert (x / y) * y == x
 
 
 def test_qi_power():

@@ -170,9 +170,9 @@ def test_group_order_work_is_the_orbit_tower(monkeypatch):
     plain = zlab.weyl._orbit
 
     def counting(start, generators, cap):
-        orbit = plain(start, generators, cap)
+        orbit, d = plain(start, generators, cap)
         searches.append((len(orbit), len(generators)))
-        return orbit
+        return orbit, d
 
     monkeypatch.setattr(zlab.weyl, "_orbit", counting)
     assert weyl_group_order(dp_model(8)) == 696_729_600
@@ -180,6 +180,24 @@ def test_group_order_work_is_the_orbit_tower(monkeypatch):
     generators = [0, 1, 3, 4, 5, 6, 7, 8]
     assert searches == list(zip(orbits, generators))
     assert sum(o * g for o, g in searches) == 2614
+
+
+def test_group_order_builds_no_orbit_classes(monkeypatch):
+    """The tower counts the integer tuples of each orbit; the only classes
+    built are the eight basis classes and the eight simple roots (374 when
+    every orbit element became a DivisorClass)."""
+    model = dp_model(8)
+    built = 0
+    plain = DivisorClass.__post_init__
+
+    def counting(self):
+        nonlocal built
+        built += 1
+        plain(self)
+
+    monkeypatch.setattr(DivisorClass, "__post_init__", counting)
+    assert weyl_group_order(model) == 696_729_600
+    assert built <= 16
 
 
 def test_group_order_pairs_once_per_reflection(monkeypatch):
