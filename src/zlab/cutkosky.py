@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import OutOfDomain, TooFewSamples
@@ -45,6 +46,7 @@ class AbelianSurfaceData:
     h: DivisorClass
 
 
+@cache  # frozen data, built once: q_poly and h0_section_count read it per call
 def abelian_surface() -> AbelianSurfaceData:
     lattice = IntersectionLattice(
         [[0, 1, 1], [1, 0, 1], [1, 1, 0]], ["f1", "f2", "delta"]

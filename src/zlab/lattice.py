@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Iterator, Sequence, Union
 
 from .errors import LatticeMismatch, NotNegativeDefinite, SignatureError
@@ -463,7 +464,7 @@ class DivisorClass:
     coords: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        coords = tuple(Fraction(c) for c in self.coords)
+        coords = tuple(c if type(c) is Fraction else Fraction(c) for c in self.coords)
         if len(coords) != self.lattice.rank:
             raise ValueError(
                 f"expected {self.lattice.rank} coordinates, got {len(coords)}"
@@ -475,15 +476,14 @@ class DivisorClass:
             raise LatticeMismatch("classes live in different lattices")
 
     def dot(self, other: "DivisorClass") -> Fraction:
+        """The integer form on the cleared coordinates, divided once at the end."""
         self._check_same_lattice(other)
-        gram = self.lattice.gram
-        total = Fraction(0)
-        for i, xi in enumerate(self.coords):
-            if xi == 0:
-                continue
-            row = gram[i]
-            total += xi * sum(g * y for g, y in zip(row, other.coords) if g)
-        return total
+        d, e = (math.lcm(*(x.denominator for x in c)) for c in (self.coords, other.coords))
+        v = [y.numerator * (e // y.denominator) for y in other.coords]
+        return Fraction(sum(
+            x.numerator * (d // x.denominator) * sum(map(mul, row, v))
+            for x, row in zip(self.coords, self.lattice.gram) if x
+        ), d * e)
 
     @cached_property
     def square(self) -> Fraction:

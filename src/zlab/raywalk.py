@@ -81,14 +81,17 @@ def is_ample(model: SurfaceModel, divisor: DivisorClass) -> bool:
     return _ample_pairings(model, divisor) is not None
 
 
-def _ample_pairings(model: SurfaceModel, divisor: DivisorClass) -> "list[Fraction] | None":
-    """The curve pairings of an ample class, or None when it is not ample."""
+Numerators = tuple[list[int], int]  # SurfaceModel.pairing_numerators
+
+
+def _ample_pairings(model: SurfaceModel, divisor: DivisorClass) -> "Numerators | None":
+    """The pairing numerators of an ample class, or None when it is not ample."""
     if divisor.lattice != model.lattice:
         raise LatticeMismatch("class lives in a different lattice")
     if divisor.square <= 0 or divisor.dot(model.ample) <= 0:
         return None
-    pairings = model.curve_pairings(divisor)
-    return pairings if all(p > 0 for p in pairings) else None
+    nums, den = model.pairing_numerators(divisor)
+    return (nums, den) if min(nums, default=1) > 0 else None
 
 
 def _absorb_walls(
@@ -97,33 +100,32 @@ def _absorb_walls(
     bundle: DivisorClass,
     ample: DivisorClass,
     lam: Fraction,
-    pairings: tuple[list[Fraction], list[Fraction]],
+    pairings: tuple[Numerators, Numerators],
 ):
     """Add every curve whose wall passes through lam with decreasing pairing.
 
     Returns the affine data on the grown support: coefficients x(t) = x0 +
-    t*x1, candidate positive part P(t) = p0 + t*p1 and its curve pairings
-    f0 + t*f1.  ``pairings`` holds the curve pairings of the bundle and of
-    the ample class, computed once per walk.
+    t*x1, candidate positive part P(t) = p0 + t*p1 and the pairing
+    numerators (g0s, d0), (g1s, d1) of p0 and p1.  ``pairings`` holds those of
+    the bundle and of the ample class, computed once per walk.  P(lam) . C has
+    the sign of g0*u + g1*w, that is g0/d0 + lam*g1/d1 times d0*d1*lam's
+    denominator.
     """
-    b, a = pairings
+    (b, b_den), (a, a_den) = pairings
     support = list(support)
     while True:
         gram = model.curve_gram(support)
-        x0 = solve_symmetric(gram, [b[i] for i in support])
-        x1 = solve_symmetric(gram, [-a[i] for i in support])
-        p0, p1 = bundle, -ample
-        for i, u, v in zip(support, x0, x1):
-            cls = model.curves[i].cls
-            p0 = p0 - u * cls
-            p1 = p1 - v * cls
-        f0 = model.curve_pairings(p0)
-        f1 = model.curve_pairings(p1)
+        x0 = solve_symmetric(gram, [Fraction(b[i], b_den) for i in support])
+        x1 = solve_symmetric(gram, [Fraction(-a[i], a_den) for i in support])
+        p0 = model.minus_curves(bundle, support, x0)
+        p1 = model.minus_curves(-ample, support, x1)
+        f0, f1 = model.pairing_numerators(p0), model.pairing_numerators(p1)
+        u, w = f1[1] * lam.denominator, f0[1] * lam.numerator
         in_support = set(support)
         entrants = [
             i
-            for i, (g0, g1) in enumerate(zip(f0, f1))
-            if i not in in_support and g1 < 0 and g0 + lam * g1 == 0
+            for i, (g0, g1) in enumerate(zip(f0[0], f1[0]))
+            if g1 < 0 and g0 * u + g1 * w == 0 and i not in in_support
         ]
         if not entrants:
             return support, x0, x1, p0, p1, f0, f1
@@ -168,7 +170,7 @@ def destabilizing_numbers(
     if ample_pairings is None:
         raise NotAmple("the direction class must be ample in the model")
     initial = _decompose_big(model, bundle)
-    pairings = (model.curve_pairings(bundle), ample_pairings)
+    pairings = (model.pairing_numerators(bundle), ample_pairings)
 
     support = [model.curve_index(c.label) for c in initial.support]
     lam = Fraction(0)
@@ -200,14 +202,18 @@ def destabilizing_numbers(
         descriptor = _descriptor(model, support)
         in_support = set(support)
 
-        wall: Optional[Fraction] = None
-        for i, (a, b) in enumerate(zip(f0, f1)):
-            if i in in_support or b >= 0:
+        # P(t) . C falls to zero at t = g0*d1 / (-g1*d0), above lam when g0*u +
+        # g1*w > 0 (see _absorb_walls); walls compare as g0 / -g1 (d1/d0 > 0)
+        u, w = f1[1] * lam.denominator, f0[1] * lam.numerator
+        least: Optional[tuple[int, int]] = None
+        for i, (g0, g1) in enumerate(zip(f0[0], f1[0])):
+            if g1 >= 0 or i in in_support:
                 continue
-            assert a + lam * b >= 0, "segment invariant broken"
-            root = -a / b
-            if root > lam and (wall is None or root < wall):
-                wall = root
+            above = g0 * u + g1 * w
+            assert above >= 0, "segment invariant broken"
+            if above and (least is None or g0 * least[1] < -g1 * least[0]):
+                least = (g0, -g1)
+        wall = None if least is None else Fraction(least[0] * f1[1], least[1] * f0[1])
         exit_root: Optional[Fraction] = None
         for u, v in zip(x0, x1):
             if v >= 0:

@@ -105,7 +105,7 @@ class SurfaceModel:
         object.__setattr__(self, "_scale", scale)
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_gram", gram)
-        for curve, p in zip(self.curves, self.curve_pairings(self.ample)):
+        for curve, p in zip(self.curves, self.pairing_numerators(self.ample)[0]):
             if p <= 0:
                 raise AmpleWitnessError(
                     f"ample witness pairs non-positively with {curve.label}"
@@ -117,14 +117,29 @@ class SurfaceModel:
                         f"distinct curves {ci.label}, {self.curves[j].label} pair negatively"
                     )
 
-    def curve_pairings(self, divisor: DivisorClass) -> list[Fraction]:
-        """[D . C for C in curves]: D's denominators are cleared once and each
-        pairing is one integer dot product with a kernel row."""
+    def pairing_numerators(self, divisor: DivisorClass) -> tuple[list[int], int]:
+        """(nums, den) with D . C_i = nums[i] / den and den > 0, so every sign
+        or zero test reads the ints: D's denominators are cleared once (d*D is
+        integral, den = d*s) and each numerator is one dot product with a row."""
         coords = divisor.coords
         d = lcm(*(x.denominator for x in coords))
         v = _integer_coords(coords, d)
-        den = d * self._scale
-        return [Fraction(sum(x * y for x, y in zip(v, row)), den) for row in self._rows]
+        return [sum(map(mul, v, row)) for row in self._rows], d * self._scale
+
+    def curve_pairings(self, divisor: DivisorClass) -> list[Fraction]:
+        """[D . C for C in curves] as Fractions, built from ``pairing_numerators``."""
+        nums, den = self.pairing_numerators(divisor)
+        return [Fraction(n, den) for n in nums]
+
+    def minus_curves(
+        self, divisor: DivisorClass, indices: Sequence[int], coeffs: Sequence[Rational]
+    ) -> DivisorClass:
+        """divisor - sum(x_i * C_i) over the curves at ``indices``, as one class."""
+        curves = [self.curves[i].cls.coords for i in indices]
+        return DivisorClass(self.lattice, tuple(
+            x - sum(c * y[k] for c, y in zip(coeffs, curves) if y[k])
+            for k, x in enumerate(divisor.coords)
+        ))
 
     def curve_gram(self, indices: Sequence[int]) -> list[list[Rational]]:
         """The intersection matrix (C_i . C_j) of the curves at ``indices``."""
@@ -151,15 +166,16 @@ class SurfaceModel:
 def is_nef(
     model: SurfaceModel, divisor: DivisorClass, pairings: "Sequence[Rational] | None" = None
 ) -> bool:
-    """Nefness test under the model assumption (complete curve list); a caller
-    holding ``model.curve_pairings(divisor)`` passes it as ``pairings``."""
+    """Nefness test under the model assumption (complete curve list).  Only the
+    signs of ``pairings`` are read, so a caller holding the class's curve
+    pairings or their numerators (``model.pairing_numerators``) passes them."""
     if divisor.lattice != model.lattice:
         raise LatticeMismatch("class lives in a different lattice")
     if divisor.square < 0 or divisor.dot(model.ample) < 0:
         return False
     if pairings is None:
-        pairings = model.curve_pairings(divisor)
-    return all(p >= 0 for p in pairings)
+        pairings = model.pairing_numerators(divisor)[0]
+    return min(pairings, default=0) >= 0
 
 
 # ---------------------------------------------------------------------------

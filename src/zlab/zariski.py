@@ -45,13 +45,14 @@ class ZariskiDecomposition:
         object.__setattr__(self, "coefficients", pairs)
         if any(coeff <= 0 for _, coeff in pairs):
             raise ValueError("negative-part coefficients must be strictly positive")
-        if (self.positive + self.negative).coords != self.input.coords:
-            raise ValueError("positive and negative part do not sum to the input")
-        pairings = self.model.curve_pairings(self.positive)
-        if not is_nef(self.model, self.positive, pairings):
-            raise ValueError("positive part is not nef")
         indices = [self.model.curve_index(curve.label) for curve, _ in pairs]
-        if any(pairings[i] != 0 for i in indices):
+        rest = self.model.minus_curves(self.input, indices, [x for _, x in pairs])
+        if rest.coords != self.positive.coords:
+            raise ValueError("positive and negative part do not sum to the input")
+        nums = self.model.pairing_numerators(self.positive)[0]
+        if not is_nef(self.model, self.positive, nums):
+            raise ValueError("positive part is not nef")
+        if any(nums[i] for i in indices):
             raise ValueError("positive part is not orthogonal to the support")
         if indices and not is_negative_definite(self.model.curve_gram(indices)):
             raise ValueError("support pairing matrix is not negative definite")
@@ -70,10 +71,7 @@ class ZariskiDecomposition:
 
     @property
     def negative(self) -> DivisorClass:
-        out = self.model.lattice.zero()
-        for curve, coeff in self.coefficients:
-            out = out + coeff * curve.cls
-        return out
+        return self.input - self.positive  # = sum(a_C * C), checked at construction
 
     def coefficient(self, label: str) -> Fraction:
         for curve, coeff in self.coefficients:
@@ -148,16 +146,16 @@ def zariski_decompose(model: SurfaceModel, divisor: DivisorClass) -> ZariskiDeco
     """
     if divisor.lattice != model.lattice:
         raise LatticeMismatch("class lives in a different lattice")
-    pairings = model.curve_pairings(divisor)
+    nums, den = model.pairing_numerators(divisor)  # every sign below reads ints
     witness = divisor.dot(model.ample)  # is_nef inlined: the test below reuses it
-    if divisor.square >= 0 and witness >= 0 and all(p >= 0 for p in pairings):
+    if divisor.square >= 0 and witness >= 0 and min(nums, default=0) >= 0:
         return ZariskiDecomposition(model, divisor, divisor, ())
     if witness <= 0:
         raise NotPseudoEffective(
             "class pairs non-positively with the ample witness and is not nef"
         )
-    support = [i for i, p in enumerate(pairings) if p < 0]
-    positive, positive_pairings = divisor, pairings
+    support = [i for i, p in enumerate(nums) if p < 0]
+    positive, positive_nums = divisor, nums
     coefficients: list[Fraction] = []
     for _ in range(len(model.curves) + 1):
         if len(support) >= model.lattice.rank:  # refused unread, see the docstring
@@ -165,20 +163,18 @@ def zariski_decompose(model: SurfaceModel, divisor: DivisorClass) -> ZariskiDeco
                 f"{len(support)} classes in rank {model.lattice.rank} are never negative definite"
             )
         coefficients = solve_symmetric(
-            model.curve_gram(support), [pairings[i] for i in support]
+            model.curve_gram(support), [Fraction(nums[i], den) for i in support]
         )
-        positive = divisor
-        for i, coeff in zip(support, coefficients):
-            positive = positive - coeff * model.curves[i].cls
+        positive = model.minus_curves(divisor, support, coefficients)
         in_support = set(support)
-        positive_pairings = model.curve_pairings(positive)
+        positive_nums = model.pairing_numerators(positive)[0]
         violating = [
-            i for i, p in enumerate(positive_pairings) if p < 0 and i not in in_support
+            i for i, p in enumerate(positive_nums) if p < 0 and i not in in_support
         ]
         if not violating:
             break
         support.extend(violating)
-    if not is_nef(model, positive, positive_pairings):
+    if not is_nef(model, positive, positive_nums):
         raise NotPseudoEffective(
             "no curve left to add but the candidate positive part is not nef"
         )
@@ -197,11 +193,10 @@ def neg_set(model: SurfaceModel, divisor: DivisorClass) -> frozenset[str]:
 
 def null_set(model: SurfaceModel, nef_class: DivisorClass) -> frozenset[str]:
     """Labels of the listed curves pairing to zero with a nef class."""
-    if not is_nef(model, nef_class):
+    nums = model.pairing_numerators(nef_class)[0]
+    if not is_nef(model, nef_class, nums):
         raise NotNef("null set is only defined for nef classes")
-    return frozenset(
-        c.label for c, p in zip(model.curves, model.curve_pairings(nef_class)) if p == 0
-    )
+    return frozenset(c.label for c, p in zip(model.curves, nums) if p == 0)
 
 
 def is_big(model: SurfaceModel, divisor: DivisorClass) -> bool:

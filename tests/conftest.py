@@ -14,7 +14,9 @@ from zlab import (
     IntersectionLattice,
     NegativeCurve,
     SurfaceModel,
+    chamber_of,
     del_pezzo,
+    destabilizing_numbers,
     is_big,
 )
 from zlab.errors import SignatureError
@@ -105,6 +107,21 @@ def random_big_class(
         candidate = model.lattice.divisor(coords)
         if is_big(model, candidate):
             return candidate
+
+
+def assert_segments_match_chambers(model: SurfaceModel, bundle, direction) -> None:
+    """Walk bundle - t*direction and check that interior points of every
+    segment lie in that segment's chamber, pointwise by ``chamber_of``."""
+    walk = destabilizing_numbers(model, bundle, direction)
+    for segment in walk.segments:
+        lo, hi = segment.lambda_start, segment.lambda_end
+        if not isinstance(hi, Fraction):  # a rational point just below the threshold
+            hi = Fraction(float(hi)).limit_denominator(10**9)
+        for k in (1, 3, 7, 15, 31):
+            t = lo + (hi - lo) * Fraction(k, 32)
+            if lo < t and segment.lambda_end > t:
+                point = bundle - t * direction
+                assert chamber_of(model, point).support == segment.support.support
 
 
 def random_ample_class(model: SurfaceModel, rng: random.Random) -> DivisorClass:

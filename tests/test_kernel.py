@@ -7,7 +7,7 @@ from fractions import Fraction
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import user_models
+from conftest import assert_segments_match_chambers, user_models
 from test_acceptance import _negative_definite_subsets, _oracle_decompose
 from zlab import (
     DivisorClass,
@@ -15,6 +15,9 @@ from zlab import (
     SurfaceModel,
     del_pezzo,
     destabilizing_numbers,
+    is_ample,
+    is_big,
+    is_nef,
     zariski_decompose,
 )
 from zlab.errors import CurvePairingError
@@ -96,17 +99,19 @@ def test_each_class_is_paired_once(monkeypatch):
     """A decomposition pairs its input once, each candidate positive part once
     and the checked positive part once more; a walk pairs the bundle and the
     direction once rather than on every round, and reuses the direction's
-    pairings from its ampleness test (the counts were 6 and 24, then 3 and 15)."""
+    pairings from its ampleness test (the counts were 6 and 24, then 3 and 15).
+    Every pairing goes through the integer kernel method, so it is the one
+    counted; ``curve_pairings`` wraps it."""
     dp7, dp8 = del_pezzo(7), del_pezzo(8)
     calls = 0
-    plain = SurfaceModel.curve_pairings
+    plain = SurfaceModel.pairing_numerators
 
     def counting(self, divisor):
         nonlocal calls
         calls += 1
         return plain(self, divisor)
 
-    monkeypatch.setattr(SurfaceModel, "curve_pairings", counting)
+    monkeypatch.setattr(SurfaceModel, "pairing_numerators", counting)
     dec = zariski_decompose(dp8, dp8.lattice.divisor([10, -6, -5, -2, -2, -1, -1, -1, -1]))
     assert [c.label for c in dec.support] == ["L-E1-E2"]
     assert calls == 3  # input, one round's candidate, the invariant check
@@ -135,3 +140,38 @@ def test_decomposition_pairs_its_input_with_the_witness_once(monkeypatch):
     dec = zariski_decompose(dp8, dp8.lattice.divisor([10, -6, -5, -2, -2, -1, -1, -1, -1]))
     assert [c.label for c in dec.support] == ["L-E1-E2"]
     assert calls == 3
+
+
+@settings(max_examples=80, deadline=None)
+@given(scaled_user_models(), st.data())
+def test_pairing_numerators_over_one_positive_denominator(model, data):
+    """nums[i] / den is D . C_i exactly, den > 0, and every entry is an int, so
+    a sign read off a numerator is the sign of the pairing."""
+    rank = model.lattice.rank
+    divisor = model.lattice.divisor(
+        data.draw(st.lists(RATIONALS, min_size=rank, max_size=rank))
+    )
+    nums, den = model.pairing_numerators(divisor)
+    assert type(den) is int and den > 0
+    assert all(type(n) is int for n in nums)
+    assert [Fraction(n, den) for n in nums] == [divisor.dot(c.cls) for c in model.curves]
+    assert is_nef(model, divisor, nums) == is_nef(model, divisor, model.curve_pairings(divisor))
+
+
+@settings(max_examples=60, deadline=None)
+@given(scaled_user_models(), st.data())
+def test_walk_segments_agree_with_chambers_on_scaled_user_models(model, data):
+    """Walls of the integer walk on kernels with s > 1, where the numerators of
+    P(t)'s two parts live over different denominators."""
+    rank = model.lattice.rank
+    shift = data.draw(st.lists(RATIONALS, min_size=rank, max_size=rank))
+    bundle = 2 * model.ample + model.lattice.divisor(shift)
+    for curve in model.curves:
+        bundle = bundle + data.draw(st.fractions(0, 2, max_denominator=3)) * curve.cls
+    assume(is_big(model, bundle))
+    direction = data.draw(st.integers(1, 3)) * model.ample + model.lattice.divisor(
+        data.draw(st.lists(st.fractions(-1, 1, max_denominator=2), min_size=rank, max_size=rank))
+    )
+    if not is_ample(model, direction):
+        direction = model.ample
+    assert_segments_match_chambers(model, bundle, direction)

@@ -7,7 +7,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import dp_model, random_ample_class, random_big_class
+from conftest import (
+    assert_segments_match_chambers,
+    dp_model,
+    random_ample_class,
+    random_big_class,
+)
 from zlab import (
     QuadraticIrrational,
     abelian_surface,
@@ -210,22 +215,17 @@ def test_random_walk_segments_agree_with_pointwise_chambers():
     model = dp_model(4)
     for _ in range(8):
         bundle = random_big_class(model, rng)
-        direction = random_ample_class(model, rng)
-        walk = destabilizing_numbers(model, bundle, direction)
-        for segment in walk.segments:
-            lo = segment.lambda_start
-            hi = segment.lambda_end
-            hi_frac = (
-                hi
-                if isinstance(hi, Fraction)
-                else Fraction(float(hi)).limit_denominator(10**9)
-            )
-            for k in (1, 3, 7, 15, 31):
-                t = lo + (hi_frac - lo) * Fraction(k, 32)
-                if not (lo < t and segment.lambda_end > t):
-                    continue
-                point = bundle - t * direction
-                assert chamber_of(model, point).support == segment.support.support
+        assert_segments_match_chambers(model, bundle, random_ample_class(model, rng))
+
+
+@pytest.mark.parametrize("r", [5, 6])
+def test_walk_segments_agree_with_chambers_on_dp5_dp6(r):
+    """The walk's integer wall tests on bundles with denominators up to 4."""
+    rng = random.Random(80 + r)
+    model = dp_model(r)
+    for _ in range(6):
+        bundle = random_big_class(model, rng)
+        assert_segments_match_chambers(model, bundle, random_ample_class(model, rng))
 
 
 def test_stability_worked_values(dp2):
