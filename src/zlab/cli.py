@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from . import cutkosky, raywalk, weyl
 from .chambers import enumerate_chambers
@@ -153,257 +153,190 @@ def surface_to_json(model: SurfaceModel) -> dict[str, Any]:
 # ---------------------------------------------------------------------------
 
 
-def _load_model(args: argparse.Namespace) -> SurfaceModel:
-    if getattr(args, "delpezzo", None) is not None:
-        return del_pezzo(args.delpezzo)
-    if getattr(args, "surface", None) is None:
-        raise UsageError("either --surface FILE or --delpezzo R is required")
-    with open(args.surface, "r", encoding="utf-8") as handle:
-        return parse_surface(handle.read())
+class _Coords(str):
+    """Text of a class-valued flag, parsed against the model's lattice."""
 
 
-def _emit(payload: Any, args: argparse.Namespace, csv_rows=None) -> None:
-    if getattr(args, "format", "json") == "csv":
-        if csv_rows is None:
-            raise UsageError("this subcommand has no CSV form")
-        for row in csv_rows:
-            print(",".join(str(cell) for cell in row))
-    else:
-        print(json.dumps(payload, indent=None, sort_keys=False))
-
-
-def _cmd_zariski(args) -> None:
-    model = _load_model(args)
-    divisor = _parse_coords(args.cls, model.lattice)
+def _zariski(model: SurfaceModel, divisor: DivisorClass) -> Any:
     dec = zariski_decompose(model, divisor)
-    _emit(
-        {
-            "positive": _coords_json(dec.positive),
-            "negative": {
-                curve.label: _fraction_str(coeff)
-                for curve, coeff in dec.coefficients
-            },
-        },
-        args,
-    )
+    negative = {curve.label: _fraction_str(coeff) for curve, coeff in dec.coefficients}
+    return {"positive": _coords_json(dec.positive), "negative": negative}
 
 
-def _cmd_chamber(args) -> None:
-    model = _load_model(args)
-    divisor = _parse_coords(args.cls, model.lattice)
-    chamber = chamber_of(model, divisor)
-    _emit({"support": list(chamber.support)}, args)
+def _chamber(model: SurfaceModel, divisor: DivisorClass) -> Any:
+    return {"support": list(chamber_of(model, divisor).support)}
 
 
-def _cmd_volume(args) -> None:
-    model = _load_model(args)
-    divisor = _parse_coords(args.cls, model.lattice)
-    _emit({"volume": _fraction_str(vol(model, divisor))}, args)
+def _volume(model: SurfaceModel, divisor: DivisorClass) -> Any:
+    return {"volume": _fraction_str(vol(model, divisor))}
 
 
-def _cmd_volpoly(args) -> None:
-    model = _load_model(args)
-    labels = [] if not args.support else args.support.split(",")
+def _volpoly(model: SurfaceModel, support: str) -> Any:
+    labels = [] if not support else support.split(",")
     poly = volume_polynomial(model, ChamberDescriptor.from_labels(labels))
-    _emit(
-        {
-            "support": list(poly.chamber.support),
-            "matrix": [[_fraction_str(q) for q in row] for row in poly.matrix],
-        },
-        args,
-    )
+    matrix = [[_fraction_str(q) for q in row] for row in poly.matrix]
+    return {"support": list(poly.chamber.support), "matrix": matrix}
 
 
-def _cmd_chambers_enum(args) -> None:
-    model = _load_model(args)
+def _chambers_enum(model: SurfaceModel) -> tuple[Any, list]:
     chambers = enumerate_chambers(model)
-    payload = {
-        "count": len(chambers),
-        "chambers": [list(c.support) for c in chambers],
-    }
+    payload = {"count": len(chambers), "chambers": [list(c.support) for c in chambers]}
     csv_rows = [("index", "size", "support")] + [
         (i, len(c.support), "|".join(c.support)) for i, c in enumerate(chambers)
     ]
-    _emit(payload, args, csv_rows)
+    return payload, csv_rows
 
 
-def _cmd_walk(args) -> None:
-    model = _load_model(args)
-    bundle = _parse_coords(args.bundle, model.lattice)
-    direction = _parse_coords(args.ample, model.lattice)
+def _segment_json(seg: raywalk.RaySegment) -> dict[str, Any]:
+    end = seg.lambda_end
+    return {
+        "start": _fraction_str(seg.lambda_start),
+        "end": _qi_json(end) if isinstance(end, QuadraticIrrational) else _fraction_str(end),
+        "support": list(seg.support.support),
+    }
+
+
+def _walk(model: SurfaceModel, bundle: DivisorClass, direction: DivisorClass) -> Any:
     result = raywalk.destabilizing_numbers(model, bundle, direction)
-
-    def end_json(value):
-        if isinstance(value, QuadraticIrrational):
-            return _qi_json(value)
-        return _fraction_str(value)
-
-    _emit(
-        {
-            "segments": [
-                {
-                    "start": _fraction_str(seg.lambda_start),
-                    "end": end_json(seg.lambda_end),
-                    "support": list(seg.support.support),
-                }
-                for seg in result.segments
-            ],
-            "breakpoints": [_fraction_str(b) for b in result.breakpoints],
-            "threshold": _qi_json(result.bigness_threshold),
-        },
-        args,
-    )
+    return {
+        "segments": [_segment_json(seg) for seg in result.segments],
+        "breakpoints": [_fraction_str(b) for b in result.breakpoints],
+        "threshold": _qi_json(result.bigness_threshold),
+    }
 
 
-def _cmd_stable_base_locus(args) -> None:
-    model = _load_model(args)
-    divisor = _parse_coords(args.cls, model.lattice)
-    locus = raywalk.stable_base_locus(model, divisor)
-    _emit({"support": sorted(locus)}, args)
+def _stable_base_locus(model: SurfaceModel, divisor: DivisorClass) -> Any:
+    return {"support": sorted(raywalk.stable_base_locus(model, divisor))}
 
 
-def _cmd_delpezzo(args) -> None:
-    model = del_pezzo(args.r)
-    if args.count_curves:
-        _emit(len(model.curves), args)
-    else:
-        _emit(surface_to_json(model), args)
+def _delpezzo(r: int, count_curves: bool) -> Any:
+    model = del_pezzo(r)
+    return len(model.curves) if count_curves else surface_to_json(model)
 
 
-def _cmd_weyl_orbit(args) -> None:
-    model = _load_model(args)
-    start = _parse_coords(args.cls, model.lattice)
+def _weyl_orbit(model: SurfaceModel, start: DivisorClass) -> Any:
     orbit = weyl.weyl_orbit(model, start)
-    coords = sorted(_coords_json(d) for d in orbit)
-    _emit({"size": len(orbit), "orbit": coords}, args)
+    return {"size": len(orbit), "orbit": sorted(_coords_json(d) for d in orbit)}
 
 
-def _cmd_weyl_order(args) -> None:
-    model = _load_model(args)
-    _emit({"order": weyl.weyl_group_order(model)}, args)
+def _weyl_order(model: SurfaceModel) -> Any:
+    return {"order": weyl.weyl_group_order(model)}
 
 
-def _cmd_k3_reflect(args) -> None:
-    model = _load_model(args)
-    nef_class = _parse_coords(args.nef, model.lattice)
-    value = weyl.k3_reflection_volume(model, nef_class, args.curve)
-    _emit({"volume": _fraction_str(value)}, args)
+def _k3_reflect(model: SurfaceModel, nef_class: DivisorClass, curve: str) -> Any:
+    value = weyl.k3_reflection_volume(model, nef_class, curve)
+    return {"volume": _fraction_str(value)}
 
 
-def _cmd_cutkosky_vol(args) -> None:
-    value = cutkosky.volume_L_eps(_parse_fraction(args.eps))
-    _emit(_qi_json(value), args)
+def _cutkosky_vol(eps: str) -> Any:
+    return _qi_json(cutkosky.volume_L_eps(_parse_fraction(eps)))
 
 
-def _cmd_cutkosky_scan(args) -> None:
-    start = _parse_fraction(args.start)
-    stop = _parse_fraction(args.stop)
-    num = args.num
-    if num < 2 or stop <= start:
+def _cutkosky_scan(start: str, stop: str, num: int) -> tuple[Any, list]:
+    first, last = _parse_fraction(start), _parse_fraction(stop)
+    if num < 2 or last <= first:
         raise UsageError("need --num >= 2 and --stop > --start")
-    rows = []
-    for i in range(num):
-        eps = start + (stop - start) * Fraction(i, num - 1)
-        value = cutkosky.volume_L_eps(eps)
-        rows.append((eps, value))
-    payload = [
-        {"eps": _fraction_str(e), "volume": _qi_json(v)} for e, v in rows
-    ]
+    steps = [first + (last - first) * Fraction(i, num - 1) for i in range(num)]
+    rows = [(eps, cutkosky.volume_L_eps(eps)) for eps in steps]
+    payload = [{"eps": _fraction_str(e), "volume": _qi_json(v)} for e, v in rows]
     csv_rows = [("eps", "approx", "a", "b", "m")] + [
         (e, float(v), v.a, v.b, v.m) for e, v in rows
     ]
-    _emit(payload, args, csv_rows)
+    return payload, csv_rows
 
 
-def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--surface", help="path to a surface JSON file")
-    parser.add_argument(
-        "--delpezzo", type=int, help="use the del Pezzo model with this many points"
-    )
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
+class _Command(NamedTuple):
+    """A subcommand.  Its handler takes the model (when ``model`` is set), then
+    each argument's value in order, and returns the JSON payload, or
+    (payload, csv rows) when ``csv`` is set."""
+
+    name: str
+    help: str
+    handler: Callable[..., Any]
+    arguments: tuple[tuple[str, dict[str, Any]], ...] = ()
+    model: bool = True
+    csv: bool = False
+
+
+_CLASS = {"required": True, "type": _Coords}  # the options of every class-valued flag
+_CLASS_FLAG = ("--class", dict(_CLASS, dest="cls"))
+
+COMMANDS = (
+    _Command("zariski", "Zariski decomposition of a class", _zariski, (_CLASS_FLAG,)),
+    _Command("chamber", "chamber support of a big class", _chamber, (_CLASS_FLAG,)),
+    _Command("volume", "volume of a class", _volume, (_CLASS_FLAG,)),
+    _Command("volpoly", "quadratic volume form on a chamber", _volpoly,
+             (("--support", {"default": "", "help": "comma-separated curve labels"}),)),
+    _Command("chambers-enum", "enumerate all chambers", _chambers_enum, csv=True),
+    _Command("walk", "destabilizing values along L - t*A", _walk,
+             (("--bundle", dict(_CLASS, help="coordinates of L")),
+              ("--ample", dict(_CLASS, help="coordinates of A")))),
+    _Command("stable-base-locus", "stable base locus of a stable class",
+             _stable_base_locus, (_CLASS_FLAG,)),
+    _Command("delpezzo", "emit a del Pezzo surface model", _delpezzo,
+             (("--r", {"type": int, "required": True}),
+              ("--count-curves", {"action": "store_true"})), model=False),
+    _Command("weyl-orbit", "orbit under simple-root reflections", _weyl_orbit, (_CLASS_FLAG,)),
+    _Command("weyl-order", "order of the reflection group", _weyl_order),
+    _Command("k3-reflect", "volume of a reflected nef class", _k3_reflect,
+             (("--nef", dict(_CLASS, help="coordinates of the nef class")),
+              ("--curve", {"required": True, "help": "label of the (-2)-curve"}))),
+    _Command("cutkosky-vol", "exact threefold volume at one eps", _cutkosky_vol,
+             (("--eps", {"required": True}),), model=False),
+    _Command("cutkosky-scan", "(eps, volume) table for plotting", _cutkosky_scan,
+             (("--start", {"default": "0"}), ("--stop", {"default": "1"}),
+              ("--num", {"type": int, "default": 9})), model=False, csv=True),
+)
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="zlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("zariski", help="Zariski decomposition of a class")
-    _add_model_arguments(p)
-    p.add_argument("--class", dest="cls", required=True)
-    p.set_defaults(func=_cmd_zariski)
-
-    p = sub.add_parser("chamber", help="chamber support of a big class")
-    _add_model_arguments(p)
-    p.add_argument("--class", dest="cls", required=True)
-    p.set_defaults(func=_cmd_chamber)
-
-    p = sub.add_parser("volume", help="volume of a class")
-    _add_model_arguments(p)
-    p.add_argument("--class", dest="cls", required=True)
-    p.set_defaults(func=_cmd_volume)
-
-    p = sub.add_parser("volpoly", help="quadratic volume form on a chamber")
-    _add_model_arguments(p)
-    p.add_argument("--support", default="", help="comma-separated curve labels")
-    p.set_defaults(func=_cmd_volpoly)
-
-    p = sub.add_parser("chambers-enum", help="enumerate all chambers")
-    _add_model_arguments(p)
-    p.set_defaults(func=_cmd_chambers_enum)
-
-    p = sub.add_parser("walk", help="destabilizing values along L - t*A")
-    _add_model_arguments(p)
-    p.add_argument("--bundle", required=True, help="coordinates of L")
-    p.add_argument("--ample", required=True, help="coordinates of A")
-    p.set_defaults(func=_cmd_walk)
-
-    p = sub.add_parser("stable-base-locus", help="stable base locus of a stable class")
-    _add_model_arguments(p)
-    p.add_argument("--class", dest="cls", required=True)
-    p.set_defaults(func=_cmd_stable_base_locus)
-
-    p = sub.add_parser("delpezzo", help="emit a del Pezzo surface model")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--count-curves", action="store_true")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=_cmd_delpezzo)
-
-    p = sub.add_parser("weyl-orbit", help="orbit under simple-root reflections")
-    _add_model_arguments(p)
-    p.add_argument("--class", dest="cls", required=True)
-    p.set_defaults(func=_cmd_weyl_orbit)
-
-    p = sub.add_parser("weyl-order", help="order of the reflection group")
-    _add_model_arguments(p)
-    p.set_defaults(func=_cmd_weyl_order)
-
-    p = sub.add_parser("k3-reflect", help="volume of a reflected nef class")
-    _add_model_arguments(p)
-    p.add_argument("--nef", required=True, help="coordinates of the nef class")
-    p.add_argument("--curve", required=True, help="label of the (-2)-curve")
-    p.set_defaults(func=_cmd_k3_reflect)
-
-    p = sub.add_parser("cutkosky-vol", help="exact threefold volume at one eps")
-    p.add_argument("--eps", required=True)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=_cmd_cutkosky_vol)
-
-    p = sub.add_parser("cutkosky-scan", help="(eps, volume) table for plotting")
-    p.add_argument("--start", default="0")
-    p.add_argument("--stop", default="1")
-    p.add_argument("--num", type=int, default=9)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=_cmd_cutkosky_scan)
-
+    for command in COMMANDS:
+        p = sub.add_parser(command.name, help=command.help)
+        if command.model:
+            source = p.add_mutually_exclusive_group(required=True)
+            source.add_argument("--surface", help="path to a surface JSON file")
+            source.add_argument(
+                "--delpezzo", type=int, help="use the del Pezzo model with this many points"
+            )
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+        dests = [p.add_argument(flag, **options).dest for flag, options in command.arguments]
+        p.set_defaults(spec=command, dests=dests)
     return parser
+
+
+def _run(args: argparse.Namespace) -> None:
+    """Load the model, parse the class-valued flags, call the handler, print."""
+    command = args.spec
+    values = [getattr(args, dest) for dest in args.dests]
+    if command.model:
+        if args.delpezzo is not None:
+            model = del_pezzo(args.delpezzo)
+        else:
+            with open(args.surface, "r", encoding="utf-8") as handle:
+                model = parse_surface(handle.read())
+        values = [model] + [
+            _parse_coords(v, model.lattice) if isinstance(v, _Coords) else v
+            for v in values
+        ]
+    result = command.handler(*values)
+    payload, csv_rows = result if command.csv else (result, None)
+    if args.format == "json":
+        print(json.dumps(payload))
+    elif csv_rows is None:
+        raise UsageError("this subcommand has no CSV form")
+    else:
+        for row in csv_rows:
+            print(",".join(str(cell) for cell in row))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        args.func(args)
-    except UsageError as exc:
+        _run(args)
+    except (UsageError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # argparse --help
@@ -414,9 +347,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             file=sys.stderr,
         )
         return 2
-    except OSError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
     return 0
 
 

@@ -101,11 +101,7 @@ class QuadraticPolynomial:
 
     def antiderivative_at(self, x):
         """Value at x of the primitive with zero constant term."""
-        return (
-            (self.c2 / Fraction(3)) * x * x * x
-            + (self.c1 / Fraction(2)) * x * x
-            + self.c0 * x
-        )
+        return ((self.c2 / 3 * x + self.c1 / 2) * x + self.c0) * x
 
 
 def q_poly(eps: Rational) -> QuadraticPolynomial:
@@ -130,8 +126,7 @@ def volume_L_eps(eps: Rational) -> QuadraticIrrational:
     eps = _check_domain(eps)
     q = q_poly(eps)
     lower = integration_lower_limit(eps)
-    upper = QuadraticIrrational(1)
-    return 3 * (q.antiderivative_at(upper) - q.antiderivative_at(lower))
+    return 3 * (q.antiderivative_at(Fraction(1)) - q.antiderivative_at(lower))
 
 
 def volume_closed_form(eps: Rational) -> QuadraticIrrational:

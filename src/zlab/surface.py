@@ -121,6 +121,8 @@ class SurfaceModel:
         """(nums, den) with D . C_i = nums[i] / den and den > 0, so every sign
         or zero test reads the ints: D's denominators are cleared once (d*D is
         integral, den = d*s) and each numerator is one dot product with a row."""
+        if divisor.lattice is not self.lattice and divisor.lattice != self.lattice:
+            raise LatticeMismatch("class lives in a different lattice")
         coords = divisor.coords
         d = lcm(*(x.denominator for x in coords))
         v = _integer_coords(coords, d)

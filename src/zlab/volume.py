@@ -8,7 +8,6 @@ from math import comb
 from typing import Iterable
 
 from .errors import (
-    LatticeMismatch,
     NegativeDimension,
     NotNegativeDefinite,
     NotPseudoEffective,
@@ -25,8 +24,6 @@ def vol(model: SurfaceModel, divisor: DivisorClass) -> Fraction:
     space, matching the volume's definition as a continuous function that
     vanishes outside the big cone.
     """
-    if divisor.lattice != model.lattice:
-        raise LatticeMismatch("class lives in a different lattice")
     try:
         decomposition = zariski_decompose(model, divisor)
     except (NotPseudoEffective, NotNegativeDefinite):

@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import (
-    LatticeMismatch,
     NotBig,
     NotNef,
     NotNegativeDefinite,
@@ -144,8 +143,6 @@ def zariski_decompose(model: SurfaceModel, divisor: DivisorClass) -> ZariskiDeco
     (the candidate positive part fails nefness with no curve left to add, or
     the class already pairs non-positively with the ample witness).
     """
-    if divisor.lattice != model.lattice:
-        raise LatticeMismatch("class lives in a different lattice")
     nums, den = model.pairing_numerators(divisor)  # every sign below reads ints
     witness = divisor.dot(model.ample)  # is_nef inlined: the test below reuses it
     if divisor.square >= 0 and witness >= 0 and min(nums, default=0) >= 0:

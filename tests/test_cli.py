@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from conftest import rank_ten_model
-from zlab.cli import _qi_json, main, parse_surface, surface_to_json
+from zlab.cli import COMMANDS, _qi_json, main, parse_surface, surface_to_json
 from zlab.cutkosky import volume_closed_form
 from zlab.errors import (
     AmpleWitnessError,
@@ -34,6 +34,13 @@ DP2_JSON = {
         {"label": "L-E1-E2", "class": ["1", "-1", "-1"]},
     ],
     "canonical": ["-3", "1", "1"],
+}
+
+K3_JSON = {
+    "basis": ["H", "E"],
+    "gram": [[4, 2], [2, -2]],
+    "ample": ["1", "0"],
+    "curves": [{"label": "E", "class": ["0", "1"]}],
 }
 
 
@@ -137,6 +144,89 @@ def test_golden_outputs(capsys, name, argv):
     assert json.loads(out) == json.loads((GOLDEN / name).read_text())
 
 
+# Exact stdout and exit code of one call per subcommand, recorded before the
+# CLI became table-driven; "{k3}" stands for a file holding K3_JSON.
+PINNED = {
+    "zariski": (
+        ["--delpezzo", "3", "--class", "3,1,0,-1"], 0,
+        '{"positive": ["3", "0", "0", "-1"], "negative": {"E1": "1"}}\n',
+    ),
+    "chamber": (["--delpezzo", "3", "--class", "3,1,0,-1"], 0, '{"support": ["E1"]}\n'),
+    "volume": (["--delpezzo", "3", "--class", "3,1,0,-1"], 0, '{"volume": "8"}\n'),
+    "volpoly": (
+        ["--delpezzo", "3", "--support", "E1,E2"], 0,
+        '{"support": ["E1", "E2"], "matrix": [["1", "0", "0", "0"], ["0", "0", "0", "0"], '
+        '["0", "0", "0", "0"], ["0", "0", "0", "-1"]]}\n',
+    ),
+    "chambers-enum": (
+        ["--delpezzo", "2", "--format", "csv"], 0,
+        "index,size,support\n0,0,\n1,1,E1\n2,1,E2\n3,1,L-E1-E2\n4,2,E1|E2\n",
+    ),
+    "walk": (
+        ["--delpezzo", "3", "--bundle", "6,-2,-1,0", "--ample", "3,-1,-1,-1"], 0,
+        '{"segments": [{"start": "0", "end": "1", "support": ["E3"]}, {"start": "1", '
+        '"end": {"a": "2", "b": "0", "m": 0, "approx": 2.0}, "support": ["E2", "E3"]}], '
+        '"breakpoints": ["1"], "threshold": {"a": "2", "b": "0", "m": 0, "approx": 2.0}}\n',
+    ),
+    "stable-base-locus": (["--delpezzo", "2", "--class", "2,1,-1"], 0, '{"support": ["E1"]}\n'),
+    "delpezzo": (["--r", "2", "--format", "csv"], 1, ""),
+    "weyl-orbit": (
+        ["--delpezzo", "3", "--class", "0,1,0,0"], 0,
+        '{"size": 6, "orbit": [["0", "0", "0", "1"], ["0", "0", "1", "0"], '
+        '["0", "1", "0", "0"], ["1", "-1", "-1", "0"], ["1", "-1", "0", "-1"], '
+        '["1", "0", "-1", "-1"]]}\n',
+    ),
+    "weyl-order": (["--delpezzo", "4"], 0, '{"order": 120}\n'),
+    "k3-reflect": (["--surface", "{k3}", "--nef", "1,0", "--curve", "E"], 0, '{"volume": "6"}\n'),
+    "cutkosky-vol": (
+        ["--eps", "1/3"], 0,
+        '{"a": "-4640/9747", "b": "1376/9747", "m": 43, "approx": 0.449680456493234}\n',
+    ),
+    "cutkosky-scan": (
+        ["--start", "0", "--stop", "1/2", "--num", "3"], 0,
+        '[{"eps": "0", "volume": {"a": "-77/722", "b": "135/722", "m": 5, '
+        '"approx": 0.3114531536876338}}, {"eps": "1/4", "volume": {"a": "-16371/46208", '
+        '"b": "1081/46208", "m": 1081, "approx": 0.414878985579045}}, {"eps": "1/2", '
+        '"volume": {"a": "-4553/5776", "b": "385/5776", "m": 385, '
+        '"approx": 0.5196062145228886}}]\n',
+    ),
+}
+
+
+def test_every_subcommand_is_pinned():
+    assert sorted(PINNED) == sorted(command.name for command in COMMANDS)
+
+
+@pytest.mark.parametrize("command", sorted(PINNED))
+def test_pinned_stdout_and_exit_code(capsys, tmp_path, command):
+    path = tmp_path / "k3.json"
+    path.write_text(json.dumps(K3_JSON))
+    args, expected_code, expected_out = PINNED[command]
+    argv = [command] + [str(path) if a == "{k3}" else a for a in args]
+    code, out, _ = run_cli(capsys, argv)
+    assert (code, out) == (expected_code, expected_out)
+
+
+@pytest.mark.parametrize("command", [command.name for command in COMMANDS])
+def test_subcommand_help_exits_zero(capsys, command):
+    code, out, _ = run_cli(capsys, [command, "--help"])
+    assert code == 0
+    assert out.startswith(f"usage: zlab {command} ")
+
+
+@pytest.mark.parametrize(
+    "source", [[], ["--delpezzo", "2", "--surface", "/nonexistent.json"]],
+    ids=["neither", "both"],
+)
+def test_model_source_is_exactly_one_of_surface_and_delpezzo(capsys, source):
+    """Passing both used to run on the del Pezzo model and never open the file."""
+    code, out, err = run_cli(capsys, ["zariski", *source, "--class", "2,1,0"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error: ")
+    assert "--surface" in err and "--delpezzo" in err
+
+
 def test_surface_file_input(capsys, tmp_path):
     path = tmp_path / "dp2.json"
     path.write_text(json.dumps(DP2_JSON))
@@ -203,14 +293,8 @@ def test_weyl_order_refuses_an_infinite_group(capsys, tmp_path):
 
 
 def test_k3_reflect(capsys, tmp_path):
-    surface = {
-        "basis": ["H", "E"],
-        "gram": [[4, 2], [2, -2]],
-        "ample": ["1", "0"],
-        "curves": [{"label": "E", "class": ["0", "1"]}],
-    }
     path = tmp_path / "k3.json"
-    path.write_text(json.dumps(surface))
+    path.write_text(json.dumps(K3_JSON))
     code, out, _ = run_cli(
         capsys, ["k3-reflect", "--surface", str(path), "--nef", "1,0", "--curve", "E"]
     )
@@ -231,6 +315,12 @@ def test_stable_base_locus_subcommand(capsys):
 
 
 def test_walk_csv_not_available_but_scan_is(capsys):
+    code, out, err = run_cli(
+        capsys, ["walk", "--delpezzo", "2", "--bundle", "6,-2,-1", "--ample", "3,-1,-1",
+                 "--format", "csv"],
+    )
+    assert (code, out) == (1, "")
+    assert err == "usage error: this subcommand has no CSV form\n"
     code, out, _ = run_cli(
         capsys, ["cutkosky-scan", "--start", "0", "--stop", "1/2", "--num", "3",
                  "--format", "csv"],

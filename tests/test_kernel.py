@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +21,8 @@ from zlab import (
     is_nef,
     zariski_decompose,
 )
-from zlab.errors import CurvePairingError
+from zlab.cutkosky import abelian_surface
+from zlab.errors import CurvePairingError, LatticeMismatch
 from zlab.lattice import gram_matrix
 
 FACTORS = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(3, 2), Fraction(5, 6)]
@@ -69,6 +71,19 @@ def test_kernel_matches_pairing_on_scaled_user_models(model, data):
     dec = zariski_decompose(model, big)
     got = (dec.positive.coords, tuple(sorted((c.label, x) for c, x in dec.coefficients)))
     assert got == _oracle_decompose(model, big, _negative_definite_subsets(model))
+
+
+@pytest.mark.parametrize("method", ["pairing_numerators", "curve_pairings"])
+@pytest.mark.parametrize(
+    "foreign",
+    [lambda: abelian_surface().d, lambda: del_pezzo(3).ample],
+    ids=["same-rank-other-form", "longer-rank"],
+)
+def test_pairing_a_foreign_class_is_a_lattice_mismatch(method, foreign):
+    """Both classes used to pair: the rank-3 abelian class by the dp2 rows, and
+    the rank-4 class cut short by ``zip``."""
+    with pytest.raises(LatticeMismatch):
+        getattr(del_pezzo(2), method)(foreign())
 
 
 def test_integer_kernel_stores_plain_ints():
