@@ -309,6 +309,8 @@ def build_parser() -> _Parser:
 def _run(args: argparse.Namespace) -> None:
     """Load the model, parse the class-valued flags, call the handler, print."""
     command = args.spec
+    if args.format == "csv" and not command.csv:
+        raise UsageError("this subcommand has no CSV form")
     values = [getattr(args, dest) for dest in args.dests]
     if command.model:
         if args.delpezzo is not None:
@@ -324,8 +326,6 @@ def _run(args: argparse.Namespace) -> None:
     payload, csv_rows = result if command.csv else (result, None)
     if args.format == "json":
         print(json.dumps(payload))
-    elif csv_rows is None:
-        raise UsageError("this subcommand has no CSV form")
     else:
         for row in csv_rows:
             print(",".join(str(cell) for cell in row))

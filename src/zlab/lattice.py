@@ -430,7 +430,7 @@ class IntersectionLattice:
             for j in range(n):
                 if rows[i][j] != rows[j][i]:
                     raise ValueError("gram matrix must be symmetric")
-        if any(Fraction(x) != x for row in gram for x in row):
+        if any(x != y for row, given in zip(rows, gram) for x, y in zip(row, given)):
             raise ValueError("gram matrix must be integral")
         if len(labels) != n or len(set(labels)) != n:
             raise ValueError("basis labels must be distinct and match the rank")

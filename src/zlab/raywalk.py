@@ -17,12 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import (
-    InstableDivisor,
-    LatticeMismatch,
-    NotAmple,
-    NotNegativeDefinite,
-)
+from .errors import InstableDivisor, LatticeMismatch, NotAmple
 from .lattice import DivisorClass, QuadraticIrrational, solve_symmetric, sqrt_fraction
 from .surface import SurfaceModel
 from .zariski import (
@@ -104,12 +99,12 @@ def _absorb_walls(
 ):
     """Add every curve whose wall passes through lam with decreasing pairing.
 
-    Returns the affine data on the grown support: coefficients x(t) = x0 +
-    t*x1, candidate positive part P(t) = p0 + t*p1 and the pairing
-    numerators (g0s, d0), (g1s, d1) of p0 and p1.  ``pairings`` holds those of
-    the bundle and of the ample class, computed once per walk.  P(lam) . C has
-    the sign of g0*u + g1*w, that is g0/d0 + lam*g1/d1 times d0*d1*lam's
-    denominator.
+    Returns the affine data on the grown support: the candidate positive part
+    P(t) = p0 + t*p1, whose coefficients x(t) = x0 + t*x1 solve the support's
+    pairing system, and the pairing numerators (g0s, d0), (g1s, d1) of p0 and
+    p1.  ``pairings`` holds those of the bundle and of the ample class,
+    computed once per walk.  P(lam) . C has the sign of g0*u + g1*w, that is
+    g0/d0 + lam*g1/d1 times d0*d1*lam's denominator.
     """
     (b, b_den), (a, a_den) = pairings
     support = list(support)
@@ -128,30 +123,8 @@ def _absorb_walls(
             if g1 < 0 and g0 * u + g1 * w == 0 and i not in in_support
         ]
         if not entrants:
-            return support, x0, x1, p0, p1, f0, f1
+            return support, p0, p1, f0, f1
         support.extend(entrants)
-
-
-def _least_quadratic_root_above(
-    c2: Fraction, c1: Fraction, c0: Fraction, lam: Fraction
-) -> Optional[QuadraticIrrational]:
-    if c2 == 0:
-        if c1 == 0:
-            return None
-        root = QuadraticIrrational(-c0 / c1)
-        return root if root > lam else None
-    discriminant = c1 * c1 - 4 * c2 * c0
-    if discriminant < 0:
-        return None
-    sq = sqrt_fraction(discriminant)
-    roots = [
-        (QuadraticIrrational(-c1) - sq) / (2 * c2),
-        (QuadraticIrrational(-c1) + sq) / (2 * c2),
-    ]
-    admissible = [r for r in roots if r > lam]
-    if not admissible:
-        return None
-    return min(admissible)
 
 
 def destabilizing_numbers(
@@ -161,10 +134,18 @@ def destabilizing_numbers(
 
     All interior breakpoints are exact rationals by construction; the final
     bigness threshold is a quadratic irrational.  When the bundle is ample,
-    the first breakpoint is the nef threshold sup{t : L - t*A nef}.  Support
-    pruning (a coefficient vanishing inside a segment) closes the segment
-    without recording a breakpoint; it cannot occur for an ample direction,
-    where supports only grow.
+    the first breakpoint is the nef threshold sup{t : L - t*A nef}.
+
+    Three facts about a validated model carry the walk.  Coefficients never
+    fall: x1 = -G_S^-1 (A . C_S) >= 0, since -G_S is a nonsingular M-matrix,
+    so supports only grow and every segment but the last adds a curve; a
+    walk has at most len(model.curves) + 1 segments.  Absorbing walls keeps
+    the support negative definite: at each segment start P(lam) is nef with
+    P(lam)**2 > 0, and its null curves span a negative definite space by
+    Hodge index.  The threshold is the smaller root of P(t)**2: its leading
+    coefficient p1**2 >= A**2 > 0, because -p1 is A projected off the span
+    of the support, and P(t) . A falls without bound, so P(t)**2 turns
+    non-positive above lam and both roots are real and above lam.
     """
     ample_pairings = _ample_pairings(model, ample)
     if ample_pairings is None:
@@ -174,31 +155,13 @@ def destabilizing_numbers(
 
     support = [model.curve_index(c.label) for c in initial.support]
     lam = Fraction(0)
-    seg_start = Fraction(0)
     segments: list[RaySegment] = []
     breakpoints: list[Fraction] = []
-    threshold: Optional[QuadraticIrrational] = None
 
-    for _ in range(2 * len(model.curves) + 8):
-        try:
-            support, x0, x1, p0, p1, f0, f1 = _absorb_walls(
-                model, support, bundle, ample, lam, pairings
-            )
-        except NotNegativeDefinite:
-            # entering curves broke definiteness: the class cannot stay big,
-            # so the wall just reached is the endpoint, not a breakpoint
-            threshold = QuadraticIrrational(lam)
-            if lam > seg_start:
-                segments.append(
-                    RaySegment(seg_start, threshold, _descriptor(model, support))
-                )
-            elif breakpoints and breakpoints[-1] == lam:
-                breakpoints.pop()
-                last = segments[-1]
-                segments[-1] = RaySegment(
-                    last.lambda_start, threshold, last.support
-                )
-            break
+    for _ in range(len(model.curves) + 1):
+        support, p0, p1, f0, f1 = _absorb_walls(
+            model, support, bundle, ample, lam, pairings
+        )
         descriptor = _descriptor(model, support)
         in_support = set(support)
 
@@ -214,49 +177,22 @@ def destabilizing_numbers(
             if above and (least is None or g0 * least[1] < -g1 * least[0]):
                 least = (g0, -g1)
         wall = None if least is None else Fraction(least[0] * f1[1], least[1] * f0[1])
-        exit_root: Optional[Fraction] = None
-        for u, v in zip(x0, x1):
-            if v >= 0:
-                continue
-            root = -u / v
-            if root > lam and (exit_root is None or root < exit_root):
-                exit_root = root
-        big_root = _least_quadratic_root_above(
-            p1.square, 2 * p0.dot(p1), p0.square, lam
-        )
+        # P(t)**2 = c2*t**2 + c1*t + c0; its smaller root is the threshold
+        c2, c1, c0 = p1.square, 2 * p0.dot(p1), p0.square
+        root = sqrt_fraction(c1 * c1 - 4 * c2 * c0)
+        threshold = (QuadraticIrrational(-c1) - root) / (2 * c2)
 
-        if (
-            big_root is not None
-            and (wall is None or big_root <= wall)
-            and (exit_root is None or big_root <= exit_root)
-        ):
-            threshold = big_root
-            segments.append(RaySegment(seg_start, threshold, descriptor))
-            break
-        if wall is not None and (exit_root is None or wall <= exit_root):
-            segments.append(RaySegment(seg_start, wall, descriptor))
-            breakpoints.append(wall)
-            lam = seg_start = wall
-            continue
-        if exit_root is not None:
-            segments.append(RaySegment(seg_start, exit_root, descriptor))
-            support = [
-                i
-                for i, u, v in zip(support, x0, x1)
-                if not (v < 0 and u + exit_root * v == 0)
-            ]
-            lam = seg_start = exit_root
-            continue
-        raise RuntimeError("ray walk found no terminating event")
-    else:
-        raise RuntimeError("ray walk did not terminate")
-
-    assert threshold is not None
-    return RayWalkResult(
-        segments=tuple(segments),
-        breakpoints=tuple(breakpoints),
-        bigness_threshold=threshold,
-    )
+        if wall is None or threshold <= wall:
+            segments.append(RaySegment(lam, threshold, descriptor))
+            return RayWalkResult(
+                segments=tuple(segments),
+                breakpoints=tuple(breakpoints),
+                bigness_threshold=threshold,
+            )
+        segments.append(RaySegment(lam, wall, descriptor))
+        breakpoints.append(wall)
+        lam = wall
+    raise RuntimeError("ray walk did not terminate")
 
 
 def _descriptor(model: SurfaceModel, support: list[int]) -> ChamberDescriptor:

@@ -126,9 +126,14 @@ def k3_reflection_volume(
     """Volume of the reflection of a nef class in a listed (-2)-curve.
 
     Computed honestly through the Zariski decomposition of the reflected
-    class; for t = P.E the value equals P**2 + t**2/2.
+    class; for t = P.E the value equals P**2 + t**2/2.  NotMinusTwoClass
+    unless the label names a listed curve of square -2.
     """
-    index = model.curve_index(curve if isinstance(curve, str) else curve.label)
+    label = curve if isinstance(curve, str) else curve.label
+    try:
+        index = model.curve_index(label)
+    except KeyError:
+        raise NotMinusTwoClass(f"{label} is not a listed (-2)-curve") from None
     curve = model.curves[index]
     square = model.curve_gram([index])[0][0]
     if square != -2:

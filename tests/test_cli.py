@@ -77,6 +77,36 @@ def test_parse_surface_schema_errors():
         parse_surface(json.dumps(bad_rational))
 
 
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        (None, "surface description must be a JSON object"),
+        ({"basis": "L,E1,E2"}, "basis must be a list of strings"),
+        ({"basis": ["L", "E1", 2]}, "basis must be a list of strings"),
+        ({"gram": [1, 0, 0]}, "gram must be a list of integer rows"),
+        ({"gram": [[1, 0], [0, -1]]}, "gram must be square with one row per basis label"),
+        ({"gram": [[1, 0], [0, -1], [0, 0]]}, "gram must be square with one row per basis label"),
+        ({"ample": ["3", "-1"]}, "ample must be a list of 3 rationals"),
+        ({"canonical": "-3,1,1"}, "canonical must be a list of 3 rationals"),
+        ({"curves": {"E1": ["0", "1", "0"]}}, "curves must be a list"),
+        ({"curves": [{"label": 1, "class": ["0", "1", "0"]}]},
+         "each curve needs a string label and a class"),
+        ({"curves": [{"label": "E1"}]}, "each curve needs a string label and a class"),
+        ({"curves": ["E1"]}, "each curve needs a string label and a class"),
+        ({"curves": [{"label": "E1", "class": ["0", "1"]}]},
+         "curve class must be a list of 3 rationals"),
+    ],
+    ids=["not-an-object", "basis-string", "basis-entry", "gram-flat", "gram-short",
+         "gram-long", "ample-length", "canonical-string", "curves-object", "curve-label",
+         "curve-without-class", "curve-string", "curve-class-length"],
+)
+def test_parse_surface_refuses_malformed_descriptions(changes, message):
+    raw = ["not", "an", "object"] if changes is None else dict(DP2_JSON, **changes)
+    with pytest.raises(SchemaError) as excinfo:
+        parse_surface(json.dumps(raw))
+    assert str(excinfo.value) == message
+
+
 def test_asymmetric_surface_file_is_one_schema_error_line(capsys, tmp_path):
     path = tmp_path / "asym.json"
     path.write_text(json.dumps(dict(DP2_JSON, gram=[[1, 0, 0], [1, -1, 0], [0, 0, -1]])))
@@ -314,6 +344,74 @@ def test_stable_base_locus_subcommand(capsys):
     assert json.loads(err)["error"] == "InstableDivisor"
 
 
+def test_k3_reflect_unknown_curve_is_one_json_error_line(capsys, tmp_path):
+    """An unknown label used to end in a KeyError traceback."""
+    path = tmp_path / "k3.json"
+    path.write_text(json.dumps(K3_JSON))
+    code, out, err = run_cli(
+        capsys, ["k3-reflect", "--surface", str(path), "--nef", "1,0", "--curve", "X"]
+    )
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "NotMinusTwoClass",
+        "message": "X is not a listed (-2)-curve",
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, error, message",
+    [
+        (["volume", "--delpezzo", "2", "--class", "3,-1"], "SchemaError",
+         "expected 3 comma-separated coordinates, got 2"),
+        (["volume", "--delpezzo", "2", "--class", "3,-1,-1,0"], "SchemaError",
+         "expected 3 comma-separated coordinates, got 4"),
+        (["k3-reflect", "--delpezzo", "2", "--nef", "3,-1,-1", "--curve", "E1"],
+         "NotMinusTwoClass", "E1 has square -1, not -2"),
+    ],
+    ids=["too-few", "too-many", "not-minus-two"],
+)
+def test_domain_refusal_is_one_json_error_line(capsys, argv, error, message):
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": error, "message": message}
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [["--num", "1"], ["--start", "1/2", "--stop", "1/2"], ["--start", "1", "--stop", "0"]],
+    ids=["one-sample", "empty-range", "reversed-range"],
+)
+def test_cutkosky_scan_refuses_bad_bounds(capsys, bounds):
+    code, out, err = run_cli(capsys, ["cutkosky-scan", *bounds])
+    assert (code, out) == (1, "")
+    assert err == "usage error: need --num >= 2 and --stop > --start\n"
+
+
+def test_csv_refusal_comes_before_any_work(capsys, monkeypatch):
+    """The model is not loaded and the handler not called: a walk with an
+    unreadable surface file, and a del Pezzo rank out of range, both fail
+    on the format alone."""
+    import zlab.cli
+
+    calls = []
+    commands = tuple(
+        c._replace(handler=lambda *args: calls.append(args)) for c in zlab.cli.COMMANDS
+    )
+    monkeypatch.setattr(zlab.cli, "COMMANDS", commands)
+    for argv in (
+        ["walk", "--surface", "/nonexistent.json", "--bundle", "1,0,0", "--ample", "3,-1,-1"],
+        ["delpezzo", "--r", "9"],
+    ):
+        code, out, err = run_cli(capsys, argv + ["--format", "csv"])
+        assert (code, out) == (1, "")
+        assert err == "usage error: this subcommand has no CSV form\n"
+    assert calls == []
+
+
 def test_walk_csv_not_available_but_scan_is(capsys):
     code, out, err = run_cli(
         capsys, ["walk", "--delpezzo", "2", "--bundle", "6,-2,-1", "--ample", "3,-1,-1",
@@ -358,6 +456,8 @@ def test_exit_codes(capsys):
     code, _, err = run_cli(capsys, ["delpezzo", "--r", "9"])
     assert code == 2
     assert json.loads(err)["error"] == "OutOfRange"
+    code, _, err = run_cli(capsys, ["delpezzo", "--r", "9", "--format", "csv"])
+    assert code == 1  # the format is refused before the rank is read
     code, _, err = run_cli(
         capsys, ["chamber", "--delpezzo", "2", "--class", "0,1,0"]
     )

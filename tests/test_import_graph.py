@@ -1,8 +1,9 @@
-"""The package's import graph is acyclic and layered.
+"""The package's import graph is acyclic and layered, and every import is used.
 
 Every module of ``zlab`` may import only from a strictly lower tier, so the
 graph follows lattice -> surface -> zariski -> {chambers, volume, raywalk}
--> weyl -> cli.  Imports inside function bodies count too.
+-> weyl -> cli.  Imports inside function bodies count too.  Outside
+``__init__``, which re-exports, a module uses every name it imports.
 """
 
 from __future__ import annotations
@@ -68,3 +69,48 @@ def test_import_graph_is_acyclic_and_layered():
         if TIERS[target] >= TIERS[module]
     )
     assert upward == []
+
+
+def imported_names(tree: ast.Module) -> set[str]:
+    """The names a module binds by import, ``from __future__`` aside."""
+    found: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            found.update(a.asname or a.name for a in node.names)
+    return found
+
+
+def annotation_nodes(tree: ast.Module) -> list[ast.expr]:
+    found: list[ast.expr] = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            arguments = node.args
+            every = arguments.posonlyargs + arguments.args + arguments.kwonlyargs
+            every += [a for a in (arguments.vararg, arguments.kwarg) if a is not None]
+            found += [a.annotation for a in every if a.annotation is not None]
+            found += [node.returns] if node.returns is not None else []
+        elif isinstance(node, ast.AnnAssign):
+            found.append(node.annotation)
+    return found
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    """Every name a module reads, including inside string annotations."""
+    found = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for annotation in annotation_nodes(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                quoted = ast.parse(node.value, mode="eval")
+                found.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+    return found
+
+
+def test_every_import_is_used():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem != "__init__":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            unused += [(path.stem, name) for name in imported_names(tree) - used_names(tree)]
+    assert unused == []

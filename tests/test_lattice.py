@@ -98,6 +98,46 @@ def test_signature_requires_symmetry():
         signature([[1, 2], [3, 4]])
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: signature([[1, 0], [0]]), "matrix is not square"),
+        (lambda: invert_matrix([[-1, 0], [0]]), "matrix is not square"),
+        (lambda: solve_symmetric([[-1]], [1, 2]), "rhs length must match the matrix size"),
+        (lambda: IntersectionLattice([], []), "gram matrix must be square and non-empty"),
+        (
+            lambda: IntersectionLattice([[1, 0], [0]], ["a", "b"]),
+            "gram matrix must be square and non-empty",
+        ),
+        (lambda: IntersectionLattice([["1"]], ["a"]), "gram matrix must be integral"),
+        (lambda: IntersectionLattice([[1.5]], ["a"]), "gram matrix must be integral"),
+        (
+            lambda: IntersectionLattice([[Fraction(3, 2), 0], [0, -1]], ["a", "b"]),
+            "gram matrix must be integral",
+        ),
+        (
+            lambda: IntersectionLattice([[1, 0], [0, -1]], ["a", "a"]),
+            "basis labels must be distinct and match the rank",
+        ),
+        (
+            lambda: IntersectionLattice([[1, 0], [0, -1]], ["a"]),
+            "basis labels must be distinct and match the rank",
+        ),
+        (lambda: dp_model(2).lattice.divisor([1, 0]), "expected 3 coordinates, got 2"),
+    ],
+    ids=[
+        "signature-ragged", "invert-ragged", "rhs-length", "empty-gram", "ragged-gram",
+        "string-entry", "float-entry", "fraction-entry", "repeated-label", "missing-label",
+        "short-class",
+    ],
+)
+def test_malformed_matrices_and_classes_are_refused(build, message):
+    """A non-integral float or Fraction entry used to be truncated silently."""
+    with pytest.raises(ValueError) as excinfo:
+        build()
+    assert str(excinfo.value) == message
+
+
 def test_lattice_rejects_wrong_signature():
     with pytest.raises(SignatureError):
         IntersectionLattice([[1, 0], [0, 1]], ["a", "b"])

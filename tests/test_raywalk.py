@@ -6,26 +6,37 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
+    a2_chain_model,
     assert_segments_match_chambers,
     dp_model,
+    k3_model,
     random_ample_class,
     random_big_class,
+    user_models,
 )
 from zlab import (
+    ChamberDescriptor,
     QuadraticIrrational,
     abelian_surface,
     abelian_surface_model,
     chamber_of,
     destabilizing_numbers,
     is_ample,
+    is_big,
     is_stable,
+    null_set,
     sqrt_fraction,
     stable_base_locus,
     vol,
+    zariski_decompose,
 )
 from zlab.errors import InstableDivisor, NotAmple, NotBig
+from zlab.lattice import is_negative_definite
+from zlab.raywalk import RaySegment, RayWalkResult
 
 
 def dp2_walk(dp2):
@@ -172,9 +183,6 @@ def test_random_walks_have_rational_nested_breakpoints():
 
 
 def test_result_validation_rejects_malformed_walks(dp2):
-    from zlab import ChamberDescriptor
-    from zlab.raywalk import RaySegment, RayWalkResult
-
     empty = ChamberDescriptor(())
     e1 = ChamberDescriptor(("E1",))
     one = QuadraticIrrational(1)
@@ -210,6 +218,39 @@ def test_result_validation_rejects_malformed_walks(dp2):
         )
 
 
+def _segment(start, end, *labels):
+    return RaySegment(start, end, ChamberDescriptor(labels))
+
+
+@pytest.mark.parametrize(
+    "segments, breakpoints, threshold, message",
+    [
+        ((), (), QuadraticIrrational(1), "a walk has at least one segment"),
+        (
+            (_segment(Fraction(0), Fraction(1)), _segment(1, QuadraticIrrational(2), "E1")),
+            (1,), QuadraticIrrational(2), "breakpoints must be rational",
+        ),
+        (
+            (_segment(Fraction(0), Fraction(1)),), (), Fraction(1),
+            "the bigness threshold must be a QuadraticIrrational",
+        ),
+        (
+            (
+                _segment(Fraction(0), Fraction(0)),
+                _segment(Fraction(0), QuadraticIrrational(1), "E1"),
+            ),
+            (Fraction(0),), QuadraticIrrational(1),
+            "breakpoints must lie strictly between 0 and the threshold",
+        ),
+    ],
+    ids=["no-segments", "integer-breakpoint", "rational-threshold", "breakpoint-at-zero"],
+)
+def test_result_validation_names_the_broken_rule(segments, breakpoints, threshold, message):
+    with pytest.raises(ValueError) as excinfo:
+        RayWalkResult(segments, breakpoints, threshold)
+    assert str(excinfo.value) == message
+
+
 def test_random_walk_segments_agree_with_pointwise_chambers():
     rng = random.Random(67)
     model = dp_model(4)
@@ -243,3 +284,84 @@ def test_stable_base_locus_worked_values(dp2):
         stable_base_locus(dp2, lat.divisor([2, 1, 0]))
     with pytest.raises(NotBig):
         stable_base_locus(dp2, lat.divisor([0, 1, 0]))
+
+
+# ---------------------------------------------------------------------------
+# the theorems the walk rests on, as oracles
+# ---------------------------------------------------------------------------
+
+
+def rational_bracket(value, width=Fraction(1, 2**30)):
+    """Rationals lo < value < hi with hi - lo = 2 * width."""
+    mid = Fraction(float(value))
+    lo, hi = mid - width, mid + width
+    assert value > lo and hi > value
+    return lo, hi
+
+
+def negative_part(model, divisor):
+    return {curve.label: coeff for curve, coeff in zariski_decompose(model, divisor).coefficients}
+
+
+def assert_walk_theorems(model, bundle, direction):
+    """Check the walk against the three facts its loop takes for granted.
+
+    (a) Negative parts grow: every coefficient of the negative part of
+        L - t*A is non-decreasing in t on (0, threshold).
+    (b) At every breakpoint b the null set of the positive part of L - b*A
+        spans a negative definite lattice.
+    (c) L - t*A is big just below the threshold and not big just above it.
+    """
+    walk = destabilizing_numbers(model, bundle, direction)
+    lo, hi = rational_bracket(walk.bigness_threshold)
+    assert is_big(model, bundle - lo * direction)
+    assert not is_big(model, bundle - hi * direction)
+
+    for b in walk.breakpoints:
+        positive = zariski_decompose(model, bundle - b * direction).positive
+        indices = [model.curve_index(label) for label in null_set(model, positive)]
+        assert indices and is_negative_definite(model.curve_gram(indices))
+
+    samples = set(walk.breakpoints)
+    for segment in walk.segments:
+        start = segment.lambda_start
+        end = segment.lambda_end if isinstance(segment.lambda_end, Fraction) else lo
+        samples.update(start + (end - start) * Fraction(k, 8) for k in (1, 4, 7))
+    ts = sorted(t for t in samples if 0 < t and walk.bigness_threshold > t)
+    coefficients = [negative_part(model, bundle - t * direction) for t in ts]
+    for earlier, later in zip(coefficients, coefficients[1:]):
+        assert set(earlier) <= set(later)
+        assert all(coeff <= later[label] for label, coeff in earlier.items())
+
+
+THEOREM_MODELS = {
+    **{f"dp{r}": (lambda r=r: dp_model(r)) for r in range(2, 7)},
+    "k3(1)": lambda: k3_model(1),
+    "k3(2)": lambda: k3_model(2),
+    "a2": a2_chain_model,
+}
+
+
+@pytest.mark.parametrize("key", THEOREM_MODELS)
+def test_walk_theorems_on_seeded_walks(key):
+    model = THEOREM_MODELS[key]()
+    rng = random.Random(f"theorems-{key}")
+    for _ in range(6):
+        bundle = random_big_class(model, rng)
+        assert_walk_theorems(model, bundle, random_ample_class(model, rng))
+
+
+@settings(max_examples=60, deadline=None)
+@given(user_models(), st.data())
+def test_walk_theorems_on_user_models(model, data):
+    rank = model.lattice.rank
+    shift = data.draw(st.lists(st.fractions(-2, 2, max_denominator=3), min_size=rank, max_size=rank))
+    bundle = 2 * model.ample + model.lattice.divisor(shift)
+    for curve in model.curves:
+        bundle = bundle + data.draw(st.fractions(0, 2, max_denominator=3)) * curve.cls
+    assume(is_big(model, bundle))
+    direction = data.draw(st.integers(1, 3)) * model.ample + model.lattice.divisor(
+        data.draw(st.lists(st.fractions(-1, 1, max_denominator=2), min_size=rank, max_size=rank))
+    )
+    assume(is_ample(model, direction))
+    assert_walk_theorems(model, bundle, direction)

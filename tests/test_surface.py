@@ -8,19 +8,21 @@ from itertools import permutations
 
 import pytest
 
-from conftest import dp_model
+from conftest import dp_model, k3_model
 from zlab import (
     IntersectionLattice,
     NegativeCurve,
     SurfaceModel,
     del_pezzo,
     enumerate_roots,
+    exceptional_classes,
     is_nef,
     simple_roots,
 )
 from zlab.errors import (
     AmpleWitnessError,
     CurvePairingError,
+    LatticeMismatch,
     MissingCanonical,
     OutOfRange,
     UnsupportedLattice,
@@ -112,6 +114,47 @@ def test_model_rejects_bad_curves():
         SurfaceModel(
             lattice=lat3, ample=lat3.divisor([3, -1, -1]), curves=meets_badly
         )
+
+
+def _dp2_model_with(**parts) -> SurfaceModel:
+    dp2 = dp_model(2)
+    return SurfaceModel(**{"lattice": dp2.lattice, "ample": dp2.ample, "curves": (), **parts})
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (
+            lambda: _dp2_model_with(ample=k3_model(2).ample),
+            LatticeMismatch, "ample witness lives in a different lattice",
+        ),
+        (
+            lambda: _dp2_model_with(canonical=k3_model(2).ample),
+            LatticeMismatch, "canonical class lives in a different lattice",
+        ),
+        (
+            lambda: _dp2_model_with(curves=(
+                NegativeCurve("E", dp_model(2).lattice.divisor([0, 1, 0])),
+                NegativeCurve("E", dp_model(2).lattice.divisor([0, 0, 1])),
+            )),
+            CurvePairingError, "curve labels must be distinct",
+        ),
+        (
+            lambda: _dp2_model_with(curves=(k3_model(2).curves[0],)),
+            LatticeMismatch, "curve E in a different lattice",
+        ),
+        (
+            lambda: exceptional_classes(k3_model(2).lattice),
+            UnsupportedLattice, "exceptional-class enumeration needs the standard basis",
+        ),
+    ],
+    ids=["foreign-ample", "foreign-canonical", "repeated-label", "foreign-curve",
+         "nonstandard-basis"],
+)
+def test_model_refuses_foreign_or_repeated_parts(build, error, message):
+    with pytest.raises(error) as excinfo:
+        build()
+    assert str(excinfo.value) == message
 
 
 def test_empty_curve_list_is_allowed():

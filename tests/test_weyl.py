@@ -372,6 +372,21 @@ def test_k3_printed_term_agreement_only_at_pairing_one():
     assert vb != Pb.square + tb * tb - Fraction(tb, 2)
 
 
+@pytest.mark.parametrize(
+    "model, label, message",
+    [
+        (lambda: dp_model(2), "E1", "E1 has square -1, not -2"),
+        (lambda: k3_model(2), "X", "X is not a listed (-2)-curve"),
+    ],
+    ids=["square-minus-one", "unknown-label"],
+)
+def test_k3_reflection_requires_a_listed_minus_two_curve(model, label, message):
+    surface = model()
+    with pytest.raises(NotMinusTwoClass) as excinfo:
+        k3_reflection_volume(surface, surface.ample, label)
+    assert str(excinfo.value) == message
+
+
 def test_k3_reflection_requires_nef_input():
     k3 = k3_model(2)
     with pytest.raises(NotNef):

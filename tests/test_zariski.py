@@ -31,7 +31,7 @@ from zlab.errors import (
     UnrealizableSupport,
 )
 from zlab.lattice import gram_matrix, is_negative_definite
-from zlab.zariski import support_curves
+from zlab.zariski import ZariskiDecomposition, support_curves
 
 
 def test_decomposition_worked_values(dp2):
@@ -65,6 +65,41 @@ def test_decomposition_validates_structure(dp2):
             rebuilt = rebuilt + coeff * curve.cls
         assert rebuilt.coords == divisor.coords
         assert is_nef(dp2, dec.positive)
+
+
+@pytest.mark.parametrize(
+    "input_coords, positive_coords, parts, message",
+    [
+        ([2, 1, 0], [2, 1, 0], {"E1": 0}, "negative-part coefficients must be strictly positive"),
+        ([2, 1, 0], [2, 0, 0], {"E1": 2}, "positive and negative part do not sum to the input"),
+        ([2, 1, 0], [2, 1, 0], {}, "positive part is not nef"),
+        ([3, 0, -1], [3, -1, -1], {"E1": 1}, "positive part is not orthogonal to the support"),
+        (
+            [1, 0, 0], [0, 0, 0], {"E1": 1, "E2": 1, "L-E1-E2": 1},
+            "support pairing matrix is not negative definite",
+        ),
+    ],
+    ids=["zero-coefficient", "wrong-sum", "positive-not-nef", "not-orthogonal",
+         "indefinite-support"],
+)
+def test_decomposition_refuses_broken_invariants(dp2, input_coords, positive_coords, parts,
+                                                 message):
+    lat = dp2.lattice
+    with pytest.raises(ValueError) as excinfo:
+        ZariskiDecomposition(
+            model=dp2,
+            input=lat.divisor(input_coords),
+            positive=lat.divisor(positive_coords),
+            coefficients=tuple((dp2.curve_by_label(k), Fraction(v)) for k, v in parts.items()),
+        )
+    assert str(excinfo.value) == message
+
+
+def test_not_pseudo_effective_class_is_not_big(dp2):
+    with pytest.raises(NotBig) as excinfo:
+        chamber_of(dp2, -dp2.ample)
+    assert isinstance(excinfo.value.__cause__, NotPseudoEffective)
+    assert str(excinfo.value) == "class pairs non-positively with the ample witness and is not nef"
 
 
 def test_neg_and_null_worked_values(dp2):
