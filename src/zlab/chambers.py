@@ -5,7 +5,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .errors import NotNef, NotNegativeDefinite, NullMismatch, RankTooLargeForEnumeration
+from .errors import (
+    NotNef, NotNegativeDefinite, NullMismatch, RankTooLargeForEnumeration, UnrealizableSupport
+)
 from .lattice import DivisorClass, is_negative_definite, solve_symmetric
 from .surface import SurfaceModel, is_nef
 from .zariski import ChamberDescriptor, null_set
@@ -22,11 +24,15 @@ def construct_nef_with_null(
     conditions against the support; ampleness of A forces every t_i to be
     strictly positive.  The resulting class is verified to be nef and to
     vanish against no curve outside the support (NullMismatch otherwise).
+    An unknown label raises UnrealizableSupport naming it.
     This is the constructive side of the theorem ``enumerate_chambers``
     relies on; the tests use it as an oracle for that theorem.
     """
     labels = support.support if isinstance(support, ChamberDescriptor) else support
-    indices = [model.curve_index(label) for label in labels]
+    try:
+        indices = [model.curve_index(label) for label in labels]
+    except KeyError as exc:
+        raise UnrealizableSupport(exc.args[0]) from exc
     if not indices:
         return model.ample
     ample_pairings = model.curve_pairings(model.ample)

@@ -12,8 +12,9 @@ integral
 
 with q(x) = (x*d - (1-x)*h + eps*f1)**2 and sigma(eps) the smaller root of
 the restricted class's square.  Everything is evaluated exactly in the
-quadratic field generated by sqrt(45 + 78*eps + 49*eps**2); floating point
-enters only in the quadrature cross-check and the interpolation certificate.
+quadratic field generated by sqrt(45 + 78*eps + 49*eps**2), on integers made
+from eps = p/q; floating point enters only in the quadrature cross-check and
+the interpolation certificate.
 """
 
 from __future__ import annotations
@@ -68,24 +69,25 @@ def abelian_surface_model() -> SurfaceModel:
     return SurfaceModel(lattice=data.lattice, ample=data.d, curves=())
 
 
-def _radicand(eps: Fraction) -> Fraction:
-    return 45 + 78 * eps + 49 * eps * eps
+def _radicand(p: int, q: int) -> int:
+    """q**2 * (45 + 78*eps + 49*eps**2) for eps = p/q, an integer."""
+    return 45 * q * q + 78 * p * q + 49 * p * p
 
 
 def _check_domain(eps: Rational) -> Fraction:
     eps = Fraction(eps)
-    if not 0 <= eps < Fraction(3, 2):
+    if not 0 <= 2 * eps.numerator < 3 * eps.denominator:
         raise OutOfDomain("eps must satisfy 0 <= eps < 3/2")
     return eps
 
 
 def sigma_eps(eps: Rational) -> QuadraticIrrational:
     """The nef threshold of the restricted ray: the smaller root of
-    (d - t*h + (1+t)*eps*f1)**2 = 0, namely
-    (9 + 5*eps - sqrt(45 + 78*eps + 49*eps**2)) / (18 - 12*eps)."""
+    (d - t*h + (1+t)*eps*f1)**2 = 0, namely (9 + 5*eps - sqrt(45 + 78*eps + 49*eps**2))
+    / (18 - 12*eps), evaluated for eps = p/q as (9*q + 5*p - sqrt(N)) / (18*q - 12*p)."""
     eps = _check_domain(eps)
-    root = sqrt_fraction(_radicand(eps))
-    return (QuadraticIrrational(9 + 5 * eps) - root) / (18 - 12 * eps)
+    p, q = eps.numerator, eps.denominator
+    return (9 * q + 5 * p - sqrt_fraction(_radicand(p, q))) / (18 * q - 12 * p)
 
 
 @dataclass(frozen=True)
@@ -104,20 +106,31 @@ class QuadraticPolynomial:
         return ((self.c2 / 3 * x + self.c1 / 2) * x + self.c0) * x
 
 
+@cache  # built on first use, from the cached lattice data
+def _pairings() -> tuple[int, ...]:
+    """a.a, a.f1, a.h, f1.f1, f1.h and h.h for a = d + h."""
+    data = abelian_surface()
+    a, f1, h = data.d + data.h, data.f1, data.h
+    return tuple(int(x.dot(y)) for x, y in ((a, a), (a, f1), (a, h), (f1, f1), (f1, h), (h, h)))
+
+
+def _q_numerators(eps: Fraction) -> tuple[int, int, int]:
+    """q**2 times the coefficients of q_poly at eps = p/q: a.a, 2*a.b and b.b,
+    for the class x*a + b in the square, a = d + h and b = eps*f1 - h."""
+    p, q = eps.numerator, eps.denominator
+    aa, af, ah, ff, fh, hh = _pairings()
+    return aa * q * q, 2 * (af * p - ah * q) * q, (ff * p - 2 * fh * q) * p + hh * q * q
+
+
 def q_poly(eps: Rational) -> QuadraticPolynomial:
     """Exact expansion of (x*d - (1-x)*h + eps*f1)**2 via the lattice pairings."""
     eps = Fraction(eps)
-    data = abelian_surface()
-    d, h, f1 = data.d, data.h, data.f1
-    # (x*d + (x-1)*h + eps*f1)^2 expanded in powers of x
-    a = d + h  # coefficient of x inside the square
-    b = eps * f1 - h  # constant part inside the square
-    return QuadraticPolynomial(a.square, 2 * a.dot(b), b.square)
+    return QuadraticPolynomial(*(Fraction(c, eps.denominator**2) for c in _q_numerators(eps)))
 
 
 def integration_lower_limit(eps: Rational) -> QuadraticIrrational:
     """The exact lower endpoint 1 / (1 + sigma(eps))."""
-    return QuadraticIrrational(1) / (QuadraticIrrational(1) + sigma_eps(eps))
+    return 1 / (1 + sigma_eps(eps))
 
 
 def volume_L_eps(eps: Rational) -> QuadraticIrrational:
@@ -134,18 +147,18 @@ def volume_closed_form(eps: Rational) -> QuadraticIrrational:
 
     Kept as an independent evaluation route; the test suite checks that it
     reduces to exactly the same canonical field element as volume_L_eps.
-    Numerator and denominator are each negative for small eps; the quotient
-    is the positive volume.
+    With eps = p/q and r = sqrt(_radicand(p, q)) it is (R + S*r) / (q * (7*p - 27*q + r)**3)
+    for R and S homogeneous in (p, q) of degrees 4 and 3.  Numerator and
+    denominator are each negative for small eps; the quotient is the positive volume.
     """
     eps = _check_domain(eps)
-    root = sqrt_fraction(_radicand(eps))
+    p, q = eps.numerator, eps.denominator
+    root = sqrt_fraction(_radicand(p, q))
     rational_part = (
-        8748 + 33480 * eps + 43128 * eps**2 + 14120 * eps**3 + 588 * eps**4
+        8748 * q**4 + 33480 * p * q**3 + 43128 * p**2 * q**2 + 14120 * p**3 * q + 588 * p**4
     )
-    root_part = -1692 - 3300 * eps - 2740 * eps**2 + 84 * eps**3
-    numerator = QuadraticIrrational(rational_part) + root_part * root
-    denominator = (QuadraticIrrational(-27 + 7 * eps) + root) ** 3
-    return numerator / denominator
+    root_part = -1692 * q**3 - 3300 * p * q**2 - 2740 * p**2 * q + 84 * p**3
+    return (rational_part + root_part * root) / (q * (7 * p - 27 * q + root) ** 3)
 
 
 def _adaptive_simpson(
@@ -189,21 +202,18 @@ def h0_section_count(k: int, eps: Rational) -> Fraction:
     half the square of i*d - j*h + (i+j)*eps*f1 when j/i lies below the nef
     threshold sigma(eps) (decided exactly in the quadratic field) and nothing
     otherwise.  The i = 0 column never contributes: -j*h + j*eps*f1 pairs
-    negatively with the ample class d for eps < 3/2.
+    negatively with the ample class d for eps < 3/2.  The class is i*(d + h)
+    + k*(eps*f1 - h), so its square is k**2 * q(i/k) for q = q_poly(eps).
     """
     if not isinstance(k, int) or k < 1:
         raise ValueError("k must be a positive integer")
     eps = _check_domain(eps)
-    data = abelian_surface()
+    c2, c1, c0 = _q_numerators(eps)
     sigma = sigma_eps(eps)
-    total = Fraction(0)
-    for i in range(1, k + 1):
-        j = k - i
-        if sigma <= Fraction(j, i):
-            continue
-        cls = i * data.d - j * data.h + ((i + j) * eps) * data.f1
-        total += Fraction(cls.square, 2)
-    return total
+    total = sum(
+        i * i * c2 + i * k * c1 + k * k * c0 for i in range(1, k + 1) if sigma > Fraction(k - i, i)
+    )
+    return Fraction(total, 2 * eps.denominator**2)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Exact linear algebra over integer symmetric bilinear forms.
 
-Every scalar is a ``fractions.Fraction``; values of the shape a + b*sqrt(m)
-are modelled by :class:`QuadraticIrrational`.  Nothing in this module (or in
+Coordinates and matrix entries are ``fractions.Fraction``s; a value a + b*sqrt(m)
+is a :class:`QuadraticIrrational`, held as integers.  Nothing in this module (or in
 the modules built on top of it) rounds: chamber membership and wall crossings
 are discontinuous in the input, so a single rounding error could flip an
 answer.  Floating point appears only in reporting helpers (``__float__``).
@@ -28,13 +28,15 @@ Rational = Union[int, Fraction]
 def squarefree_split(n: int) -> tuple[int, int]:
     """Write n = s**2 * m with m squarefree; return (s, m).
 
-    Trial division by d stops once d**3 exceeds the unfactored part r: every
-    prime of r is then at least d, so r is 1, p, p*q or p**2 and isqrt decides.
+    A perfect square costs one isqrt.  Otherwise trial division by d stops
+    once d**3 exceeds the unfactored part r: every prime of r is then at
+    least d, so r is 1, p, p*q or p**2 and isqrt decides.
     """
     if n < 0:
         raise ValueError("negative radicand")
-    if n in (0, 1):
-        return 1, n
+    t = math.isqrt(n)
+    if t * t == n:
+        return (t, 1) if n else (1, 0)
     s, m, r, d = 1, 1, n, 2
     while d * d * d <= r:
         if r % d == 0:
@@ -52,13 +54,15 @@ def squarefree_split(n: int) -> tuple[int, int]:
 class QuadraticIrrational:
     """An exact real number a + b*sqrt(m) with rational a, b and integer m >= 0.
 
-    Instances are kept in a canonical form that makes equality decidable:
-    the radicand is squarefree, and a rational value is always stored as
-    (a, 0, 0).  Arithmetic stays inside a single quadratic field; combining
-    two irrationals with different radicands raises ``ValueError``.
+    It is stored as four integers (p, q, m, d) for (p + q*sqrt(m))/d, in a
+    canonical form that makes equality decidable: d > 0, gcd(p, q, d) == 1,
+    the radicand is squarefree, and a rational value has q == m == 0.
+    Arithmetic stays inside a single quadratic field and works on integers
+    with one gcd per result; combining two irrationals with different
+    radicands raises ``ValueError``.
     """
 
-    __slots__ = ("_a", "_b", "_m")
+    __slots__ = ("_p", "_q", "_m", "_d")
 
     def __init__(self, a: Rational = 0, b: Rational = 0, m: int = 0) -> None:
         a = Fraction(a)
@@ -66,31 +70,33 @@ class QuadraticIrrational:
         m = int(m)
         if m < 0:
             raise ValueError("radicand must be non-negative")
-        if b == 0 or m == 0:
-            a, b, m = (a, Fraction(0), 0)
-        else:
-            s, mf = squarefree_split(m)
-            if mf == 1:
-                a, b, m = (a + b * s, Fraction(0), 0)
-            else:
-                b, m = b * s, mf
-        self._a, self._b, self._m = a, b, m
+        if b and m:
+            s, m = squarefree_split(m)
+            b *= s
+        if b == 0 or m <= 1:  # rational: b or m is 0, or the radicand was a square
+            a, b, m = a + b * m, Fraction(0), 0
+        # no prime divides p, q and the lcm of two reduced denominators
+        d = math.lcm(a.denominator, b.denominator)
+        self._p = a.numerator * (d // a.denominator)
+        self._q = b.numerator * (d // b.denominator)
+        self._m, self._d = m, d
 
     @classmethod
-    def _field(cls, a: Fraction, b: Fraction, m: int) -> "QuadraticIrrational":
-        """a + b*sqrt(m) for m already squarefree, as arithmetic takes it from
-        canonical operands; only b == 0 is folded, so nothing is factored."""
+    def _reduced(cls, p: int, q: int, m: int, d: int) -> "QuadraticIrrational":
+        """(p + q*sqrt(m))/d for d != 0 and m squarefree, as arithmetic takes it
+        from canonical operands: one gcd and the sign moved off d, no factoring."""
+        g = math.gcd(p, q, d) if d > 0 else -math.gcd(p, q, d)
         out = object.__new__(cls)
-        out._a, out._b, out._m = a, b, (m if b else 0)
+        out._p, out._q, out._m, out._d = p // g, q // g, (m if q else 0), d // g
         return out
 
     @property
     def a(self) -> Fraction:
-        return self._a
+        return Fraction(self._p, self._d)
 
     @property
     def b(self) -> Fraction:
-        return self._b
+        return Fraction(self._q, self._d)
 
     @property
     def m(self) -> int:
@@ -98,12 +104,12 @@ class QuadraticIrrational:
 
     @property
     def is_rational(self) -> bool:
-        return self._b == 0
+        return self._q == 0
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational:
             raise ValueError(f"{self} is irrational")
-        return self._a
+        return self.a
 
     # -- arithmetic --------------------------------------------------------
 
@@ -111,9 +117,11 @@ class QuadraticIrrational:
     def _coerce(cls, value: object) -> "QuadraticIrrational | None":
         if isinstance(value, QuadraticIrrational):
             return value
-        if isinstance(value, (int, Fraction)):
-            return cls(value)
-        return None
+        if not isinstance(value, (int, Fraction)):
+            return None
+        out = object.__new__(cls)  # a reduced fraction is already canonical
+        out._p, out._q, out._m, out._d = value.numerator, 0, 0, value.denominator
+        return out
 
     def _common_radicand(self, other: "QuadraticIrrational") -> int:
         if self._m == 0:
@@ -127,18 +135,17 @@ class QuadraticIrrational:
         if o is None:
             return NotImplemented
         m = self._common_radicand(o)
-        return self._field(self._a + o._a, self._b + o._b, m)
+        d1, d2 = self._d, o._d
+        return self._reduced(self._p * d2 + o._p * d1, self._q * d2 + o._q * d1, m, d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QuadraticIrrational":
-        return self._field(-self._a, -self._b, self._m)
+        return self._reduced(-self._p, -self._q, self._m, self._d)
 
     def __sub__(self, other: object) -> "QuadraticIrrational":
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return NotImplemented if o is None else self + (-o)
 
     def __rsub__(self, other: object) -> "QuadraticIrrational":
         return -(self - other)
@@ -148,117 +155,94 @@ class QuadraticIrrational:
         if o is None:
             return NotImplemented
         m = self._common_radicand(o)
-        return self._field(
-            self._a * o._a + self._b * o._b * m,
-            self._a * o._b + self._b * o._a,
-            m,
-        )
+        p1, q1, p2, q2 = self._p, self._q, o._p, o._q
+        return self._reduced(p1 * p2 + q1 * q2 * m, p1 * q2 + q1 * p2, m, self._d * o._d)
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "QuadraticIrrational":
-        if self._a == 0 and self._b == 0:
+    def _over(self, other: "QuadraticIrrational") -> "QuadraticIrrational":
+        """self / other, both numerators times the conjugate p - q*sqrt(m) of other's:
+        other's becomes the norm p^2 - q^2 m, nonzero for m squarefree unless other is 0."""
+        p, q, d = other._p, other._q, other._d
+        if p == 0 and q == 0:
             raise ZeroDivisionError("inverse of zero")
-        # (a + b sqrt(m))(a - b sqrt(m)) = a^2 - b^2 m, nonzero for m squarefree
-        norm = self._a * self._a - self._b * self._b * self._m
-        return self._field(self._a / norm, -self._b / norm, self._m)
+        m = self._common_radicand(other)
+        p1, q1 = self._p, self._q
+        norm = p * p - q * q * m
+        return self._reduced(d * (p1 * p - q1 * q * m), d * (q1 * p - p1 * q), m, self._d * norm)
+
+    def inverse(self) -> "QuadraticIrrational":
+        return self._coerce(1)._over(self)
 
     def __truediv__(self, other: object) -> "QuadraticIrrational":
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
+        return NotImplemented if o is None else self._over(o)
 
     def __rtruediv__(self, other: object) -> "QuadraticIrrational":
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+        return NotImplemented if o is None else o._over(self)
 
     def __pow__(self, exponent: int) -> "QuadraticIrrational":
         if not isinstance(exponent, int) or exponent < 0:
             return NotImplemented
-        out = QuadraticIrrational(1)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
+        out = self._coerce(1)
+        for _ in range(exponent):
+            out = out * self
         return out
 
     # -- comparisons -------------------------------------------------------
 
     def sign(self) -> int:
-        a, b, m = self._a, self._b, self._m
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a^2 against b^2 m
-        lhs, rhs = a * a, b * b * m
-        if a > 0:
-            return (lhs > rhs) - (lhs < rhs)
-        return (rhs > lhs) - (rhs < lhs)
+        p, q = self._p, self._q  # d > 0: the sign of p + q*sqrt(m)
+        sp, sq = (p > 0) - (p < 0), (q > 0) - (q < 0)
+        if sp * sq >= 0:  # equal signs, or a zero part
+            return sp or sq
+        # opposite signs: the larger of p^2 and q^2 m wins; they differ, m being squarefree
+        return sp if p * p > q * q * self._m else sq
 
     def _cmp(self, other: object) -> "int | None":
         o = self._coerce(other)
-        if o is None:
-            return None
-        return (self - o).sign()
+        return None if o is None else (self - o).sign()
 
     def __eq__(self, other: object) -> bool:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        # canonical forms are unique, so triples decide equality even when
+        # canonical forms are unique, so quadruples decide equality even when
         # the radicands differ (ordering across fields would not be as easy)
-        return (self._a, self._b, self._m) == (o._a, o._b, o._m)
+        return (self._p, self._q, self._m, self._d) == (o._p, o._q, o._m, o._d)
 
     def __lt__(self, other: object) -> bool:
         c = self._cmp(other)
-        if c is None:
-            return NotImplemented
-        return c < 0
+        return NotImplemented if c is None else c < 0
 
     def __le__(self, other: object) -> bool:
         c = self._cmp(other)
-        if c is None:
-            return NotImplemented
-        return c <= 0
+        return NotImplemented if c is None else c <= 0
 
     def __gt__(self, other: object) -> bool:
         c = self._cmp(other)
-        if c is None:
-            return NotImplemented
-        return c > 0
+        return NotImplemented if c is None else c > 0
 
     def __ge__(self, other: object) -> bool:
         c = self._cmp(other)
-        if c is None:
-            return NotImplemented
-        return c >= 0
+        return NotImplemented if c is None else c >= 0
 
     def __hash__(self) -> int:
         if self.is_rational:
-            return hash(self._a)
-        return hash((self._a, self._b, self._m))
+            return hash(self.a)
+        return hash((self._p, self._q, self._m, self._d))
 
     def __float__(self) -> float:
-        return float(self._a) + float(self._b) * math.sqrt(self._m)
+        return self._p / self._d + self._q / self._d * math.sqrt(self._m)
 
     def __repr__(self) -> str:
-        return f"QuadraticIrrational({self._a!r}, {self._b!r}, {self._m})"
+        return f"QuadraticIrrational({self.a!r}, {self.b!r}, {self._m})"
 
     def __str__(self) -> str:
         if self.is_rational:
-            return str(self._a)
-        return f"{self._a} + {self._b}*sqrt({self._m})"
+            return str(self.a)
+        return f"{self.a} + {self.b}*sqrt({self._m})"
 
 
 def sqrt_fraction(value: Rational) -> QuadraticIrrational:
@@ -270,8 +254,8 @@ def sqrt_fraction(value: Rational) -> QuadraticIrrational:
     sp, mp = squarefree_split(value.numerator)
     sq, mq = squarefree_split(value.denominator)
     if mp * mq <= 1:  # zero or the square of a rational
-        return QuadraticIrrational(Fraction(sp * mp, sq))
-    return QuadraticIrrational._field(Fraction(0), Fraction(sp, sq * mq), mp * mq)
+        return QuadraticIrrational._reduced(sp * mp, 0, 0, sq)
+    return QuadraticIrrational._reduced(0, sp, mp * mq, sq * mq)
 
 
 # ---------------------------------------------------------------------------

@@ -114,7 +114,7 @@ def _resolve_support(
     try:
         indices = [model.curve_index(label) for label in support.support]
     except KeyError as exc:
-        raise UnrealizableSupport(f"support {support}: {exc}") from exc
+        raise UnrealizableSupport(f"support {support}: {exc.args[0]}") from exc
     if len(indices) < model.lattice.rank:
         try:
             return indices, invert_matrix(model.curve_gram(indices))

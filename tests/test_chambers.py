@@ -29,6 +29,7 @@ from zlab.errors import (
     NotNegativeDefinite,
     NullMismatch,
     RankTooLargeForEnumeration,
+    UnrealizableSupport,
 )
 from zlab.lattice import gram_matrix, is_negative_definite
 
@@ -45,6 +46,13 @@ def test_construct_worked_values(dp2):
 def test_construct_rejects_indefinite_support(dp2):
     with pytest.raises(NotNegativeDefinite):
         construct_nef_with_null(dp2, ["E1", "L-E1-E2"])
+
+
+def test_construct_names_an_unknown_label(dp2):
+    """An unknown label used to escape as a bare KeyError."""
+    with pytest.raises(UnrealizableSupport) as excinfo:
+        construct_nef_with_null(dp2, ["E1", "X"])
+    assert str(excinfo.value) == "no curve labelled 'X'"
 
 
 def test_face_worked_values(dp2):

@@ -289,6 +289,16 @@ def test_malformed_class_is_one_schema_error_line(capsys, cls):
     assert json.loads(lines[0])["error"] == "SchemaError"
 
 
+def test_unknown_support_label_is_named_without_escaped_quotes(capsys):
+    """The message used to nest the KeyError's repr, quotes escaped."""
+    code, out, err = run_cli(capsys, ["volpoly", "--delpezzo", "2", "--support", "X"])
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "UnrealizableSupport",
+        "message": "support {X}: no curve labelled 'X'",
+    }
+
+
 def test_delpezzo_count(capsys):
     code, out, _ = run_cli(capsys, ["delpezzo", "--r", "8", "--count-curves"])
     assert code == 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import sys
 from fractions import Fraction
@@ -310,6 +311,15 @@ def test_split_work_stops_at_the_cube_root(p, q):
     assert squarefree_split(n) == (1, n)
 
 
+def test_split_settles_a_square_with_one_isqrt():
+    """A perfect square is recognised before any trial division; searching to
+    the cube root of p**2 for a prime p near 10**6 takes about 10**4 divisors."""
+    p = 999_983
+    assert _line_events(zlab.lattice.squarefree_split, p * p, 8) is not None
+    assert squarefree_split(p * p) == (p, 1)
+    assert squarefree_split(12 * p * p) == (2 * p, 3)
+
+
 # -- quadratic irrationals ---------------------------------------------------
 
 
@@ -433,6 +443,139 @@ def test_qi_arithmetic_results_are_canonical(a1, b1, a2, b2, m, rational_y):
     assert (x * y) - (y * x) == 0
     if y != 0:
         assert (x / y) * y == x
+
+
+class TripleQI:
+    """Reference field arithmetic on canonical Fraction triples (a, b, m) for
+    a + b*sqrt(m), the representation QuadraticIrrational computed on before
+    it moved to integers; radicands are split by ``trial_division_split``."""
+
+    def __init__(self, a=0, b=0, m=0):
+        a, b, m = Fraction(a), Fraction(b), int(m)
+        if b == 0 or m == 0:
+            b, m = Fraction(0), 0
+        else:
+            s, m = trial_division_split(m)
+            b *= s
+            if m == 1:
+                a, b, m = a + b, Fraction(0), 0
+        self.a, self.b, self.m = a, b, m
+
+    def key(self):
+        return self.a, self.b, self.m
+
+    def _radicand(self, other):
+        if self.m and other.m and self.m != other.m:
+            raise ValueError("mixed radicands")
+        return self.m or other.m
+
+    def __add__(self, other):
+        return TripleQI(self.a + other.a, self.b + other.b, self._radicand(other))
+
+    def __neg__(self):
+        return TripleQI(-self.a, -self.b, self.m)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        m = self._radicand(other)
+        return TripleQI(
+            self.a * other.a + self.b * other.b * m, self.a * other.b + self.b * other.a, m
+        )
+
+    def inverse(self):
+        norm = self.a * self.a - self.b * self.b * self.m
+        if norm == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return TripleQI(self.a / norm, -self.b / norm, self.m)
+
+    def __truediv__(self, other):
+        return self * other.inverse()
+
+    def __pow__(self, n):
+        out = TripleQI(1)
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def sign(self):
+        a, b, m = self.a, self.b, self.m
+        if b == 0:
+            return (a > 0) - (a < 0)
+        if a >= 0 and b > 0:
+            return 1
+        if a <= 0 and b < 0:
+            return -1
+        lhs, rhs = a * a, b * b * m
+        return ((lhs > rhs) - (lhs < rhs)) * (1 if a > 0 else -1)
+
+
+big_rationals = st.one_of(
+    rationals,
+    st.just(Fraction(0)),
+    st.builds(
+        Fraction,
+        st.integers(min_value=-(10**40), max_value=10**40),
+        st.integers(min_value=1, max_value=10**25),
+    ),
+)
+field_radicands = st.sampled_from([0, 1, 2, 3, 4, 5, 12, 45, 49, 30030, 999_983, 4 * 999_983])
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+def _matches(result, reference):
+    """result is the QuadraticIrrational the reference triple describes,
+    quadruple for quadruple, with a hash that agrees with equality."""
+    if reference is ZeroDivisionError:
+        return result is ZeroDivisionError
+    again = QuadraticIrrational(*reference.key())
+    if (result.a, result.b, result.m) != reference.key() or result != again:
+        return False
+    if hash(result) != hash(again):
+        return False
+    return reference.b != 0 or (result == reference.a and hash(result) == hash(reference.a))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    big_rationals, big_rationals, big_rationals, big_rationals, field_radicands,
+    st.sampled_from(["field", "rational", "int", "fraction"]), st.integers(0, 4),
+)
+def test_qi_arithmetic_matches_the_fraction_triple_reference(a1, b1, a2, b2, m, kind, n):
+    """Integer arithmetic against the Fraction-triple reference, also with
+    int and Fraction operands on either side, zero operands (norm zero)
+    and numerators of 40 digits."""
+    x, X = QuadraticIrrational(a1, b1, m), TripleQI(a1, b1, m)
+    if kind == "field":
+        y, Y = QuadraticIrrational(a2, b2, m), TripleQI(a2, b2, m)
+    elif kind == "rational":
+        y, Y = QuadraticIrrational(a2), TripleQI(a2)
+    elif kind == "int":
+        y, Y = a2.numerator, TripleQI(a2.numerator)
+    else:
+        y, Y = a2, TripleQI(a2)
+    cases = [
+        (lambda: x + y, lambda: X + Y), (lambda: y + x, lambda: Y + X),
+        (lambda: x - y, lambda: X - Y), (lambda: y - x, lambda: Y - X),
+        (lambda: x * y, lambda: X * Y), (lambda: y * x, lambda: Y * X),
+        (lambda: x / y, lambda: X / Y), (lambda: y / x, lambda: Y / X),
+        (lambda: x.inverse(), lambda: X.inverse()), (lambda: -x, lambda: -X),
+        (lambda: x**n, lambda: X**n),
+    ]
+    for ours, theirs in cases:
+        assert _matches(_outcome(ours), _outcome(theirs))
+    assert x.sign() == X.sign()
+    assert (x == y) == (X.key() == Y.key())
+    order = (X - Y).sign()
+    assert ((x < y), (x <= y), (x > y), (x >= y)) == (order < 0, order <= 0, order > 0, order >= 0)
+    assert float(x) == float(X.a) + float(X.b) * math.sqrt(X.m)
 
 
 def test_qi_power():
