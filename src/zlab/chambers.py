@@ -8,7 +8,7 @@ from typing import Iterable, NamedTuple
 from .errors import (
     NotNef, NotNegativeDefinite, NullMismatch, RankTooLargeForEnumeration, UnrealizableSupport
 )
-from .lattice import DivisorClass, is_negative_definite, solve_symmetric
+from .lattice import DivisorClass, is_negative_definite
 from .surface import SurfaceModel, is_nef
 from .zariski import ChamberDescriptor, null_set
 
@@ -35,10 +35,9 @@ def construct_nef_with_null(
         raise UnrealizableSupport(exc.args[0]) from exc
     if not indices:
         return model.ample
-    ample_pairings = model.curve_pairings(model.ample)
-    coefficients = solve_symmetric(
-        model.curve_gram(indices), [-ample_pairings[i] for i in indices]
-    )
+    nums, den = model.pairing_numerators(model.ample)
+    xs, e = model.solve_curves(indices, [-nums[i] for i in indices], den)
+    coefficients = [Fraction(x, e) for x in xs]
     if any(t <= 0 for t in coefficients):
         raise NotNegativeDefinite(
             "orthogonality system produced a non-positive coefficient"

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
-from typing import Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import LatticeMismatch, NotNegativeDefinite, SignatureError
 
@@ -265,30 +265,40 @@ def sqrt_fraction(value: Rational) -> QuadraticIrrational:
 Matrix = Sequence[Sequence[Rational]]
 
 
-def _to_fraction_rows(matrix: Matrix) -> list[list[Fraction]]:
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    n = len(rows)
-    if any(len(row) != n for row in rows):
+def clear_denominators(values: Iterable[Rational]) -> tuple[list[int], int]:
+    """(ints, d) with values = ints / d, d the least positive common denominator."""
+    values = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in values]
+    d = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (d // x.denominator) for x in values], d
+
+
+def _integral_rows(matrix: Matrix) -> tuple[list[list[int]], int]:
+    """(rows, m): m * matrix as int rows for the least positive integer m, a
+    congruence that keeps signature and definiteness and scales a solve's rhs."""
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
         raise ValueError("matrix is not square")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
-                raise ValueError("matrix is not symmetric")
-    return rows
+    flat, m = clear_denominators(x for row in matrix for x in row)
+    rows = [flat[i * n:(i + 1) * n] for i in range(n)]
+    if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("matrix is not symmetric")
+    return rows, m
 
 
-def _pivots(a: list[list[Fraction]]) -> Iterator[Fraction]:
-    """Reduce the symmetric matrix ``a`` by congruence in place, yielding pivots.
-
-    Step k clears row and column k of the trailing block and stores the
-    multipliers a[i][k] / pivot below the diagonal.  A zero diagonal entry is
-    first repaired by swapping in a later non-zero one or by folding in a row
-    j with a[k][j] != 0; an all-zero row yields the pivot 0.  The pivot signs
-    are the signature (Sylvester).  Every pivot is negative exactly when the
-    matrix is negative definite, and then no repair ran, so ``a`` holds
-    matrix = L*D*L^T with D on the diagonal and unit-lower L below it.
+def _eliminate(a: list[list[int]]) -> Iterator[int]:
+    """Fraction-free (Bareiss) elimination of the symmetric n x n int block of
+    the rows ``a`` (right-hand sides may follow column n), in place, yielding
+    a number with the sign of each pivot.  Step k sets each later entry to
+    (a_ij * a_kk - a_ik * a_kj) / last, last the latest non-zero pivot (1 at
+    first), an exact division (Sylvester's identity) that leaves a_kk the
+    leading principal minor d_{k+1}.  A zero a_kk is first repaired by a
+    congruence: a later non-zero diagonal entry is swapped in, or a row j with
+    a_kj != 0 folded in; an all-zero row yields 0 and is skipped.  The signs
+    are the signature (Sylvester); all are negative, (-1)^k d_k > 0 for every
+    k, exactly when the block is negative definite, and then no repair ran.
     """
     n = len(a)
+    last = 1
     for k in range(n):
         if a[k][k] == 0:
             swap = next((j for j in range(k + 1, n) if a[j][j] != 0), None)
@@ -304,41 +314,37 @@ def _pivots(a: list[list[Fraction]]) -> Iterator[Fraction]:
                     for i in range(k, n):
                         a[i][k] += a[i][j]
         pivot = a[k][k]
-        yield pivot
+        yield pivot if last > 0 else -pivot
         if pivot == 0:
             continue
-        row_k = a[k]
-        for i in range(k + 1, n):
-            row_i = a[i]
-            f = row_i[k] / pivot
-            row_i[k] = f
-            if f:
-                for j in range(k + 1, n):
-                    row_i[j] -= f * row_k[j]
+        tail = a[k][k + 1:]
+        for row in a[k + 1:]:
+            f = row[k]
+            row[k + 1:] = [(x * pivot - f * y) // last for x, y in zip(row[k + 1:], tail)]
+        last = pivot
 
 
-def _negative_definite_factor(matrix: Matrix) -> "list[list[Fraction]] | None":
-    """The factor left by :func:`_pivots`, or None at the first pivot >= 0.
-
-    Callers raise after this returns, so a traceback keeps no reduced copy.
-    """
-    a = _to_fraction_rows(matrix)
-    return a if all(p < 0 for p in _pivots(a)) else None
+def _negative_definite_factor(a: list[list[int]]) -> "list[list[int]] | None":
+    """``a`` eliminated by :func:`_eliminate`, or None at the first pivot >= 0."""
+    return a if all(p < 0 for p in _eliminate(a)) else None
 
 
-def _substitute(factor: list[list[Fraction]], rhs: Sequence[Rational]) -> list[Fraction]:
-    """x with L*D*L^T x = rhs: one forward and one back substitution."""
-    n = len(factor)
-    y = [Fraction(b) for b in rhs]
-    for i in range(1, n):
-        row = factor[i]
-        y[i] -= sum(row[j] * y[j] for j in range(i) if row[j])
-    x = [Fraction(0)] * n
-    for i in reversed(range(n)):
-        x[i] = y[i] / factor[i][i] - sum(
-            factor[j][i] * x[j] for j in range(i + 1, n) if factor[j][i]
-        )
-    return x
+def solve_negative_definite(matrix: Matrix, columns: Matrix) -> tuple[list[list[int]], int]:
+    """(xs, det) with matrix @ xs[c] = det * columns[c] for a symmetric (not
+    re-checked) integer matrix of determinant det; xs[c] = adj(matrix) @
+    columns[c] is integral (Cramer), so each back-substitution step divides
+    exactly.  NotNegativeDefinite unless the matrix is negative definite."""
+    n = len(matrix)
+    a = [list(row) + [col[i] for col in columns] for i, row in enumerate(matrix)]
+    if _negative_definite_factor(a) is None:
+        raise NotNegativeDefinite("matrix is not negative definite")
+    det = a[-1][n - 1] if n else 1
+    xs = [[0] * n for _ in columns]
+    for c, x in enumerate(xs, start=n):
+        for i in reversed(range(n)):
+            row = a[i]
+            x[i] = (det * row[c] - sum(map(mul, row[i + 1:n], x[i + 1:]))) // row[i]
+    return xs, det
 
 
 def signature(gram: Matrix) -> tuple[int, int, int]:
@@ -347,13 +353,13 @@ def signature(gram: Matrix) -> tuple[int, int, int]:
     Computed by exact symmetric Gaussian reduction (congruence to a diagonal
     form), so the result is not subject to eigenvalue rounding.
     """
-    pivots = list(_pivots(_to_fraction_rows(gram)))
+    pivots = list(_eliminate(_integral_rows(gram)[0]))
     return sum(p > 0 for p in pivots), sum(p < 0 for p in pivots), pivots.count(0)
 
 
 def is_negative_definite(gram: Matrix) -> bool:
     """True iff every pivot is negative; stops at the first one that is not."""
-    return _negative_definite_factor(gram) is not None
+    return _negative_definite_factor(_integral_rows(gram)[0]) is not None
 
 
 def solve_symmetric(matrix: Matrix, rhs: Sequence[Rational]) -> list[Fraction]:
@@ -361,21 +367,19 @@ def solve_symmetric(matrix: Matrix, rhs: Sequence[Rational]) -> list[Fraction]:
     the matrix is negative definite (so also when it is singular)."""
     if len(rhs) != len(matrix):
         raise ValueError("rhs length must match the matrix size")
-    factor = _negative_definite_factor(matrix)
-    if factor is None:
-        raise NotNegativeDefinite("matrix is not negative definite")
-    return _substitute(factor, rhs)
+    rows, m = _integral_rows(matrix)
+    b, e = clear_denominators(rhs)  # (m * matrix) @ x = m * b / e
+    (x,), det = solve_negative_definite(rows, [[m * v for v in b]])
+    return [Fraction(v, det * e) for v in x]
 
 
 def invert_matrix(matrix: Matrix) -> list[list[Fraction]]:
-    """Exact inverse of a negative definite matrix (else NotNegativeDefinite).
-
-    The inverse is symmetric, so row j solves matrix @ x = e_j."""
-    factor = _negative_definite_factor(matrix)
-    if factor is None:
-        raise NotNegativeDefinite("matrix is not negative definite")
-    n = len(factor)
-    return [_substitute(factor, [int(i == j) for i in range(n)]) for j in range(n)]
+    """Exact inverse of a negative definite matrix (else NotNegativeDefinite):
+    m * adj(m * matrix) / det, whose row j solves matrix @ x = e_j."""
+    rows, m = _integral_rows(matrix)
+    n = len(rows)
+    xs, det = solve_negative_definite(rows, [[int(i == j) for i in range(n)] for j in range(n)])
+    return [[Fraction(m * v, det) for v in x] for x in xs]
 
 
 def inverse_is_nonpositive(matrix: Matrix) -> bool:
@@ -428,6 +432,10 @@ class IntersectionLattice:
     def rank(self) -> int:
         return len(self.gram)
 
+    def form(self, u: Sequence[int], v: Sequence[int]) -> int:
+        """u^T G v for integer coordinate vectors."""
+        return sum(x * sum(map(mul, row, v)) for x, row in zip(u, self.gram) if x)
+
     def divisor(self, coords: Sequence[Rational]) -> "DivisorClass":
         return DivisorClass(self, tuple(coords))
 
@@ -459,15 +467,17 @@ class DivisorClass:
         if self.lattice is not other.lattice and self.lattice != other.lattice:
             raise LatticeMismatch("classes live in different lattices")
 
+    @cached_property
+    def cleared(self) -> tuple[tuple[int, ...], int]:
+        """(v, d) with coords = v / d: d the least common denominator, v integral."""
+        v, d = clear_denominators(self.coords)
+        return tuple(v), d
+
     def dot(self, other: "DivisorClass") -> Fraction:
         """The integer form on the cleared coordinates, divided once at the end."""
         self._check_same_lattice(other)
-        d, e = (math.lcm(*(x.denominator for x in c)) for c in (self.coords, other.coords))
-        v = [y.numerator * (e // y.denominator) for y in other.coords]
-        return Fraction(sum(
-            x.numerator * (d // x.denominator) * sum(map(mul, row, v))
-            for x, row in zip(self.coords, self.lattice.gram) if x
-        ), d * e)
+        (u, d), (v, e) = self.cleared, other.cleared
+        return Fraction(self.lattice.form(u, v), d * e)
 
     @cached_property
     def square(self) -> Fraction:
@@ -525,14 +535,7 @@ def pair(d1: DivisorClass, d2: DivisorClass) -> Fraction:
 
 
 def gram_matrix(classes: Sequence[DivisorClass]) -> list[list[Fraction]]:
-    n = len(classes)
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            value = classes[i].dot(classes[j])
-            out[i][j] = value
-            out[j][i] = value
-    return out
+    return [[a.dot(b) for b in classes] for a in classes]
 
 
 def solve_gram_system(

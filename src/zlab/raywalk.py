@@ -18,8 +18,8 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import InstableDivisor, LatticeMismatch, NotAmple
-from .lattice import DivisorClass, QuadraticIrrational, solve_symmetric, sqrt_fraction
-from .surface import SurfaceModel
+from .lattice import DivisorClass, QuadraticIrrational, sqrt_fraction
+from .surface import Numerators, SurfaceModel
 from .zariski import (
     ChamberDescriptor,
     _decompose_big,
@@ -76,9 +76,6 @@ def is_ample(model: SurfaceModel, divisor: DivisorClass) -> bool:
     return _ample_pairings(model, divisor) is not None
 
 
-Numerators = tuple[list[int], int]  # SurfaceModel.pairing_numerators
-
-
 def _ample_pairings(model: SurfaceModel, divisor: DivisorClass) -> "Numerators | None":
     """The pairing numerators of an ample class, or None when it is not ample."""
     if divisor.lattice != model.lattice:
@@ -101,26 +98,24 @@ def _absorb_walls(
 
     Returns the affine data on the grown support: the candidate positive part
     P(t) = p0 + t*p1, whose coefficients x(t) = x0 + t*x1 solve the support's
-    pairing system, and the pairing numerators (g0s, d0), (g1s, d1) of p0 and
-    p1.  ``pairings`` holds those of the bundle and of the ample class,
-    computed once per walk.  P(lam) . C has the sign of g0*u + g1*w, that is
-    g0/d0 + lam*g1/d1 times d0*d1*lam's denominator.
+    pairing system, with p0 and p1 as (integer coordinates, denominator), and
+    the pairing numerators (g0s, d0), (g1s, d1) of p0 and p1.  ``pairings``
+    holds those of the bundle and of the ample class, computed once per walk.
+    P(lam) . C has the sign of g0*u + g1*w, that is g0/d0 + lam*g1/d1 times
+    d0*d1*lam's denominator.  The exact solves make g0 = g1 = 0 on the support.
     """
     (b, b_den), (a, a_den) = pairings
+    bundle_coords, minus_ample = bundle.cleared, (-ample).cleared
     support = list(support)
     while True:
-        gram = model.curve_gram(support)
-        x0 = solve_symmetric(gram, [Fraction(b[i], b_den) for i in support])
-        x1 = solve_symmetric(gram, [Fraction(-a[i], a_den) for i in support])
-        p0 = model.minus_curves(bundle, support, x0)
-        p1 = model.minus_curves(-ample, support, x1)
-        f0, f1 = model.pairing_numerators(p0), model.pairing_numerators(p1)
+        x0 = model.solve_curves(support, [b[i] for i in support], b_den)
+        x1 = model.solve_curves(support, [-a[i] for i in support], a_den)
+        p0 = model.minus_curves(*bundle_coords, support, *x0)
+        p1 = model.minus_curves(*minus_ample, support, *x1)
+        f0, f1 = model.pair_cleared(*p0), model.pair_cleared(*p1)
         u, w = f1[1] * lam.denominator, f0[1] * lam.numerator
-        in_support = set(support)
         entrants = [
-            i
-            for i, (g0, g1) in enumerate(zip(f0[0], f1[0]))
-            if g1 < 0 and g0 * u + g1 * w == 0 and i not in in_support
+            i for i, (g0, g1) in enumerate(zip(f0[0], f1[0])) if g1 < 0 and g0 * u + g1 * w == 0
         ]
         if not entrants:
             return support, p0, p1, f0, f1
@@ -163,24 +158,26 @@ def destabilizing_numbers(
             model, support, bundle, ample, lam, pairings
         )
         descriptor = _descriptor(model, support)
-        in_support = set(support)
 
         # P(t) . C falls to zero at t = g0*d1 / (-g1*d0), above lam when g0*u +
         # g1*w > 0 (see _absorb_walls); walls compare as g0 / -g1 (d1/d0 > 0)
         u, w = f1[1] * lam.denominator, f0[1] * lam.numerator
         least: Optional[tuple[int, int]] = None
-        for i, (g0, g1) in enumerate(zip(f0[0], f1[0])):
-            if g1 >= 0 or i in in_support:
+        for g0, g1 in zip(f0[0], f1[0]):
+            if g1 >= 0:  # support curves included: g1 = 0 there
                 continue
             above = g0 * u + g1 * w
             assert above >= 0, "segment invariant broken"
             if above and (least is None or g0 * least[1] < -g1 * least[0]):
                 least = (g0, -g1)
         wall = None if least is None else Fraction(least[0] * f1[1], least[1] * f0[1])
-        # P(t)**2 = c2*t**2 + c1*t + c0; its smaller root is the threshold
-        c2, c1, c0 = p1.square, 2 * p0.dot(p1), p0.square
-        root = sqrt_fraction(c1 * c1 - 4 * c2 * c0)
-        threshold = (QuadraticIrrational(-c1) - root) / (2 * c2)
+        # p0 = u0/q0, p1 = u1/q1 and fij = ui . uj: P(t)**2 = f00/q0**2 + 2*f01*t/(q0*q1)
+        # + f11*t**2/q1**2, whose smaller root -(f01 + sqrt(f01**2 - f00*f11)) * q1/(q0*f11)
+        # is the threshold
+        (u0, q0), (u1, q1), form = p0, p1, model.lattice.form
+        f00, f01, f11 = form(u0, u0), form(u0, u1), form(u1, u1)
+        root = sqrt_fraction(f01 * f01 - f00 * f11)
+        threshold = (QuadraticIrrational(-f01) - root) * Fraction(q1, q0 * f11)
 
         if wall is None or threshold <= wall:
             segments.append(RaySegment(lam, threshold, descriptor))

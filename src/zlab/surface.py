@@ -10,6 +10,7 @@ Surfaces carrying infinitely many negative curves are out of scope.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
@@ -24,12 +25,15 @@ from .errors import (
     OutOfRange,
     UnsupportedLattice,
 )
-from .lattice import DivisorClass, IntersectionLattice, Rational
+from .lattice import DivisorClass, IntersectionLattice, Rational, solve_negative_definite
 
 
-def _integer_coords(coords: Sequence[Fraction], scale: int) -> list[int]:
-    """scale * coords as ints; scale must be a multiple of every denominator."""
-    return [x.numerator * (scale // x.denominator) for x in coords]
+Numerators = tuple[list[int], int]  # integers over one positive denominator
+
+
+def _pack(column: Sequence[int], width: int) -> int:
+    """sum(x << (width * i)): entry i of the column in slot i of ``width`` bits."""
+    return sum(x << (width * i) for i, x in enumerate(column) if x)
 
 
 def _exact(value: int, scale: int) -> Rational:
@@ -86,25 +90,20 @@ class SurfaceModel:
             if curve.cls.coords in seen:
                 raise CurvePairingError(f"curve class {curve.label} is duplicated")
             seen.add(curve.cls.coords)
-        # The pairing kernel: s clears every curve denominator, rows[i] is
-        # G @ (s*C_i) in integers and gram[i][j] is C_i . C_j, a plain int
-        # when s = 1 and an exact Fraction otherwise.
-        scale = lcm(*(x.denominator for c in self.curves for x in c.cls.coords))
-        scaled = [_integer_coords(c.cls.coords, scale) for c in self.curves]
-        rows = tuple(
-            tuple(sum(g * x for g, x in zip(row, v)) for row in self.lattice.gram)
-            for v in scaled
+        # The pairing kernel: s clears the curve denominators, c_i = s*C_i and
+        # rows[i] = G @ c_i; column k of the rows is packed into one int with a
+        # 64-bit slot per curve, and gram[i][j] = c_i . c_j is paired by it.
+        cleared = [c.cls.cleared for c in self.curves]
+        scale = lcm(*(d for _, d in cleared))
+        vectors = [tuple(x * (scale // d) for x in v) for v, d in cleared]
+        rows = tuple(tuple(sum(map(mul, row, v)) for row in self.lattice.gram) for v in vectors)
+        columns = list(zip(*rows))
+        vars(self).update(  # the dataclass is frozen
+            _index=index, _scale=scale, _vectors=vectors, _rows=rows,
+            _column_max=[max(map(abs, c)) for c in columns],
+            _packed=[_pack(c, 64) for c in columns], _offset=_pack([1 << 63] * len(rows), 64),
         )
-        n, square = len(scaled), scale * scale
-        gram = [[0] * n for _ in range(n)]
-        for i, row in enumerate(rows):  # the upper half, mirrored
-            for j in range(i, n):
-                gram[i][j] = gram[j][i] = _exact(sum(map(mul, row, scaled[j])), square)
-        gram = tuple(map(tuple, gram))
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_scale", scale)
-        object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_gram", gram)
+        gram = vars(self)["_gram"] = [self.pair_cleared(v, 1)[0] for v in vectors]
         for curve, p in zip(self.curves, self.pairing_numerators(self.ample)[0]):
             if p <= 0:
                 raise AmpleWitnessError(
@@ -117,36 +116,64 @@ class SurfaceModel:
                         f"distinct curves {ci.label}, {self.curves[j].label} pair negatively"
                     )
 
-    def pairing_numerators(self, divisor: DivisorClass) -> tuple[list[int], int]:
+    def pair_cleared(self, v: Sequence[int], d: int) -> Numerators:
+        """(nums, den) with (v/d) . C_i = nums[i] / den for integral v and d > 0:
+        den = d*s and nums[i] = v @ rows[i], all read off one multiply-accumulate
+        sum(v_k * column_k).  64-bit slots serve unless the bound sum(|v_k| *
+        max_i |rows[i][k]|) on |nums[i]| reaches 2**63; wider ones are packed
+        per call.  An offset 2**(width-1) per slot keeps every slot from
+        borrowing; flipping that bit back leaves each in two's complement."""
+        n, width = len(self._rows), 64
+        bound = sum(map(mul, map(abs, v), self._column_max))
+        columns, offset = self._packed, self._offset
+        if bound >> 63:
+            width = 64 * ((bound.bit_length() + 64) // 64)
+            columns = [_pack(col, width) for col in zip(*self._rows)]
+            offset = _pack([1 << (width - 1)] * n, width)
+        raw = ((sum(map(mul, v, columns)) + offset) ^ offset).to_bytes(width // 8 * n, "little")
+        if width == 64:
+            return list(struct.unpack(f"<{n}q", raw)), d * self._scale
+        step = width // 8
+        return [int.from_bytes(raw[i:i + step], "little", signed=True)
+                for i in range(0, len(raw), step)], d * self._scale
+
+    def pairing_numerators(self, divisor: DivisorClass) -> Numerators:
         """(nums, den) with D . C_i = nums[i] / den and den > 0, so every sign
-        or zero test reads the ints: D's denominators are cleared once (d*D is
-        integral, den = d*s) and each numerator is one dot product with a row."""
+        or zero test reads the ints: ``pair_cleared`` on D's cleared coordinates."""
         if divisor.lattice is not self.lattice and divisor.lattice != self.lattice:
             raise LatticeMismatch("class lives in a different lattice")
-        coords = divisor.coords
-        d = lcm(*(x.denominator for x in coords))
-        v = _integer_coords(coords, d)
-        return [sum(map(mul, v, row)) for row in self._rows], d * self._scale
+        return self.pair_cleared(*divisor.cleared)
 
     def curve_pairings(self, divisor: DivisorClass) -> list[Fraction]:
         """[D . C for C in curves] as Fractions, built from ``pairing_numerators``."""
         nums, den = self.pairing_numerators(divisor)
         return [Fraction(n, den) for n in nums]
 
-    def minus_curves(
-        self, divisor: DivisorClass, indices: Sequence[int], coeffs: Sequence[Rational]
-    ) -> DivisorClass:
-        """divisor - sum(x_i * C_i) over the curves at ``indices``, as one class."""
-        curves = [self.curves[i].cls.coords for i in indices]
-        return DivisorClass(self.lattice, tuple(
-            x - sum(c * y[k] for c, y in zip(coeffs, curves) if y[k])
-            for k, x in enumerate(divisor.coords)
-        ))
+    def solve_curves(self, indices: Sequence[int], rhs: Sequence[int], den: int) -> Numerators:
+        """(xs, e) with e > 0 and x_j = xs[j] / e solving sum_j (C_i . C_j) x_j =
+        rhs[i] / den over the curves at ``indices``, by one integer elimination;
+        NotNegativeDefinite unless their matrix is negative definite."""
+        (xs,), det = solve_negative_definite(self.kernel_gram(indices), [rhs])
+        square = self._scale ** 2 if det > 0 else -self._scale ** 2  # kernel: s**2 * C_i . C_j
+        return [square * x for x in xs], abs(det) * den
+
+    def minus_curves(self, v: Sequence[int], d: int, indices: Sequence[int], xs: Sequence[int],
+                     e: int) -> Numerators:
+        """(p, q) with v/d - sum(xs[j]/e * C_j) = p/q over the curves at
+        ``indices``, for d, e > 0: a class minus curves, formed in integers."""
+        es = e * self._scale  # xs[j]/e * C_j = xs[j] * c_j / es
+        q = lcm(d, es)
+        a, b = q // d, q // es
+        columns = zip(*(self._vectors[i] for i in indices)) if indices else [()] * len(v)
+        return [a * x - b * sum(map(mul, xs, col)) for x, col in zip(v, columns)], q
+
+    def kernel_gram(self, indices: Sequence[int]) -> list[list[int]]:
+        """s**2 times the intersection matrix of the curves at ``indices``, in ints."""
+        return [[self._gram[i][j] for j in indices] for i in indices]
 
     def curve_gram(self, indices: Sequence[int]) -> list[list[Rational]]:
         """The intersection matrix (C_i . C_j) of the curves at ``indices``."""
-        gram = self._gram
-        return [[gram[i][j] for j in indices] for i in indices]
+        return [[_exact(x, self._scale ** 2) for x in row] for row in self.kernel_gram(indices)]
 
     def curve_rows(self, indices: Sequence[int]) -> list[list[Rational]]:
         """The rows G @ C_i of the curves at ``indices``, so D . C_i = D @ row."""
@@ -196,14 +223,9 @@ def _del_pezzo_lattice(r: int) -> IntersectionLattice:
 
 def _is_standard_del_pezzo(lattice: IntersectionLattice) -> bool:
     n = lattice.rank
-    if n < 2:
-        return False
-    for i in range(n):
-        for j in range(n):
-            expected = 1 if i == j == 0 else (-1 if i == j else 0)
-            if lattice.gram[i][j] != expected:
-                return False
-    return True
+    return n >= 2 and all(
+        lattice.gram[i][j] == (1 if i == j == 0 else -(i == j)) for i in range(n) for j in range(n)
+    )
 
 
 def _vectors_with_sum_and_square(length: int, total: int, square: int) -> list[tuple[int, ...]]:

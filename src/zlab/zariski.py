@@ -22,7 +22,7 @@ from .errors import (
     NotPseudoEffective,
     UnrealizableSupport,
 )
-from .lattice import DivisorClass, invert_matrix, is_negative_definite, solve_symmetric
+from .lattice import DivisorClass, _negative_definite_factor, clear_denominators, invert_matrix
 from .surface import NegativeCurve, SurfaceModel, is_nef
 
 
@@ -45,15 +45,17 @@ class ZariskiDecomposition:
         if any(coeff <= 0 for _, coeff in pairs):
             raise ValueError("negative-part coefficients must be strictly positive")
         indices = [self.model.curve_index(curve.label) for curve, _ in pairs]
-        rest = self.model.minus_curves(self.input, indices, [x for _, x in pairs])
-        if rest.coords != self.positive.coords:
+        xs, e = clear_denominators(x for _, x in pairs)
+        rest, q = self.model.minus_curves(*self.input.cleared, indices, xs, e)
+        p, d = self.positive.cleared
+        if [x * d for x in rest] != [y * q for y in p]:
             raise ValueError("positive and negative part do not sum to the input")
         nums = self.model.pairing_numerators(self.positive)[0]
         if not is_nef(self.model, self.positive, nums):
             raise ValueError("positive part is not nef")
         if any(nums[i] for i in indices):
             raise ValueError("positive part is not orthogonal to the support")
-        if indices and not is_negative_definite(self.model.curve_gram(indices)):
+        if indices and _negative_definite_factor(self.model.kernel_gram(indices)) is None:
             raise ValueError("support pairing matrix is not negative definite")
 
     @property
@@ -151,35 +153,27 @@ def zariski_decompose(model: SurfaceModel, divisor: DivisorClass) -> ZariskiDeco
         raise NotPseudoEffective(
             "class pairs non-positively with the ample witness and is not nef"
         )
+    v, d = divisor.cleared
     support = [i for i, p in enumerate(nums) if p < 0]
-    positive, positive_nums = divisor, nums
-    coefficients: list[Fraction] = []
     for _ in range(len(model.curves) + 1):
         if len(support) >= model.lattice.rank:  # refused unread, see the docstring
             raise NotNegativeDefinite(
                 f"{len(support)} classes in rank {model.lattice.rank} are never negative definite"
             )
-        coefficients = solve_symmetric(
-            model.curve_gram(support), [Fraction(nums[i], den) for i in support]
-        )
-        positive = model.minus_curves(divisor, support, coefficients)
-        in_support = set(support)
-        positive_nums = model.pairing_numerators(positive)[0]
-        violating = [
-            i for i, p in enumerate(positive_nums) if p < 0 and i not in in_support
-        ]
+        xs, e = model.solve_curves(support, [nums[i] for i in support], den)
+        p, q = model.minus_curves(v, d, support, xs, e)
+        positive_nums = model.pair_cleared(p, q)[0]
+        # the exact solve makes P . C = 0 on the support, so no support curve is listed
+        violating = [i for i, n in enumerate(positive_nums) if n < 0]
         if not violating:
             break
         support.extend(violating)
+    positive = model.lattice.divisor([Fraction(x, q) for x in p])
     if not is_nef(model, positive, positive_nums):
         raise NotPseudoEffective(
             "no curve left to add but the candidate positive part is not nef"
         )
-    pairs = tuple(
-        (model.curves[i], coeff)
-        for i, coeff in zip(support, coefficients)
-        if coeff != 0
-    )
+    pairs = tuple((model.curves[i], Fraction(x, e)) for i, x in zip(support, xs) if x)
     return ZariskiDecomposition(model, divisor, positive, pairs)
 
 

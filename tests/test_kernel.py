@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_segments_match_chambers, user_models
+from conftest import assert_segments_match_chambers, dp_model, user_models
 from test_acceptance import _negative_definite_subsets, _oracle_decompose
 from zlab import (
     DivisorClass,
@@ -21,7 +23,7 @@ from zlab import (
     is_nef,
     zariski_decompose,
 )
-from zlab.cutkosky import abelian_surface
+from zlab.cutkosky import abelian_surface, abelian_surface_model
 from zlab.errors import CurvePairingError, LatticeMismatch
 from zlab.lattice import gram_matrix
 
@@ -115,18 +117,19 @@ def test_each_class_is_paired_once(monkeypatch):
     and the checked positive part once more; a walk pairs the bundle and the
     direction once rather than on every round, and reuses the direction's
     pairings from its ampleness test (the counts were 6 and 24, then 3 and 15).
-    Every pairing goes through the integer kernel method, so it is the one
-    counted; ``curve_pairings`` wraps it."""
+    Every pairing goes through the packed kernel ``pair_cleared``, so it is the
+    one counted: ``pairing_numerators`` and ``curve_pairings`` wrap it, and the
+    integer positive parts of a decomposition or a walk are paired by it."""
     dp7, dp8 = del_pezzo(7), del_pezzo(8)
     calls = 0
-    plain = SurfaceModel.pairing_numerators
+    plain = SurfaceModel.pair_cleared
 
-    def counting(self, divisor):
+    def counting(self, v, d):
         nonlocal calls
         calls += 1
-        return plain(self, divisor)
+        return plain(self, v, d)
 
-    monkeypatch.setattr(SurfaceModel, "pairing_numerators", counting)
+    monkeypatch.setattr(SurfaceModel, "pair_cleared", counting)
     dec = zariski_decompose(dp8, dp8.lattice.divisor([10, -6, -5, -2, -2, -1, -1, -1, -1]))
     assert [c.label for c in dec.support] == ["L-E1-E2"]
     assert calls == 3  # input, one round's candidate, the invariant check
@@ -190,3 +193,87 @@ def test_walk_segments_agree_with_chambers_on_scaled_user_models(model, data):
     if not is_ample(model, direction):
         direction = model.ample
     assert_segments_match_chambers(model, bundle, direction)
+
+
+# -- the packed kernel against one dot product per curve row --------------------
+
+
+def oracle_rows(model):
+    """The integral curve vectors c_i = s*C_i paired with the lattice: the
+    rows G @ c_i, and s."""
+    s = math.lcm(*(x.denominator for c in model.curves for x in c.cls.coords))
+    rows = [
+        [sum(g * x.numerator * (s // x.denominator) for g, x in zip(grow, c.cls.coords))
+         for grow in model.lattice.gram]
+        for c in model.curves
+    ]
+    return rows, s
+
+
+def oracle_numerators(model, v, d):
+    """What ``pair_cleared`` computed before its columns were packed: one
+    sum(map(mul, v, row)) per row, over the denominator d*s."""
+    rows, s = oracle_rows(model)
+    return [sum(map(mul, v, row)) for row in rows], d * s
+
+
+def slot_bound(model, v):
+    """The bound sum(|v_k| * max_i |rows[i][k]|) on |nums[i]| that picks the slot width."""
+    columns = zip(*oracle_rows(model)[0])
+    return sum(abs(x) * max(map(abs, col)) for x, col in zip(v, columns))
+
+
+KERNEL_MODELS = st.one_of(
+    st.sampled_from(range(1, 9)).map(dp_model),
+    user_models(),
+    scaled_user_models(),
+    st.just(abelian_surface_model()),
+)
+WIDTHS = st.sampled_from([4, 31, 62, 63, 64, 65, 100, 127, 128, 129, 200])
+
+
+@settings(max_examples=150, deadline=None)
+@given(KERNEL_MODELS, st.data())
+def test_packed_kernel_matches_one_dot_product_per_row(model, data):
+    """Coordinates up to 2**200 in absolute value: the numerators cross the
+    one-word slot at 2**63 and the wider ones at 2**127 on either side."""
+    rank = model.lattice.rank
+    bits = data.draw(WIDTHS)
+    v = data.draw(st.lists(st.integers(-(2**bits), 2**bits), min_size=rank, max_size=rank))
+    d = data.draw(st.integers(1, 12))
+    assert model.pair_cleared(v, d) == oracle_numerators(model, v, d)
+    divisor = model.lattice.divisor([Fraction(x, d) for x in v])
+    assert model.pairing_numerators(divisor) == oracle_numerators(model, *divisor.cleared)
+
+
+EDGES = [2**63 - 1, 2**63, 2**64, 2**127 - 1, 2**127, 2**128 + 1]
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+@pytest.mark.parametrize("t", EDGES + [-t for t in EDGES])
+def test_packed_kernel_at_slot_edges(r, t):
+    """On dp_r a class t*E_k pairs to -t with E_k and to a positive multiple
+    of t with every other curve through the k-th point, so numerators of both
+    signs sit side by side at the edge of a slot."""
+    model = dp_model(r)
+    for k in range(1, r + 1):
+        for v in ([0] * k + [t] + [0] * (r - k), [t] + [-t] * r, [t] * (r + 1)):
+            assert model.pair_cleared(v, 1) == oracle_numerators(model, v, 1)
+    assert model.pair_cleared([0, t] + [0] * (r - 1), 1)[0].count(-t) == 1
+
+
+def test_one_and_several_word_slots_both_run():
+    """On dp2 the bound of t*E1 is |t|: 2**63 - 1 is the largest numerator in
+    one 64-bit word, and +-2**63 takes two words."""
+    model = dp_model(2)
+    assert slot_bound(model, [0, 2**63 - 1, 0]) == 2**63 - 1
+    for t in (2**63 - 1, -(2**63 - 1), 2**63, -(2**63)):
+        nums, den = model.pair_cleared([0, t, 0], 1)
+        assert den == 1 and sorted(nums) == sorted([-t, 0, t])  # E1, E2, L-E1-E2
+        assert nums == oracle_numerators(model, [0, t, 0], 1)[0]
+
+
+def test_abelian_model_has_no_numerators():
+    model = abelian_surface_model()
+    assert model.pair_cleared([1, -2, 3], 5) == ([], 5)
+    assert model.pairing_numerators(model.ample)[0] == []

@@ -585,7 +585,7 @@ def test_qi_power():
     assert float(x**2) == pytest.approx(float(x) ** 2)
 
 
-# -- the L*D*L^T factor behind solve_symmetric and invert_matrix ---------------
+# -- the fraction-free elimination behind solve_symmetric and invert_matrix ----
 
 
 def test_factor_solves_and_inverts_fuzzed_matrices_exactly():
@@ -622,3 +622,191 @@ def test_factor_rejects_matrices_that_are_not_negative_definite(matrix):
         solve_symmetric(matrix, [1] * len(matrix))
     with pytest.raises(NotNegativeDefinite):
         invert_matrix(matrix)
+
+
+def reference_pivots(a):
+    """The symmetric reduction over Q that the library ran before its
+    fraction-free elimination, kept as the oracle: it reduces the Fraction
+    matrix ``a`` by congruence in place and yields the pivots.  A zero
+    diagonal entry is repaired by swapping in a later non-zero one or by
+    folding in a row j with a[k][j] != 0; an all-zero row yields 0.  When every
+    pivot is negative no repair ran and ``a`` holds L*D*L^T."""
+    n = len(a)
+    for k in range(n):
+        if a[k][k] == 0:
+            swap = next((j for j in range(k + 1, n) if a[j][j] != 0), None)
+            if swap is not None:
+                a[k], a[swap] = a[swap], a[k]
+                for row in a:
+                    row[k], row[swap] = row[swap], row[k]
+            else:
+                j = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
+                if j is not None:
+                    for i in range(k, n):
+                        a[k][i] += a[j][i]
+                    for i in range(k, n):
+                        a[i][k] += a[i][j]
+        pivot = a[k][k]
+        yield pivot
+        if pivot == 0:
+            continue
+        for i in range(k + 1, n):
+            f = a[i][k] / pivot
+            a[i][k] = f
+            if f:
+                for j in range(k + 1, n):
+                    a[i][j] -= f * a[k][j]
+
+
+def reference_substitute(factor, rhs):
+    """x with L*D*L^T x = rhs: one forward and one back substitution."""
+    n = len(factor)
+    y = [Fraction(b) for b in rhs]
+    for i in range(1, n):
+        y[i] -= sum(factor[i][j] * y[j] for j in range(i))
+    x = [Fraction(0)] * n
+    for i in reversed(range(n)):
+        x[i] = y[i] / factor[i][i] - sum(factor[j][i] * x[j] for j in range(i + 1, n))
+    return x
+
+
+def reference_solve(matrix, rhs):
+    """The oracle solution, or None when the matrix is not negative definite."""
+    a = [[Fraction(x) for x in row] for row in matrix]
+    return reference_substitute(a, rhs) if all(p < 0 for p in reference_pivots(a)) else None
+
+
+ENTRIES = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.sampled_from([0, 0, -1, -2]),
+)
+
+
+@st.composite
+def symmetric_matrices(draw, entries=ENTRIES):
+    """Random symmetric matrices of int and Fraction entries, many with zero
+    diagonal entries (so the swap and the fold run), singular or indefinite,
+    and some shifted to be negative definite."""
+    n = draw(st.integers(1, 6))
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            a[i][j] = a[j][i] = draw(entries)
+    if draw(st.booleans()):  # diagonally dominant, so negative definite
+        for i in range(n):
+            a[i][i] = -sum(abs(x) for x in a[i]) - draw(st.integers(1, 3))
+    return a
+
+
+@settings(max_examples=400, deadline=None)
+@given(symmetric_matrices(), st.data())
+def test_elimination_matches_the_fraction_reduction(matrix, data):
+    pivots = list(reference_pivots([[Fraction(x) for x in row] for row in matrix]))
+    expected = (sum(p > 0 for p in pivots), sum(p < 0 for p in pivots), pivots.count(0))
+    assert signature(matrix) == expected
+    n = len(matrix)
+    rhs = data.draw(st.lists(ENTRIES, min_size=n, max_size=n))
+    reference = reference_solve(matrix, rhs)
+    assert is_negative_definite(matrix) == (reference is not None)
+    if reference is None:
+        with pytest.raises(NotNegativeDefinite):
+            solve_symmetric(matrix, rhs)
+        with pytest.raises(NotNegativeDefinite):
+            invert_matrix(matrix)
+        return
+    assert solve_symmetric(matrix, rhs) == reference
+    assert invert_matrix(matrix) == [
+        reference_solve(matrix, [int(i == j) for i in range(n)]) for j in range(n)
+    ]
+
+
+@pytest.mark.parametrize(
+    "matrix, inertia",
+    [
+        ([[0, 1], [1, 0]], (1, 1, 0)),  # fold
+        ([[0, 0], [0, -1]], (0, 1, 1)),  # swap
+        ([[0, 1], [1, -2]], (1, 1, 0)),  # swap; folding row 1 in would leave 0 + 2 - 2
+        ([[0, 2, 1], [2, 0, 3], [1, 3, 0]], (1, 2, 0)),  # fold, then a full block
+        ([[-1, 1, 0], [1, -1, 0], [0, 0, 0]], (0, 1, 2)),  # zero rows skipped
+        ([[0, Fraction(1, 2)], [Fraction(1, 2), Fraction(-1, 3)]], (1, 1, 0)),  # scaled by 6
+    ],
+)
+def test_repairs_match_the_fraction_reduction(matrix, inertia):
+    pivots = list(reference_pivots([[Fraction(x) for x in row] for row in matrix]))
+    assert (sum(p > 0 for p in pivots), sum(p < 0 for p in pivots), pivots.count(0)) == inertia
+    assert signature(matrix) == inertia
+
+
+def test_solve_returns_the_adjugate_over_the_determinant():
+    xs, det = zlab.lattice.solve_negative_definite([[-2, 1], [1, -2]], [[1, 0], [0, 1]])
+    assert det == 3 and xs == [[-2, -1], [-1, -2]]  # adj, and (-1)^2 * 3 = det
+    with pytest.raises(NotNegativeDefinite):
+        zlab.lattice.solve_negative_definite([[-1, 1], [1, -1]], [[1, 0]])
+
+
+# -- the ADE rule: (-2)-curve configurations ------------------------------------
+
+
+def minus_two_graph(size, edges):
+    """The intersection matrix of a configuration of (-2)-curves with the
+    given graph: -2 on the diagonal and 1 for every edge (an edge listed
+    twice, as in the affine A_1, meets twice)."""
+    a = [[-2 * (i == j) for j in range(size)] for i in range(size)]
+    for i, j in edges:
+        a[i][j] += 1
+        a[j][i] += 1
+    return a
+
+
+def chain(n, start=0):
+    return [(i, i + 1) for i in range(start, start + n - 1)]
+
+
+def star(*arms):
+    """A center 0 with arms of the given lengths (T_{p,q,r} has arms p-1, q-1, r-1)."""
+    edges, size = [], 1
+    for length in arms:
+        edges += [(0, size)] + chain(length, size)
+        size += length
+    return size, edges
+
+
+DYNKIN = {  # name: (graph, |det| of the Cartan matrix)
+    **{f"A{n}": ((n, chain(n)), n + 1) for n in range(1, 9)},
+    **{f"D{n}": (star(1, 1, n - 3), 4) for n in range(4, 9)},
+    "E6": (star(1, 2, 2), 3),
+    "E7": (star(1, 2, 3), 2),
+    "E8": (star(1, 2, 4), 1),
+}
+AFFINE = {
+    "A~1": (2, [(0, 1), (0, 1)]),
+    **{f"A~{n}": (n + 1, chain(n + 1) + [(n, 0)]) for n in range(2, 8)},
+    "D~4": star(1, 1, 1, 1),
+    **{f"D~{n}": (n + 1, chain(n - 1) + [(1, n - 1), (n - 3, n)]) for n in range(5, 8)},
+    "E~6": star(2, 2, 2),
+    "E~7": star(1, 3, 3),
+    "E~8": star(1, 2, 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DYNKIN))
+def test_dynkin_chains_are_negative_definite(name):
+    (size, edges), det = DYNKIN[name]
+    gram = minus_two_graph(size, edges)
+    assert is_negative_definite(gram) and signature(gram) == (0, size, 0)
+    _, bareiss_det = zlab.lattice.solve_negative_definite(gram, [])
+    assert bareiss_det == (-1) ** size * det
+    assert inverse_is_nonpositive(gram)
+
+
+@pytest.mark.parametrize("name", sorted(AFFINE))
+def test_affine_diagrams_are_not_negative_definite(name):
+    """Each affine diagram is negative semi-definite with a one-dimensional
+    kernel (the imaginary root), so it supports no negative part."""
+    size, edges = AFFINE[name]
+    gram = minus_two_graph(size, edges)
+    assert not is_negative_definite(gram)
+    assert signature(gram) == (0, size - 1, 1)
+    with pytest.raises(NotNegativeDefinite):
+        solve_symmetric(gram, [-1] * size)

@@ -268,15 +268,16 @@ def test_decomposition_on_the_largest_model():
 
 
 def count_kernel_reads(monkeypatch) -> list[int]:
-    """Record the size of every submatrix read from a model's pairing kernel."""
+    """Record the size of every submatrix read from a model's pairing kernel;
+    ``curve_gram`` and the integer solves both read it through ``kernel_gram``."""
     sizes: list[int] = []
-    plain = SurfaceModel.curve_gram
+    plain = SurfaceModel.kernel_gram
 
     def counting(self, indices):
         sizes.append(len(indices))
         return plain(self, indices)
 
-    monkeypatch.setattr(SurfaceModel, "curve_gram", counting)
+    monkeypatch.setattr(SurfaceModel, "kernel_gram", counting)
     return sizes
 
 
