@@ -3,6 +3,10 @@
 Rationals serialize as strings like "3/2" (never floats), quadratic
 irrationals as {"a": ..., "b": ..., "m": ...} with a float "approx" attached
 for convenience.  Exit codes: 0 success, 1 usage error, 2 domain error.
+
+Each subcommand handler imports the modules it uses, so a process pays only
+for its own command's imports; ``del_pezzo`` stays a module global, which
+callers may replace (with a cache, say).
 """
 
 from __future__ import annotations
@@ -11,15 +15,14 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Any, Callable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional, Sequence
 
-from . import cutkosky, raywalk, weyl
-from .chambers import enumerate_chambers
 from .errors import SchemaError, ZlabError
 from .lattice import DivisorClass, IntersectionLattice, QuadraticIrrational
 from .surface import NegativeCurve, SurfaceModel, del_pezzo
-from .volume import vol, volume_polynomial
-from .zariski import ChamberDescriptor, chamber_of, zariski_decompose
+
+if TYPE_CHECKING:
+    from .raywalk import RaySegment
 
 
 class UsageError(Exception):
@@ -158,20 +161,29 @@ class _Coords(str):
 
 
 def _zariski(model: SurfaceModel, divisor: DivisorClass) -> Any:
+    from .zariski import zariski_decompose
+
     dec = zariski_decompose(model, divisor)
     negative = {curve.label: _fraction_str(coeff) for curve, coeff in dec.coefficients}
     return {"positive": _coords_json(dec.positive), "negative": negative}
 
 
 def _chamber(model: SurfaceModel, divisor: DivisorClass) -> Any:
+    from .zariski import chamber_of
+
     return {"support": list(chamber_of(model, divisor).support)}
 
 
 def _volume(model: SurfaceModel, divisor: DivisorClass) -> Any:
+    from .volume import vol
+
     return {"volume": _fraction_str(vol(model, divisor))}
 
 
 def _volpoly(model: SurfaceModel, support: str) -> Any:
+    from .volume import volume_polynomial
+    from .zariski import ChamberDescriptor
+
     labels = [] if not support else support.split(",")
     poly = volume_polynomial(model, ChamberDescriptor.from_labels(labels))
     matrix = [[_fraction_str(q) for q in row] for row in poly.matrix]
@@ -179,6 +191,8 @@ def _volpoly(model: SurfaceModel, support: str) -> Any:
 
 
 def _chambers_enum(model: SurfaceModel) -> tuple[Any, list]:
+    from .chambers import enumerate_chambers
+
     chambers = enumerate_chambers(model)
     payload = {"count": len(chambers), "chambers": [list(c.support) for c in chambers]}
     csv_rows = [("index", "size", "support")] + [
@@ -187,7 +201,7 @@ def _chambers_enum(model: SurfaceModel) -> tuple[Any, list]:
     return payload, csv_rows
 
 
-def _segment_json(seg: raywalk.RaySegment) -> dict[str, Any]:
+def _segment_json(seg: RaySegment) -> dict[str, Any]:
     end = seg.lambda_end
     return {
         "start": _fraction_str(seg.lambda_start),
@@ -197,7 +211,9 @@ def _segment_json(seg: raywalk.RaySegment) -> dict[str, Any]:
 
 
 def _walk(model: SurfaceModel, bundle: DivisorClass, direction: DivisorClass) -> Any:
-    result = raywalk.destabilizing_numbers(model, bundle, direction)
+    from .raywalk import destabilizing_numbers
+
+    result = destabilizing_numbers(model, bundle, direction)
     return {
         "segments": [_segment_json(seg) for seg in result.segments],
         "breakpoints": [_fraction_str(b) for b in result.breakpoints],
@@ -206,7 +222,9 @@ def _walk(model: SurfaceModel, bundle: DivisorClass, direction: DivisorClass) ->
 
 
 def _stable_base_locus(model: SurfaceModel, divisor: DivisorClass) -> Any:
-    return {"support": sorted(raywalk.stable_base_locus(model, divisor))}
+    from .raywalk import stable_base_locus
+
+    return {"support": sorted(stable_base_locus(model, divisor))}
 
 
 def _delpezzo(r: int, count_curves: bool) -> Any:
@@ -215,29 +233,39 @@ def _delpezzo(r: int, count_curves: bool) -> Any:
 
 
 def _weyl_orbit(model: SurfaceModel, start: DivisorClass) -> Any:
-    orbit = weyl.weyl_orbit(model, start)
+    from .weyl import weyl_orbit
+
+    orbit = weyl_orbit(model, start)
     return {"size": len(orbit), "orbit": sorted(_coords_json(d) for d in orbit)}
 
 
 def _weyl_order(model: SurfaceModel) -> Any:
-    return {"order": weyl.weyl_group_order(model)}
+    from .weyl import weyl_group_order
+
+    return {"order": weyl_group_order(model)}
 
 
 def _k3_reflect(model: SurfaceModel, nef_class: DivisorClass, curve: str) -> Any:
-    value = weyl.k3_reflection_volume(model, nef_class, curve)
+    from .weyl import k3_reflection_volume
+
+    value = k3_reflection_volume(model, nef_class, curve)
     return {"volume": _fraction_str(value)}
 
 
 def _cutkosky_vol(eps: str) -> Any:
-    return _qi_json(cutkosky.volume_L_eps(_parse_fraction(eps)))
+    from .cutkosky import volume_L_eps
+
+    return _qi_json(volume_L_eps(_parse_fraction(eps)))
 
 
 def _cutkosky_scan(start: str, stop: str, num: int) -> tuple[Any, list]:
+    from .cutkosky import volume_L_eps
+
     first, last = _parse_fraction(start), _parse_fraction(stop)
     if num < 2 or last <= first:
         raise UsageError("need --num >= 2 and --stop > --start")
     steps = [first + (last - first) * Fraction(i, num - 1) for i in range(num)]
-    rows = [(eps, cutkosky.volume_L_eps(eps)) for eps in steps]
+    rows = [(eps, volume_L_eps(eps)) for eps in steps]
     payload = [{"eps": _fraction_str(e), "volume": _qi_json(v)} for e, v in rows]
     csv_rows = [("eps", "approx", "a", "b", "m")] + [
         (e, float(v), v.a, v.b, v.m) for e, v in rows

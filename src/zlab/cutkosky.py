@@ -19,7 +19,6 @@ the interpolation certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import Callable, Iterable, Optional, Sequence
@@ -30,13 +29,13 @@ from .lattice import (
     IntersectionLattice,
     QuadraticIrrational,
     Rational,
+    _Value,
     sqrt_fraction,
 )
 from .surface import SurfaceModel
 
 
-@dataclass(frozen=True)
-class AbelianSurfaceData:
+class AbelianSurfaceData(_Value, fields=("lattice", "f1", "f2", "delta", "d", "h")):
     """The rank-3 product-of-elliptic-curves lattice and its two ample classes."""
 
     lattice: IntersectionLattice
@@ -45,6 +44,15 @@ class AbelianSurfaceData:
     delta: DivisorClass
     d: DivisorClass
     h: DivisorClass
+
+    def __init__(self, lattice: IntersectionLattice, f1: DivisorClass, f2: DivisorClass,
+                 delta: DivisorClass, d: DivisorClass, h: DivisorClass) -> None:
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "f1", f1)
+        object.__setattr__(self, "f2", f2)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "h", h)
 
 
 @cache  # frozen data, built once: q_poly and h0_section_count read it per call
@@ -90,13 +98,17 @@ def sigma_eps(eps: Rational) -> QuadraticIrrational:
     return (9 * q + 5 * p - sqrt_fraction(_radicand(p, q))) / (18 * q - 12 * p)
 
 
-@dataclass(frozen=True)
-class QuadraticPolynomial:
+class QuadraticPolynomial(_Value, fields=("c2", "c1", "c0")):
     """c2*x**2 + c1*x + c0 with exact rational coefficients."""
 
     c2: Fraction
     c1: Fraction
     c0: Fraction
+
+    def __init__(self, c2: Fraction, c1: Fraction, c0: Fraction) -> None:
+        object.__setattr__(self, "c2", c2)
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "c0", c0)
 
     def __call__(self, x):
         return (self.c2 * x + self.c1) * x + self.c0
@@ -216,14 +228,20 @@ def h0_section_count(k: int, eps: Rational) -> Fraction:
     return Fraction(total, 2 * eps.denominator**2)
 
 
-@dataclass(frozen=True)
-class CertificateReport:
+class CertificateReport(_Value, fields=("degrees", "residuals", "residual_floor", "passed")):
     """Residuals of best polynomial fits degree by degree."""
 
     degrees: tuple[int, ...]
     residuals: tuple[float, ...]
     residual_floor: float
     passed: bool
+
+    def __init__(self, degrees: tuple[int, ...], residuals: tuple[float, ...],
+                 residual_floor: float, passed: bool) -> None:
+        object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "residuals", residuals)
+        object.__setattr__(self, "residual_floor", residual_floor)
+        object.__setattr__(self, "passed", passed)
 
 
 def _interpolate_exact(

@@ -10,10 +10,9 @@ answer.  Floating point appears only in reporting helpers (``__float__``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from operator import attrgetter, mul
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import LatticeMismatch, NotNegativeDefinite, SignatureError
@@ -397,12 +396,47 @@ def inverse_is_nonpositive(matrix: Matrix) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntersectionLattice:
+class _Value:
+    """Base of zlab's frozen value classes, in place of ``dataclasses``, whose
+    import and class building cost a CLI process more than its computation.
+
+    A subclass names its ``fields``; its own ``__init__`` sets them with
+    ``object.__setattr__`` (and calls ``__post_init__`` where it validates).
+    Equality and hashing read the field tuple and repr shows it, as a frozen
+    dataclass would; instances refuse assignment and deletion.
+    """
+
+    def __init_subclass__(cls, fields: tuple[str, ...]) -> None:
+        get = attrgetter(*fields)
+        cls._fields = fields
+        cls._key = staticmethod(get if len(fields) > 1 else lambda obj: (get(obj),))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class IntersectionLattice(_Value, fields=("gram", "basis_labels")):
     """A free Z-module with an integer symmetric pairing of signature (1, rank-1).
 
     The signature constraint is verified exactly at construction time; it is
     what makes negative-definiteness arguments for curve supports work.
+    Every class's hash hashes its lattice, so the lattice hashes its Gram
+    matrix once, here.
     """
 
     gram: tuple[tuple[int, ...], ...]
@@ -427,6 +461,13 @@ class IntersectionLattice:
             raise SignatureError(f"signature {sig} is not (1, {n - 1}, 0)")
         object.__setattr__(self, "gram", rows)
         object.__setattr__(self, "basis_labels", labels)
+        object.__setattr__(self, "_hash", hash((rows, labels)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):  # rebuilt, not restored: string hashes vary by process
+        return IntersectionLattice, (self.gram, self.basis_labels)
 
     @property
     def rank(self) -> int:
@@ -448,12 +489,25 @@ class IntersectionLattice:
         return self.divisor([0] * self.rank)
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(_Value, fields=("lattice", "coords")):
     """An R-divisor numerical class with exact rational coordinates."""
 
     lattice: IntersectionLattice
     coords: tuple[Fraction, ...]
+
+    def __init__(self, lattice: IntersectionLattice, coords: tuple[Rational, ...]) -> None:
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "coords", coords)
+        self.__post_init__()
+
+    # _Value's comparison and hash, spelled out: classes are compared and hashed in bulk
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.lattice, self.coords) == (other.lattice, other.coords)
+
+    def __hash__(self) -> int:
+        return hash((self.lattice, self.coords))
 
     def __post_init__(self) -> None:
         coords = tuple(c if type(c) is Fraction else Fraction(c) for c in self.coords)

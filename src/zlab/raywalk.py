@@ -13,12 +13,11 @@ QuadraticIrrational (rational values embed with radicand 0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 from .errors import InstableDivisor, LatticeMismatch, NotAmple
-from .lattice import DivisorClass, QuadraticIrrational, sqrt_fraction
+from .lattice import DivisorClass, QuadraticIrrational, _Value, sqrt_fraction
 from .surface import Numerators, SurfaceModel
 from .zariski import (
     ChamberDescriptor,
@@ -30,25 +29,34 @@ from .zariski import (
 Endpoint = Union[Fraction, QuadraticIrrational]
 
 
-@dataclass(frozen=True)
-class RaySegment:
+class RaySegment(_Value, fields=("lambda_start", "lambda_end", "support")):
     """One chamber stretch of the walk; the support holds on the open interval."""
 
     lambda_start: Fraction
     lambda_end: Endpoint
     support: ChamberDescriptor
 
+    def __init__(self, lambda_start: Fraction, lambda_end: Endpoint,
+                 support: ChamberDescriptor) -> None:
+        object.__setattr__(self, "lambda_start", lambda_start)
+        object.__setattr__(self, "lambda_end", lambda_end)
+        object.__setattr__(self, "support", support)
 
-@dataclass(frozen=True)
-class RayWalkResult:
+
+class RayWalkResult(_Value, fields=("segments", "breakpoints", "bigness_threshold")):
     segments: tuple[RaySegment, ...]
     breakpoints: tuple[Fraction, ...]
     bigness_threshold: QuadraticIrrational
 
+    def __init__(self, segments: Iterable[RaySegment], breakpoints: Iterable[Fraction],
+                 bigness_threshold: QuadraticIrrational) -> None:
+        object.__setattr__(self, "segments", tuple(segments))
+        object.__setattr__(self, "breakpoints", tuple(breakpoints))
+        object.__setattr__(self, "bigness_threshold", bigness_threshold)
+        self.__post_init__()
+
     def __post_init__(self) -> None:
-        segments = tuple(self.segments)
-        object.__setattr__(self, "segments", segments)
-        object.__setattr__(self, "breakpoints", tuple(self.breakpoints))
+        segments = self.segments
         if not segments:
             raise ValueError("a walk has at least one segment")
         for left, right in zip(segments, segments[1:]):

@@ -11,7 +11,6 @@ Surfaces carrying infinitely many negative curves are out of scope.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 from operator import mul
@@ -25,7 +24,7 @@ from .errors import (
     OutOfRange,
     UnsupportedLattice,
 )
-from .lattice import DivisorClass, IntersectionLattice, Rational, solve_negative_definite
+from .lattice import DivisorClass, IntersectionLattice, Rational, _Value, solve_negative_definite
 
 
 Numerators = tuple[list[int], int]  # integers over one positive denominator
@@ -41,12 +40,16 @@ def _exact(value: int, scale: int) -> Rational:
     return value if scale == 1 else Fraction(value, scale)
 
 
-@dataclass(frozen=True)
-class NegativeCurve:
+class NegativeCurve(_Value, fields=("label", "cls")):
     """An irreducible curve class with negative self-intersection."""
 
     label: str
     cls: DivisorClass
+
+    def __init__(self, label: str, cls: DivisorClass) -> None:
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "cls", cls)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.cls.square >= 0:
@@ -55,8 +58,7 @@ class NegativeCurve:
             )
 
 
-@dataclass(frozen=True)
-class SurfaceModel:
+class SurfaceModel(_Value, fields=("lattice", "ample", "curves", "canonical")):
     """Computational stand-in for a smooth projective surface.
 
     Invariants checked at construction: the ample witness has positive square
@@ -70,10 +72,17 @@ class SurfaceModel:
     lattice: IntersectionLattice
     ample: DivisorClass
     curves: tuple[NegativeCurve, ...]
-    canonical: Optional[DivisorClass] = None
+    canonical: Optional[DivisorClass]
+
+    def __init__(self, lattice: IntersectionLattice, ample: DivisorClass,
+                 curves: Sequence[NegativeCurve], canonical: Optional[DivisorClass] = None) -> None:
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "ample", ample)
+        object.__setattr__(self, "curves", tuple(curves))
+        object.__setattr__(self, "canonical", canonical)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "curves", tuple(self.curves))
         if self.ample.lattice != self.lattice:
             raise LatticeMismatch("ample witness lives in a different lattice")
         if self.ample.square <= 0:
@@ -83,13 +92,13 @@ class SurfaceModel:
         index = {c.label: i for i, c in enumerate(self.curves)}
         if len(index) != len(self.curves):
             raise CurvePairingError("curve labels must be distinct")
-        seen: set[tuple[Fraction, ...]] = set()
+        seen: set[tuple[tuple[int, ...], int]] = set()
         for curve in self.curves:
             if curve.cls.lattice != self.lattice:
                 raise LatticeMismatch(f"curve {curve.label} in a different lattice")
-            if curve.cls.coords in seen:
+            if curve.cls.cleared in seen:  # equal classes clear to equal ints
                 raise CurvePairingError(f"curve class {curve.label} is duplicated")
-            seen.add(curve.cls.coords)
+            seen.add(curve.cls.cleared)
         # The pairing kernel: s clears the curve denominators, c_i = s*C_i and
         # rows[i] = G @ c_i; column k of the rows is packed into one int with a
         # 64-bit slot per curve, and gram[i][j] = c_i . c_j is paired by it.
@@ -98,7 +107,7 @@ class SurfaceModel:
         vectors = [tuple(x * (scale // d) for x in v) for v, d in cleared]
         rows = tuple(tuple(sum(map(mul, row, v)) for row in self.lattice.gram) for v in vectors)
         columns = list(zip(*rows))
-        vars(self).update(  # the dataclass is frozen
+        vars(self).update(
             _index=index, _scale=scale, _vectors=vectors, _rows=rows,
             _column_max=[max(map(abs, c)) for c in columns],
             _packed=[_pack(c, 64) for c in columns], _offset=_pack([1 << 63] * len(rows), 64),
@@ -265,7 +274,7 @@ def _classes_by_degree_constraints(
     and sum(m_i^2) = d^2 - self_intersection for each feasible d.
     """
     r = lattice.rank - 1
-    found: list[DivisorClass] = []
+    found: list[tuple[int, tuple[int, ...]]] = []
     for d in range(-4, 9):
         m_sum = 3 * d + k_degree  # K . class = -3d + sum(m_i) = k_degree
         m_square = d * d - self_intersection
@@ -273,11 +282,9 @@ def _classes_by_degree_constraints(
             continue
         if m_sum * m_sum > r * m_square:
             continue
-        for m in _vectors_with_sum_and_square(r, m_sum, m_square):
-            coords = (d,) + tuple(-mi for mi in m)
-            found.append(lattice.divisor(coords))
-    found.sort(key=lambda cls: (cls.coords[0], tuple(-c for c in cls.coords[1:])))
-    return found
+        found += ((d, m) for m in _vectors_with_sum_and_square(r, m_sum, m_square))
+    found.sort()  # by degree, then multiplicities, on ints
+    return [lattice.divisor((d,) + tuple(-mi for mi in m)) for d, m in found]
 
 
 def exceptional_classes(lattice: IntersectionLattice) -> list[DivisorClass]:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Iterable
@@ -12,7 +11,7 @@ from .errors import (
     NotNegativeDefinite,
     NotPseudoEffective,
 )
-from .lattice import DivisorClass
+from .lattice import DivisorClass, _Value
 from .surface import SurfaceModel
 from .zariski import ChamberDescriptor, _resolve_support, zariski_decompose
 
@@ -32,8 +31,7 @@ def vol(model: SurfaceModel, divisor: DivisorClass) -> Fraction:
     return square if square > 0 else Fraction(0)
 
 
-@dataclass(frozen=True)
-class QuadraticVolumePolynomial:
+class QuadraticVolumePolynomial(_Value, fields=("chamber", "matrix")):
     """The homogeneous quadratic form giving the volume on one chamber.
 
     ``matrix`` is symmetric with exact rational entries, expressed in the
@@ -43,6 +41,12 @@ class QuadraticVolumePolynomial:
 
     chamber: ChamberDescriptor
     matrix: tuple[tuple[Fraction, ...], ...]
+
+    def __init__(self, chamber: ChamberDescriptor,
+                 matrix: tuple[tuple[Fraction, ...], ...]) -> None:
+        object.__setattr__(self, "chamber", chamber)
+        object.__setattr__(self, "matrix", matrix)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         n = len(self.matrix)

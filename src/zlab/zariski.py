@@ -11,7 +11,6 @@ exact solves small.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -22,12 +21,12 @@ from .errors import (
     NotPseudoEffective,
     UnrealizableSupport,
 )
-from .lattice import DivisorClass, _negative_definite_factor, clear_denominators, invert_matrix
+from .lattice import (DivisorClass, _negative_definite_factor, _Value, clear_denominators,
+                      invert_matrix)
 from .surface import NegativeCurve, SurfaceModel, is_nef
 
 
-@dataclass(frozen=True)
-class ZariskiDecomposition:
+class ZariskiDecomposition(_Value, fields=("model", "input", "positive", "coefficients")):
     """D = P + sum(a_C * C) with P nef, P.C = 0 on the support, and the
     support's pairing matrix negative definite.  All listed coefficients are
     strictly positive; zero coefficients are pruned before construction.
@@ -38,6 +37,14 @@ class ZariskiDecomposition:
     input: DivisorClass
     positive: DivisorClass
     coefficients: tuple[tuple[NegativeCurve, Fraction], ...]
+
+    def __init__(self, model: SurfaceModel, input: DivisorClass, positive: DivisorClass,
+                 coefficients: Iterable[tuple[NegativeCurve, Fraction]]) -> None:
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "input", input)
+        object.__setattr__(self, "positive", positive)
+        object.__setattr__(self, "coefficients", coefficients)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         pairs = tuple(sorted(self.coefficients, key=lambda item: item[0].label))
@@ -81,11 +88,23 @@ class ZariskiDecomposition:
         return Fraction(0)
 
 
-@dataclass(frozen=True)
-class ChamberDescriptor:
+class ChamberDescriptor(_Value, fields=("support",)):
     """A chamber of the big cone, named by its constant negative-part support."""
 
     support: tuple[str, ...]
+
+    def __init__(self, support: Iterable[str]) -> None:
+        object.__setattr__(self, "support", support)
+        self.__post_init__()
+
+    # _Value's comparison and hash, spelled out: chambers fill sets and dict keys
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.support == other.support
+
+    def __hash__(self) -> int:
+        return hash((self.support,))
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "support", tuple(sorted(set(self.support))))

@@ -140,6 +140,13 @@ def _dp2_model_with(**parts) -> SurfaceModel:
             CurvePairingError, "curve labels must be distinct",
         ),
         (
+            lambda: _dp2_model_with(curves=(
+                NegativeCurve("E1", dp_model(2).lattice.divisor([0, 1, 0])),
+                NegativeCurve("E1-again", dp_model(2).lattice.divisor([0, Fraction(3, 3), 0])),
+            )),
+            CurvePairingError, "curve class E1-again is duplicated",
+        ),
+        (
             lambda: _dp2_model_with(curves=(k3_model(2).curves[0],)),
             LatticeMismatch, "curve E in a different lattice",
         ),
@@ -148,8 +155,8 @@ def _dp2_model_with(**parts) -> SurfaceModel:
             UnsupportedLattice, "exceptional-class enumeration needs the standard basis",
         ),
     ],
-    ids=["foreign-ample", "foreign-canonical", "repeated-label", "foreign-curve",
-         "nonstandard-basis"],
+    ids=["foreign-ample", "foreign-canonical", "repeated-label", "repeated-class",
+         "foreign-curve", "nonstandard-basis"],
 )
 def test_model_refuses_foreign_or_repeated_parts(build, error, message):
     with pytest.raises(error) as excinfo:
@@ -264,3 +271,15 @@ def test_enumerations_match_independent_oracle(r):
         tuple(int(c) for c in root.coords) for root in enumerate_roots(model).roots
     }
     assert produced_roots == brute_force_classes(r, square=-2, k_degree=0)
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_del_pezzo_curves_are_listed_by_degree_then_multiplicities(r):
+    """The curve dL - sum(m_i E_i) comes before the curve (d', m') exactly
+    when (d, m) < (d', m'): the oracle's classes, sorted that way, are the
+    model's curve list in order."""
+    oracle = sorted(
+        brute_force_classes(r, square=-1, k_degree=-1),
+        key=lambda coords: (coords[0], tuple(-c for c in coords[1:])),
+    )
+    assert [tuple(int(c) for c in curve.cls.coords) for curve in dp_model(r).curves] == oracle
