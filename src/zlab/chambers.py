@@ -61,13 +61,14 @@ class Face(NamedTuple):
 
 def face_of(model: SurfaceModel, nef_class: DivisorClass) -> Face:
     """Null set of a nef class and an exact basis of its orthogonal complement
-    {v : v . C = 0 for every null curve C}, by Gauss-Jordan on the rows G @ C."""
+    {v : v . C = 0 for every null curve C}, by Gauss-Jordan on the kernel rows
+    s * G @ C (scaling a row leaves its reduced row echelon form unchanged)."""
     if not is_nef(model, nef_class):
         raise NotNef("face is only defined for nef classes")
     labels = null_set(model, nef_class)
     indices = [model.curve_index(label) for label in sorted(labels)]
     rank = model.lattice.rank
-    rows = [[Fraction(x) for x in row] for row in model.curve_rows(indices)]
+    rows = [[Fraction(x) for x in row] for row in model.kernel_rows(indices)]
     pivots: list[int] = []
     row_index = 0
     for col in range(rank):

@@ -57,6 +57,10 @@ class RankTooLargeForEnumeration(ZlabError):
     pass
 
 
+class NotFiniteCoxeterType(ZlabError):
+    """A reflection graph with a component outside the A_n, D_n, E6-E8 diagrams."""
+
+
 class InstableDivisor(ZlabError):
     """The stable base locus is undefined on a chamber boundary."""
 

@@ -184,9 +184,10 @@ class SurfaceModel(_Value, fields=("lattice", "ample", "curves", "canonical")):
         """The intersection matrix (C_i . C_j) of the curves at ``indices``."""
         return [[_exact(x, self._scale ** 2) for x in row] for row in self.kernel_gram(indices)]
 
-    def curve_rows(self, indices: Sequence[int]) -> list[list[Rational]]:
-        """The rows G @ C_i of the curves at ``indices``, so D . C_i = D @ row."""
-        return [[_exact(x, self._scale) for x in self._rows[i]] for i in indices]
+    def kernel_rows(self, indices: Sequence[int]) -> list[list[int]]:
+        """s times the rows G @ C_i of the curves at ``indices``, in ints:
+        D . C_i = (D @ row) / s."""
+        return [list(self._rows[i]) for i in indices]
 
     def curve_index(self, label: str) -> int:
         try:

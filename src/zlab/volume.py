@@ -76,25 +76,21 @@ def volume_polynomial(
     Inside a chamber the negative part depends linearly on D (its
     coefficients solve the fixed support's pairing system with right-hand
     side (D . C_i)), so D |-> D - N(D) is linear and the volume is the
-    pullback of the intersection form along it.  Raises UnrealizableSupport
-    unless the support's intersection matrix is negative definite.
+    pullback G - R^T G_S^-1 R of the intersection form along it, R the rows
+    G @ C_i and G_S the support's matrix.  The kernel's ints leave it
+    unscaled, R^T G_S^-1 R = R_s^T K^-1 R_s with R_s = s*R and K = s**2 * G_S,
+    so one Bareiss solve K @ xs[j] = det * (column j of R_s) gives det * Q in
+    ints and each entry is one Fraction.  Raises UnrealizableSupport unless
+    the support's intersection matrix is negative definite.
     """
     if not isinstance(chamber, ChamberDescriptor):
         chamber = ChamberDescriptor.from_labels(chamber)
-    indices, inverse = _resolve_support(model, chamber)
     gram = model.lattice.gram
     rank = model.lattice.rank
-    # With R the rows G @ C_i and G_S the support's matrix, D - N(D) is
-    # D - C^T G_S^-1 R D, and pulling G back along it leaves G - R^T G_S^-1 R.
-    rows = model.curve_rows(indices)
-    k = len(indices)
-    weighted = [
-        [sum(inverse[s][t] * rows[t][j] for t in range(k)) for j in range(rank)]
-        for s in range(k)
-    ]
+    _, rows, xs, det = _resolve_support(model, chamber, range(rank))
     quadratic = tuple(
         tuple(
-            Fraction(gram[i][j]) - sum(rows[s][i] * weighted[s][j] for s in range(k))
+            Fraction(gram[i][j] * det - sum(row[i] * x for row, x in zip(rows, xs[j])), det)
             for j in range(rank)
         )
         for i in range(rank)

@@ -22,7 +22,7 @@ from .errors import (
     UnrealizableSupport,
 )
 from .lattice import (DivisorClass, _negative_definite_factor, _Value, clear_denominators,
-                      invert_matrix)
+                      solve_negative_definite)
 from .surface import NegativeCurve, SurfaceModel, is_nef
 
 
@@ -94,8 +94,7 @@ class ChamberDescriptor(_Value, fields=("support",)):
     support: tuple[str, ...]
 
     def __init__(self, support: Iterable[str]) -> None:
-        object.__setattr__(self, "support", support)
-        self.__post_init__()
+        object.__setattr__(self, "support", tuple(sorted(set(support))))
 
     # _Value's comparison and hash, spelled out: chambers fill sets and dict keys
     def __eq__(self, other: object) -> bool:
@@ -105,9 +104,6 @@ class ChamberDescriptor(_Value, fields=("support",)):
 
     def __hash__(self) -> int:
         return hash((self.support,))
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "support", tuple(sorted(set(self.support))))
 
     @classmethod
     def from_labels(cls, labels: Iterable[str]) -> "ChamberDescriptor":
@@ -122,23 +118,23 @@ class ChamberDescriptor(_Value, fields=("support",)):
 
 
 def _resolve_support(
-    model: SurfaceModel, support: ChamberDescriptor
-) -> tuple[list[int], list[list[Fraction]]]:
-    """Curve indices of a support, sorted by label, and the inverse of its
-    intersection matrix.
-
-    A curve set supports a chamber exactly when that matrix is negative
-    definite (see ``enumerate_chambers``), so that is all this checks;
-    UnrealizableSupport otherwise, and on an unknown label.  Rank or more
-    curves are refused unread: signature (1, rank - 1) forbids them.
-    """
+    model: SurfaceModel, support: ChamberDescriptor, columns: Iterable[int] = ()
+) -> tuple[list[int], list[list[int]], list[list[int]], int]:
+    """(indices, rows, xs, det): a support's curve indices sorted by label, their
+    kernel rows, and one solve kernel_gram(indices) @ xs[c] = det * (column j of
+    the rows) for j in ``columns``.  Its pivots check that the set is negative
+    definite, i.e. supports a chamber (see ``enumerate_chambers``); else, and on
+    an unknown label, UnrealizableSupport.  Rank or more curves are refused
+    unread: signature (1, rank - 1) forbids them."""
     try:
         indices = [model.curve_index(label) for label in support.support]
     except KeyError as exc:
         raise UnrealizableSupport(f"support {support}: {exc.args[0]}") from exc
     if len(indices) < model.lattice.rank:
+        rows = model.kernel_rows(indices)
         try:
-            return indices, invert_matrix(model.curve_gram(indices))
+            return indices, rows, *solve_negative_definite(
+                model.kernel_gram(indices), [[row[j] for row in rows] for j in columns])
         except NotNegativeDefinite:
             pass
     raise UnrealizableSupport(

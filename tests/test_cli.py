@@ -502,6 +502,18 @@ def test_bad_orbit_cap_env(capsys, monkeypatch):
     assert json.loads(err)["error"] == "OutOfRange"
 
 
+def test_orbit_cap_env_below_one(capsys, monkeypatch):
+    monkeypatch.setenv("ZLAB_ORBIT_CAP", "-3")
+    code, out, err = run_cli(
+        capsys, ["weyl-orbit", "--delpezzo", "3", "--class=-3,1,1,1"]
+    )
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "OutOfRange"
+    assert "-3" in error["message"]
+
+
 def test_cutkosky_vol_with_seven_digit_eps_finishes():
     """The radicand 45 + 78 eps + 49 eps**2 at this eps has a 52-bit numerator
     and a 46-bit denominator; trial division to the square root of their

@@ -55,14 +55,16 @@ def test_kernel_matches_pairing_on_scaled_user_models(model, data):
     classes = [c.cls for c in model.curves]
     kernel = model.curve_gram(range(n))
     assert kernel == gram_matrix(classes)
-    rows = model.curve_rows(range(n))
+    rows = model.kernel_rows(range(n))  # s * G @ C_i, s clearing the curve denominators
+    s = math.lcm(*(cls.cleared[1] for cls in classes))
     divisor = model.lattice.divisor(
         data.draw(st.lists(RATIONALS, min_size=model.lattice.rank, max_size=model.lattice.rank))
     )
     pairings = model.curve_pairings(divisor)
     assert pairings == [divisor.dot(cls) for cls in classes]
-    assert pairings == [sum(x * g for x, g in zip(divisor.coords, row)) for row in rows]
-    for value in [x for row in kernel + rows for x in row] + pairings:
+    assert pairings == [sum(x * g for x, g in zip(divisor.coords, row)) / s for row in rows]
+    assert all(type(x) is int for row in rows for x in row)
+    for value in [x for row in kernel for x in row] + pairings:
         assert type(value) in (int, Fraction)
 
     # A + sum(t_i C_i) is big, so it has a decomposition for the oracle to find.
@@ -90,7 +92,7 @@ def test_pairing_a_foreign_class_is_a_lattice_mismatch(method, foreign):
 
 def test_integer_kernel_stores_plain_ints():
     model = del_pezzo(3)
-    for row in model.curve_gram(range(len(model.curves))) + model.curve_rows(range(6)):
+    for row in model.curve_gram(range(len(model.curves))) + model.kernel_rows(range(6)):
         assert all(type(x) is int for x in row)
 
 

@@ -7,9 +7,11 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 import zlab.lattice
-from conftest import dp_model, random_big_class
+from conftest import a2_chain_model, dp_model, k3_model, random_big_class, user_models
+from test_kernel import scaled_user_models
 from zlab import (
     QuadraticIrrational,
     chamber_of,
@@ -20,7 +22,8 @@ from zlab import (
     volume_polynomial,
 )
 from zlab.errors import NegativeDimension, UnrealizableSupport
-from zlab.lattice import gram_matrix, invert_matrix
+from zlab.lattice import clear_denominators, gram_matrix, invert_matrix
+from zlab.zariski import support_curves
 
 
 def test_vol_worked_values(dp2):
@@ -61,50 +64,93 @@ def test_volume_polynomial_requires_realizable_support(dp2):
         volume_polynomial(dp2, ("nope",))
 
 
-def test_volume_polynomial_eliminates_once(dp2, monkeypatch):
-    calls = 0
+def count_eliminations(monkeypatch) -> list[int]:
+    calls = []
     plain = zlab.lattice._negative_definite_factor
 
     def counting(matrix):
-        nonlocal calls
-        calls += 1
+        calls.append(len(matrix))
         return plain(matrix)
 
     monkeypatch.setattr(zlab.lattice, "_negative_definite_factor", counting)
+    return calls
+
+
+def test_volume_polynomial_eliminates_once(dp2, monkeypatch):
+    calls = count_eliminations(monkeypatch)
     volume_polynomial(dp2, ("E1", "E2"))
-    assert calls == 1
+    assert len(calls) == 1
+
+
+def test_support_curves_eliminates_once(dp2, monkeypatch):
+    calls = count_eliminations(monkeypatch)
+    assert [c.label for c in support_curves(dp2, ("E2", "E1"))] == ["E1", "E2"]
+    assert len(calls) == 1
 
 
 def substitution_form(model, chamber):
-    """Oracle: M^T G M with M = I - C G_S^-1 R the substitution D |-> D - N(D)."""
+    """Oracle: M^T G M with M = I - C G_S^-1 R the substitution D |-> D - N(D),
+    from the curve classes' Fraction pairings and an inverted matrix; the
+    product runs on M's cleared numerators (del Pezzo curves are sparse, so
+    zero terms are skipped)."""
     gram = model.lattice.gram
-    rank = model.lattice.rank
-    classes = [model.curve_by_label(label).cls for label in chamber.support]
-    inverse = invert_matrix(gram_matrix(classes))
-    rows = [[sum(g * c for g, c in zip(row, cls.coords)) for row in gram] for cls in classes]
-    k = len(classes)
-    m = [
-        [
-            int(i == j)
-            - sum(classes[s].coords[i] * inverse[s][t] * rows[t][j] for s in range(k) for t in range(k))
-            for j in range(rank)
-        ]
-        for i in range(rank)
-    ]
+    span = range(model.lattice.rank)
+    curves = [model.curve_by_label(label).cls for label in chamber.support]
+    inverse = invert_matrix(gram_matrix(curves))
+    classes = [cls.coords for cls in curves]
+    rows = [[sum(g * c for g, c in zip(row, cls) if c) for row in gram] for cls in classes]
+    weights = [[sum(x * row[j] for x, row in zip(line, rows) if row[j]) for j in span]
+               for line in inverse]
+    m = [[int(i == j) - sum(cls[i] * w[j] for cls, w in zip(classes, weights) if cls[i])
+          for j in span] for i in span]
+    flat, den = clear_denominators(x for row in m for x in row)
+    m = [flat[i * len(span):(i + 1) * len(span)] for i in span]
+    gm = [[sum(g * m[b][j] for b, g in enumerate(gram[a]) if g) for j in span] for a in span]
     return tuple(
-        tuple(
-            Fraction(sum(m[a][i] * gram[a][b] * m[b][j] for a in range(rank) for b in range(rank)))
-            for j in range(rank)
-        )
-        for i in range(rank)
+        tuple(Fraction(sum(m[a][i] * gm[a][j] for a in span), den * den) for j in span)
+        for i in span
     )
 
 
-@pytest.mark.parametrize("r", [2, 3, 4])
+def assert_forms_match_the_pullback(model, chambers):
+    for chamber in chambers:
+        assert volume_polynomial(model, chamber).matrix == substitution_form(model, chamber)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
 def test_volume_form_equals_the_substitution_pullback(r):
     model = dp_model(r)
-    for chamber in enumerate_chambers(model):
-        assert volume_polynomial(model, chamber).matrix == substitution_form(model, chamber)
+    assert_forms_match_the_pullback(model, enumerate_chambers(model))
+
+
+@pytest.mark.parametrize("r", [7, 8])
+def test_volume_form_equals_the_pullback_on_seeded_chambers(r):
+    """Chambers of seeded big classes; dp8's 240 curves are past the enumeration."""
+    model = dp_model(r)
+    rng = random.Random(71 + r)
+    chambers = {chamber_of(model, random_big_class(model, rng)) for _ in range(12)}
+    assert len({len(c.support) for c in chambers}) > 1
+    assert_forms_match_the_pullback(model, chambers)
+
+
+@pytest.mark.parametrize("model", [a2_chain_model, lambda: k3_model(1), lambda: k3_model(2)],
+                         ids=["a2", "k3(1)", "k3(2)"])
+def test_volume_form_equals_the_pullback_off_del_pezzo(model):
+    surface = model()
+    assert_forms_match_the_pullback(surface, enumerate_chambers(surface))
+
+
+@settings(max_examples=40, deadline=None)
+@given(user_models())
+def test_volume_form_equals_the_pullback_on_user_models(model):
+    assert_forms_match_the_pullback(model, enumerate_chambers(model))
+
+
+@settings(max_examples=40, deadline=None)
+@given(scaled_user_models())
+def test_volume_form_equals_the_pullback_on_scaled_user_models(model):
+    """Curve denominators s > 1: the kernel's s and s**2 scalings must cancel."""
+    assert_forms_match_the_pullback(model, enumerate_chambers(model))
 
 
 def test_polynomials_agree_with_vol_in_every_chamber(dp2, dp3):

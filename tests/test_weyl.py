@@ -25,9 +25,11 @@ from zlab import (
     zariski_decompose,
 )
 from zlab.errors import (
+    NotFiniteCoxeterType,
     NotMinusTwoClass,
     NotNef,
     OrbitTooLarge,
+    OutOfRange,
     RankTooLargeForEnumeration,
 )
 
@@ -89,8 +91,8 @@ def test_orbit_of_one_curve_is_the_whole_curve_set(r):
 
 
 def test_orbits_available_above_the_group_cap():
-    """Orbits at r = 7 stay cheap, as does the group order from the orbit
-    tower; only the root-permutation oracle of these tests stops at r = 6."""
+    """Orbits at r = 7 stay cheap; only the root-permutation oracle of these
+    tests stops at r = 6."""
     dp7 = dp_model(7)
     assert len(weyl_orbit(dp7, dp7.lattice.basis_divisor(1))) == 56
     roots7 = enumerate_roots(dp7).roots
@@ -106,6 +108,77 @@ def test_orbit_cap_env_override(dp3, monkeypatch):
     monkeypatch.setenv("ZLAB_ORBIT_CAP", "2")
     with pytest.raises(OrbitTooLarge):
         weyl_orbit(dp3, dp3.lattice.basis_divisor(1))
+
+
+@pytest.mark.parametrize("cap", [0, -7])
+def test_orbit_cap_below_one_is_refused(dp3, cap):
+    """K's orbit is {K} and E1's has six classes: neither is searched."""
+    for start in (dp3.canonical, dp3.lattice.basis_divisor(1)):
+        with pytest.raises(OutOfRange, match=f"the orbit cap must be at least 1, got {cap}"):
+            weyl_orbit(dp3, start, cap=cap)
+
+
+@pytest.mark.parametrize("env", ["0", "-3"])
+def test_orbit_cap_env_below_one_is_refused(dp3, monkeypatch, env):
+    monkeypatch.setenv("ZLAB_ORBIT_CAP", env)
+    with pytest.raises(OutOfRange, match=f"the orbit cap must be at least 1, got {env}"):
+        weyl_orbit(dp3, dp3.canonical)
+    assert weyl_orbit(dp3, dp3.canonical, cap=1) == {dp3.canonical}  # the argument wins
+
+
+def count_orbit_searches(monkeypatch) -> list[tuple[int, int]]:
+    """Patch ``zlab.weyl._orbit`` to record (orbit size, generator count) per search."""
+    searches = []
+    plain = zlab.weyl._orbit
+
+    def counting(start, generators, cap):
+        orbit, d = plain(start, generators, cap)
+        searches.append((len(orbit), len(generators)))
+        return orbit, d
+
+    monkeypatch.setattr(zlab.weyl, "_orbit", counting)
+    return searches
+
+
+@pytest.mark.parametrize("r", [3, 4, 5, 6, 7])
+def test_predicted_orbit_size_matches_the_search(r):
+    """At cap 1 every orbit of two or more classes is refused by the prediction
+    |W| / |W_J|, whose message names the size the search finds uncapped."""
+    model = dp_model(r)
+    rng = random.Random(83 + r)
+    curves = [c.cls for c in model.curves]
+    starts = [model.canonical, model.lattice.basis_divisor(1)]
+    if r <= 5:
+        starts += [random_class(model, rng, max_den=1), random_class(model, rng)]
+    for trial in range(10):
+        den = 1 if trial % 2 else rng.randint(2, 5)
+        start = Fraction(rng.randint(-3, 3), den) * model.canonical
+        for cls in rng.sample(curves, 1 + trial % 3 // 2):
+            start = start + Fraction(rng.randint(1, 4), den) * cls
+        starts.append(start)
+    sizes = set()
+    for start in starts:
+        size = len(weyl_orbit(model, start))
+        sizes.add(size)
+        if size == 1:
+            assert weyl_orbit(model, start, cap=1) == {start}
+            continue
+        with pytest.raises(OrbitTooLarge, match=f"the orbit has {size} classes, above the cap of 1"):
+            weyl_orbit(model, start, cap=1)
+    assert len(sizes) > 2
+
+
+def test_dp8_orbit_above_the_cap_is_refused_unsearched(monkeypatch):
+    """A class in the open fundamental chamber has the whole group as its orbit."""
+    model = dp_model(8)
+    searches = count_orbit_searches(monkeypatch)
+    start = model.lattice.divisor([40, -1, -2, -3, -4, -5, -6, -7, -8])
+    message = "the orbit has 696729600 classes, above the cap of 10000000"
+    with pytest.raises(OrbitTooLarge, match=message):
+        weyl_orbit(model, start)
+    assert searches == []
+    assert len(weyl_orbit(model, model.lattice.basis_divisor(1))) == 240
+    assert searches == [(240, 8)]
 
 
 def test_rank_two_orbits_document_the_small_cases(dp2):
@@ -156,36 +229,91 @@ def test_group_orders():
     assert weyl_group_order(dp_model(8)) == 696_729_600
 
 
-@pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
+def tower_group_order(model) -> int:
+    """Oracle: the orbit-stabiliser tower |W_k| = |W_k . E_k| * |W_{k-1}|, W_k
+    generated by the simple roots supported on L, E1..Ek, so the order is a
+    product of r orbits of at most 240 classes.  For k != 3, E_k pairs -1 with
+    E_k - E_{k-1} and 0 with every other generator of W_k, so it lies in the
+    closed fundamental chamber of W_k, whose stabiliser is the parabolic
+    subgroup of the generators orthogonal to it: W_{k-1} (Humphreys,
+    Reflection Groups and Coxeter Groups, 1.12).  E_3 pairs +1 with
+    L-E1-E2-E3, so that step (12 = 6 * 2) rests on the permutation oracle."""
+    generators = simple_roots(model)
+    order = 1
+    for k in range(1, model.lattice.rank):
+        tower = tuple(alpha for alpha in generators if not any(alpha.coords[k + 1 :]))
+        order *= len(zlab.weyl._orbit(model.lattice.basis_divisor(k), tower, None)[0])
+    return order
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_group_order_matches_permutation_oracle(r):
-    assert weyl_group_order(dp_model(r)) == permutation_group_order(dp_model(r))
+    """The Coxeter-type classifier, the orbit tower and, for r <= 6, the group
+    enumerated as root permutations give one order."""
+    order = weyl_group_order(dp_model(r))
+    assert order == tower_group_order(dp_model(r))
+    if r <= 6:
+        assert order == permutation_group_order(dp_model(r))
 
 
 def test_group_order_work_is_the_orbit_tower(monkeypatch):
-    """The orbit search pairs every state with every generator of its tower
-    step once, so its work is the sum over k = 1..8 of |W_k . E_k| times the
+    """The tower's search pairs every state with every generator of its step
+    once, so its work is the sum over k = 1..8 of |W_k . E_k| times the
     number of W_k generators: 2,614 state-generator pairs, as many as the
     reflections the search made when it ran on ``reflect``."""
-    searches = []
-    plain = zlab.weyl._orbit
-
-    def counting(start, generators, cap):
-        orbit, d = plain(start, generators, cap)
-        searches.append((len(orbit), len(generators)))
-        return orbit, d
-
-    monkeypatch.setattr(zlab.weyl, "_orbit", counting)
-    assert weyl_group_order(dp_model(8)) == 696_729_600
+    searches = count_orbit_searches(monkeypatch)
+    assert tower_group_order(dp_model(8)) == 696_729_600
     orbits = [1, 2, 6, 10, 16, 27, 56, 240]
     generators = [0, 1, 3, 4, 5, 6, 7, 8]
     assert searches == list(zip(orbits, generators))
     assert sum(o * g for o, g in searches) == 2614
 
 
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_group_order_searches_no_orbit(monkeypatch, r):
+    searches = count_orbit_searches(monkeypatch)
+    weyl_group_order(dp_model(r))
+    assert searches == []
+
+
+def graph_order(n, edges):
+    return zlab.weyl._coxeter_order(range(n), lambda i, j: (i, j) in edges or (j, i) in edges)
+
+
+def path(nodes):
+    return {(a, b) for a, b in zip(nodes, nodes[1:])}
+
+
+def test_coxeter_orders_of_hand_built_diagrams():
+    assert graph_order(0, set()) == 1
+    assert graph_order(3, path([0, 1, 2])) == 24  # A3
+    assert graph_order(4, {(0, 1), (0, 2), (0, 3)}) == 192  # D4
+    assert graph_order(6, path([0, 1, 2, 3]) | {(1, 4)}) == 1920 * 2  # D5 x A1
+    assert graph_order(6, path([1, 0, 2, 3]) | path([0, 4, 5])) == 51_840  # E6
+    assert graph_order(7, path([1, 0, 2, 3]) | path([0, 4, 5, 6])) == 2_903_040  # E7
+    assert graph_order(8, path([1, 0, 2, 3]) | path([0, 4, 5, 6, 7])) == 696_729_600  # E8
+
+
+@pytest.mark.parametrize(
+    "n, edges",
+    [
+        (3, path([0, 1, 2, 0])),  # affine A2: a triangle
+        (5, {(0, 1), (0, 2), (0, 3), (0, 4)}),  # affine D4: a node of degree 4
+        (7, path([1, 2, 0, 3, 4]) | path([0, 5, 6])),  # affine E6: arms 2, 2, 2
+        (9, path([1, 2, 3, 4, 5, 0, 6, 7]) | {(0, 8)}),  # affine E8: arms 1, 2, 5
+        (6, path([0, 1, 2, 3]) | {(1, 4), (2, 5)}),  # affine D5: two branch nodes
+    ],
+    ids=["A2~", "D4~", "E6~", "E8~", "D5~"],
+)
+def test_coxeter_order_refuses_affine_diagrams(n, edges):
+    with pytest.raises(NotFiniteCoxeterType):
+        graph_order(n, edges)
+
+
 def test_group_order_builds_no_orbit_classes(monkeypatch):
-    """The tower counts the integer tuples of each orbit; the only classes
-    built are the eight basis classes and the eight simple roots (374 when
-    every orbit element became a DivisorClass)."""
+    """The classifier reads the simple roots' integer coordinates; the only
+    classes built are the eight simple roots (374 when every element of the
+    tower's orbits became a DivisorClass)."""
     model = dp_model(8)
     built = 0
     plain = DivisorClass.__post_init__
@@ -197,13 +325,14 @@ def test_group_order_builds_no_orbit_classes(monkeypatch):
 
     monkeypatch.setattr(DivisorClass, "__post_init__", counting)
     assert weyl_group_order(model) == 696_729_600
-    assert built <= 16
+    assert built == 8
 
 
 def test_group_order_pairs_once_per_reflection(monkeypatch):
-    """The integer search pairs states with precomputed integer rows, so the
-    only class pairings left are the eight generator squares checked once
-    each (pairing through ``reflect`` took 2,614 + 8 DivisorClass.dot calls)."""
+    """The classifier pairs the simple roots on their integer coordinates, so
+    no class pairing is left (the orbit tower checked the eight generator
+    squares, and pairing through ``reflect`` took 2,614 + 8 DivisorClass.dot
+    calls)."""
     model = dp_model(8)
     calls = 0
     plain = DivisorClass.dot
@@ -215,7 +344,7 @@ def test_group_order_pairs_once_per_reflection(monkeypatch):
 
     monkeypatch.setattr(DivisorClass, "dot", counting)
     assert weyl_group_order(model) == 696_729_600
-    assert calls <= 8
+    assert calls == 0
 
 
 def reflect_orbit(model, start, cap):
