@@ -37,14 +37,12 @@ def construct_nef_with_null(
         return model.ample
     nums, den = model.pairing_numerators(model.ample)
     xs, e = model.solve_curves(indices, [-nums[i] for i in indices], den)
-    coefficients = [Fraction(x, e) for x in xs]
-    if any(t <= 0 for t in coefficients):
+    if any(x <= 0 for x in xs):  # t_i = x_i / e with e > 0
         raise NotNegativeDefinite(
             "orthogonality system produced a non-positive coefficient"
         )
-    result = model.ample
-    for i, t in zip(indices, coefficients):
-        result = result + t * model.curves[i].cls
+    result = DivisorClass._reduced(
+        model.lattice, *model.minus_curves(*model.ample.cleared, indices, [-x for x in xs], e))
     if not is_nef(model, result):
         raise NullMismatch("constructed class is not nef")
     if null_set(model, result) != frozenset(model.curves[i].label for i in indices):

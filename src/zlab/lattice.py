@@ -1,10 +1,10 @@
 """Exact linear algebra over integer symmetric bilinear forms.
 
-Coordinates and matrix entries are ``fractions.Fraction``s; a value a + b*sqrt(m)
-is a :class:`QuadraticIrrational`, held as integers.  Nothing in this module (or in
-the modules built on top of it) rounds: chamber membership and wall crossings
-are discontinuous in the input, so a single rounding error could flip an
-answer.  Floating point appears only in reporting helpers (``__float__``).
+Matrix entries are ``fractions.Fraction``s; a divisor class is integers over one
+denominator and a + b*sqrt(m) a :class:`QuadraticIrrational` of integers.  Nothing
+here (or in the modules built on top of it) rounds: chamber membership and wall
+crossings are discontinuous in the input, so a single rounding error could flip
+an answer.  Floating point appears only in reporting helpers (``__float__``).
 """
 
 from __future__ import annotations
@@ -478,7 +478,7 @@ class IntersectionLattice(_Value, fields=("gram", "basis_labels")):
         return sum(x * sum(map(mul, row, v)) for x, row in zip(u, self.gram) if x)
 
     def divisor(self, coords: Sequence[Rational]) -> "DivisorClass":
-        return DivisorClass(self, tuple(coords))
+        return DivisorClass(self, coords)
 
     def basis_divisor(self, index: int) -> "DivisorClass":
         coords = [0] * self.rank
@@ -490,42 +490,45 @@ class IntersectionLattice(_Value, fields=("gram", "basis_labels")):
 
 
 class DivisorClass(_Value, fields=("lattice", "coords")):
-    """An R-divisor numerical class with exact rational coordinates."""
+    """An R-divisor numerical class with exact rational coordinates, stored as
+    one canonical pair ``cleared`` = (v, d): coords = v / d, built only when
+    read, with d > 0 and gcd(*v, d) == 1.  Equal classes store equal pairs, and
+    arithmetic works on integers with one gcd per result."""
 
     lattice: IntersectionLattice
-    coords: tuple[Fraction, ...]
+    cleared: tuple[tuple[int, ...], int]
 
-    def __init__(self, lattice: IntersectionLattice, coords: tuple[Rational, ...]) -> None:
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "coords", coords)
-        self.__post_init__()
+    def __init__(self, lattice: IntersectionLattice, coords: Sequence[Rational]) -> None:
+        v, d = clear_denominators(coords)  # reduced inputs: gcd(*v, d) == 1 already
+        if len(v) != lattice.rank:
+            raise ValueError(f"expected {lattice.rank} coordinates, got {len(v)}")
+        vars(self).update(lattice=lattice, cleared=(tuple(v), d))
 
-    # _Value's comparison and hash, spelled out: classes are compared and hashed in bulk
+    @classmethod
+    def _reduced(cls, lattice: IntersectionLattice, v: Sequence[int], d: int) -> "DivisorClass":
+        """The class v / d for integral v and d > 0, made canonical by one gcd."""
+        out, g = object.__new__(cls), math.gcd(*v, d)
+        v = tuple(v) if g == 1 else tuple(x // g for x in v)
+        vars(out).update(lattice=lattice, cleared=(v, d // g))
+        return out
+
+    # _Value's comparison and hash, on the stored pair: classes are compared and hashed in bulk
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.lattice, self.coords) == (other.lattice, other.coords)
+        return (self.lattice, self.cleared) == (other.lattice, other.cleared)
 
     def __hash__(self) -> int:
-        return hash((self.lattice, self.coords))
-
-    def __post_init__(self) -> None:
-        coords = tuple(c if type(c) is Fraction else Fraction(c) for c in self.coords)
-        if len(coords) != self.lattice.rank:
-            raise ValueError(
-                f"expected {self.lattice.rank} coordinates, got {len(coords)}"
-            )
-        object.__setattr__(self, "coords", coords)
+        return hash((self.lattice, self.cleared))
 
     def _check_same_lattice(self, other: "DivisorClass") -> None:
         if self.lattice is not other.lattice and self.lattice != other.lattice:
             raise LatticeMismatch("classes live in different lattices")
 
     @cached_property
-    def cleared(self) -> tuple[tuple[int, ...], int]:
-        """(v, d) with coords = v / d: d the least common denominator, v integral."""
-        v, d = clear_denominators(self.coords)
-        return tuple(v), d
+    def coords(self) -> tuple[Fraction, ...]:
+        v, d = self.cleared
+        return tuple(Fraction(x, d) for x in v)
 
     def dot(self, other: "DivisorClass") -> Fraction:
         """The integer form on the cleared coordinates, divided once at the end."""
@@ -539,45 +542,41 @@ class DivisorClass(_Value, fields=("lattice", "coords")):
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.cleared[0])
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         self._check_same_lattice(other)
-        return DivisorClass(
-            self.lattice, tuple(x + y for x, y in zip(self.coords, other.coords))
-        )
+        (u, d), (v, e) = self.cleared, other.cleared
+        return self._reduced(self.lattice, [x * e + y * d for x, y in zip(u, v)], d * e)
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        self._check_same_lattice(other)
-        return DivisorClass(
-            self.lattice, tuple(x - y for x, y in zip(self.coords, other.coords))
-        )
+        return self + (-other)
 
     def __neg__(self) -> "DivisorClass":
-        return DivisorClass(self.lattice, tuple(-x for x in self.coords))
+        v, d = self.cleared
+        out = object.__new__(DivisorClass)  # (-v, d) is canonical as it stands
+        vars(out).update(lattice=self.lattice, cleared=(tuple(-x for x in v), d))
+        return out
 
     def __mul__(self, scalar: Rational) -> "DivisorClass":
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        return DivisorClass(self.lattice, tuple(scalar * x for x in self.coords))
+        (v, d), p, q = self.cleared, scalar.numerator, scalar.denominator
+        return self._reduced(self.lattice, [p * x for x in v], q * d)
 
     __rmul__ = __mul__
 
     def format(self) -> str:
         """Human-readable form in the lattice basis, e.g. ``L-E1-E2``."""
+        v, d = self.cleared
         parts: list[str] = []
-        for coeff, label in zip(self.coords, self.lattice.basis_labels):
-            if coeff == 0:
-                continue
-            mag = abs(coeff)
-            body = label if mag == 1 else (
-                f"{mag}{label}" if mag.denominator == 1 else f"({mag}){label}"
-            )
-            if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
-            else:
-                parts.append(f"+{body}" if coeff > 0 else f"-{body}")
-        return "".join(parts) if parts else "0"
+        for x, label in zip(v, self.lattice.basis_labels):
+            if x:
+                g = math.gcd(x, d)  # |x|/d in lowest terms is n/m
+                n, m = abs(x) // g, d // g
+                body = label if n == m == 1 else f"{n}{label}" if m == 1 else f"({n}/{m}){label}"
+                parts.append(("-" if x < 0 else "+" if parts else "") + body)
+        return "".join(parts) or "0"
 
     def __str__(self) -> str:
         return self.format()

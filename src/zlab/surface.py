@@ -92,13 +92,13 @@ class SurfaceModel(_Value, fields=("lattice", "ample", "curves", "canonical")):
         index = {c.label: i for i, c in enumerate(self.curves)}
         if len(index) != len(self.curves):
             raise CurvePairingError("curve labels must be distinct")
-        seen: set[tuple[tuple[int, ...], int]] = set()
+        seen: set[DivisorClass] = set()
         for curve in self.curves:
             if curve.cls.lattice != self.lattice:
                 raise LatticeMismatch(f"curve {curve.label} in a different lattice")
-            if curve.cls.cleared in seen:  # equal classes clear to equal ints
+            if curve.cls in seen:
                 raise CurvePairingError(f"curve class {curve.label} is duplicated")
-            seen.add(curve.cls.cleared)
+            seen.add(curve.cls)
         # The pairing kernel: s clears the curve denominators, c_i = s*C_i and
         # rows[i] = G @ c_i; column k of the rows is packed into one int with a
         # 64-bit slot per curve, and gram[i][j] = c_i . c_j is paired by it.

@@ -6,11 +6,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable
 
-from .errors import (
-    NegativeDimension,
-    NotNegativeDefinite,
-    NotPseudoEffective,
-)
+from .errors import LatticeMismatch, NegativeDimension, NotNegativeDefinite, NotPseudoEffective
 from .lattice import DivisorClass, _Value
 from .surface import SurfaceModel
 from .zariski import ChamberDescriptor, _resolve_support, zariski_decompose
@@ -57,6 +53,8 @@ class QuadraticVolumePolynomial(_Value, fields=("chamber", "matrix")):
 
     def evaluate_coords(self, coords: Iterable[Fraction]) -> Fraction:
         xs = tuple(Fraction(c) for c in coords)
+        if len(xs) != len(self.matrix):
+            raise LatticeMismatch(f"expected {len(self.matrix)} coordinates, got {len(xs)}")
         total = Fraction(0)
         for xi, row in zip(xs, self.matrix):
             if xi == 0:

@@ -7,8 +7,8 @@ from fractions import Fraction
 from math import factorial
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from .errors import (NotFiniteCoxeterType, NotMinusTwoClass, NotNef, OrbitTooLarge, OutOfRange,
-                     RankTooLargeForEnumeration)
+from .errors import (LatticeMismatch, NotFiniteCoxeterType, NotMinusTwoClass, NotNef, OrbitTooLarge,
+                     OutOfRange, RankTooLargeForEnumeration)
 from .lattice import DivisorClass
 from .surface import NegativeCurve, SurfaceModel, is_nef, simple_roots
 from .volume import vol
@@ -45,9 +45,9 @@ def _orbit(start: DivisorClass, generators: tuple[DivisorClass, ...],
     and G @ alpha.  Exceeding ``cap`` (None: no cap) raises OrbitTooLarge."""
     gram, steps = start.lattice.gram, []
     for alpha in generators:
-        if alpha.square != -2 or any(x.denominator != 1 for x in alpha.coords):
+        if alpha.square != -2 or alpha.cleared[1] != 1:
             raise NotMinusTwoClass(f"{alpha} is not an integral class of square -2")
-        a = [(i, x.numerator) for i, x in enumerate(alpha.coords) if x]
+        a = [(i, x) for i, x in enumerate(alpha.cleared[0]) if x]
         row = [(i, s) for i, g in enumerate(gram) if (s := sum(g[j] * y for j, y in a))]
         steps.append((a, row))
     orbit, d = [start.cleared[0]], start.cleared[1]
@@ -112,6 +112,8 @@ def weyl_orbit(model: SurfaceModel, start: DivisorClass,
     other; descent reflects the start into their closed chamber, where its
     stabiliser is the parabolic subgroup W_J of the roots J orthogonal to it
     (Humphreys, 1.12), and an orbit of |W| / |W_J| > cap is refused."""
+    if start.lattice != model.lattice:
+        raise LatticeMismatch("class lives in a different lattice")
     cap, gram = _orbit_cap(cap), model.lattice.gram
     if len(gram) - 1 <= MAX_FINITE_R and gram not in _ORDERS:
         _ORDERS[gram] = weyl_group_order(model)
@@ -125,7 +127,7 @@ def weyl_orbit(model: SurfaceModel, start: DivisorClass,
         if (size := order // _coxeter_order([a for a in roots if not form(v, a)], form)) > cap:
             raise OrbitTooLarge(f"the orbit has {size} classes, above the cap of {cap}")
     orbit, d = _orbit(start, simple_roots(model), cap)
-    return {start.lattice.divisor([Fraction(x, d) for x in v] if d > 1 else v) for v in orbit}
+    return {DivisorClass._reduced(start.lattice, v, d) for v in orbit}
 
 
 def weyl_group_order(model: SurfaceModel) -> int:
@@ -152,7 +154,7 @@ def k3_reflection_volume(
         index = model.curve_index(label)
     except KeyError:
         raise NotMinusTwoClass(f"{label} is not a listed (-2)-curve") from None
-    square = model.curve_gram([index])[0][0]
+    square = model.curves[index].cls.square
     if square != -2:
         raise NotMinusTwoClass(f"{label} has square {square}, not -2")
     if not is_nef(model, nef_class):

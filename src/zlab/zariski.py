@@ -53,9 +53,8 @@ class ZariskiDecomposition(_Value, fields=("model", "input", "positive", "coeffi
             raise ValueError("negative-part coefficients must be strictly positive")
         indices = [self.model.curve_index(curve.label) for curve, _ in pairs]
         xs, e = clear_denominators(x for _, x in pairs)
-        rest, q = self.model.minus_curves(*self.input.cleared, indices, xs, e)
-        p, d = self.positive.cleared
-        if [x * d for x in rest] != [y * q for y in p]:
+        rest = self.model.minus_curves(*self.input.cleared, indices, xs, e)
+        if DivisorClass._reduced(self.model.lattice, *rest) != self.positive:
             raise ValueError("positive and negative part do not sum to the input")
         nums = self.model.pairing_numerators(self.positive)[0]
         if not is_nef(self.model, self.positive, nums):
@@ -183,7 +182,7 @@ def zariski_decompose(model: SurfaceModel, divisor: DivisorClass) -> ZariskiDeco
         if not violating:
             break
         support.extend(violating)
-    positive = model.lattice.divisor([Fraction(x, q) for x in p])
+    positive = DivisorClass._reduced(model.lattice, p, q)
     if not is_nef(model, positive, positive_nums):
         raise NotPseudoEffective(
             "no curve left to add but the candidate positive part is not nef"

@@ -810,3 +810,89 @@ def test_affine_diagrams_are_not_negative_definite(name):
     assert signature(gram) == (0, size - 1, 1)
     with pytest.raises(NotNegativeDefinite):
         solve_symmetric(gram, [-1] * size)
+
+
+class FractionClass:
+    """Reference divisor class on a tuple of Fractions, the representation
+    DivisorClass stored before it moved to one integer pair (v, d); its
+    pairing sums the Gram entries directly."""
+
+    def __init__(self, lattice, coords):
+        self.lattice, self.coords = lattice, tuple(Fraction(c) for c in coords)
+
+    def __add__(self, other):
+        return FractionClass(self.lattice, [x + y for x, y in zip(self.coords, other.coords)])
+
+    def __sub__(self, other):
+        return FractionClass(self.lattice, [x - y for x, y in zip(self.coords, other.coords)])
+
+    def __neg__(self):
+        return FractionClass(self.lattice, [-x for x in self.coords])
+
+    def scaled(self, scalar):
+        return FractionClass(self.lattice, [scalar * x for x in self.coords])
+
+    def dot(self, other):
+        gram = self.lattice.gram
+        return sum(x * gram[i][j] * y for i, x in enumerate(self.coords)
+                   for j, y in enumerate(other.coords))
+
+    def format(self):
+        parts = []
+        for coeff, label in zip(self.coords, self.lattice.basis_labels):
+            if coeff:
+                mag = abs(coeff)
+                body = label if mag == 1 else (
+                    f"{mag}{label}" if mag.denominator == 1 else f"({mag}){label}")
+                parts.append(("-" if coeff < 0 else "+" if parts else "") + body)
+        return "".join(parts) or "0"
+
+    def __repr__(self):
+        return f"DivisorClass(lattice={self.lattice!r}, coords={self.coords!r})"
+
+
+def _same_class(ours, reference):
+    """ours is the class the reference describes: canonical (v, d), the same
+    coordinates, pairing, text and zero test."""
+    v, d = ours.cleared
+    assert d > 0 and math.gcd(*v, d) == 1 and type(v) is tuple
+    assert ours.coords == reference.coords and all(type(x) is Fraction for x in ours.coords)
+    assert ours.coords == tuple(Fraction(x, d) for x in v)
+    assert ours.square == reference.dot(reference)
+    assert ours.is_zero == (not any(reference.coords))
+    assert ours.format() == str(ours) == reference.format()
+    assert repr(ours) == repr(reference)
+    twin = ours.lattice.divisor(reference.coords)
+    assert twin == ours and hash(twin) == hash(ours) and twin.cleared == ours.cleared
+
+
+DIFFERENTIAL_LATTICES = [
+    dp_model(2).lattice,
+    dp_model(4).lattice,
+    IntersectionLattice([[2, 1, 0], [1, -2, 1], [0, 1, -2]], ["H", "A", "B"]),
+]
+mixed_coords = st.one_of(st.integers(-12, 12), rationals, big_rationals)
+scalars = st.one_of(st.integers(-5, 5), rationals, st.just(0), st.just(Fraction(0)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(DIFFERENTIAL_LATTICES), st.data(), scalars)
+def test_divisor_class_matches_the_fraction_tuple_reference(lattice, data, scalar):
+    """Integer (v, d) arithmetic against the Fraction-tuple reference: building
+    from mixed ints and Fractions, +, -, negation, scalar products (zero and
+    negative scalars among them), pairing, equality and its hash, and text."""
+    coords = st.lists(mixed_coords, min_size=lattice.rank, max_size=lattice.rank)
+    a, b = data.draw(coords), data.draw(coords)
+    x, X = lattice.divisor(a), FractionClass(lattice, a)
+    y, Y = lattice.divisor(b), FractionClass(lattice, b)
+    for ours, reference in [
+        (x, X), (y, Y), (x + y, X + Y), (x - y, X - Y), (y - x, Y - X), (-x, -X),
+        (scalar * x, X.scaled(scalar)), (x * scalar, X.scaled(scalar)), (x - x, X - X),
+    ]:
+        _same_class(ours, reference)
+    assert x.dot(y) == y.dot(x) == X.dot(Y)
+    assert (x == y) == (X.coords == Y.coords) and (x != y) == (X.coords != Y.coords)
+    assert (x + y) - y == x and hash((x + y) - y) == hash(x)
+    assert x + y == y + x and hash(x + y) == hash(y + x)
+    if scalar:
+        assert (x * scalar) * (1 / Fraction(scalar)) == x

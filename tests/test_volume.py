@@ -21,7 +21,7 @@ from zlab import (
     vol,
     volume_polynomial,
 )
-from zlab.errors import NegativeDimension, UnrealizableSupport
+from zlab.errors import LatticeMismatch, NegativeDimension, UnrealizableSupport
 from zlab.lattice import clear_denominators, gram_matrix, invert_matrix
 from zlab.zariski import support_curves
 
@@ -242,3 +242,15 @@ def test_kunneth_accepts_quadratic_irrationals():
 def test_kunneth_rejects_negative_dimensions():
     with pytest.raises(NegativeDimension):
         kunneth_volume(Fraction(1), -1, Fraction(1), 2)
+
+
+def test_evaluate_refuses_a_coordinate_count_other_than_the_form_size():
+    """A count check, not zip, meets extra or missing coordinates: zip read a
+    dp6 class as 4 on this dp5 form, and [1, 0] as 1."""
+    form = volume_polynomial(dp_model(5), [])
+    with pytest.raises(LatticeMismatch, match="expected 6 coordinates, got 7"):
+        form.evaluate(dp_model(6).ample)
+    for coords in ([1, 0], [1] * 7):
+        with pytest.raises(LatticeMismatch, match=f"expected 6 coordinates, got {len(coords)}"):
+            form.evaluate_coords(coords)
+    assert form.evaluate(dp_model(5).ample) == form.evaluate_coords(dp_model(5).ample.coords) == 4

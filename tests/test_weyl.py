@@ -25,6 +25,7 @@ from zlab import (
     zariski_decompose,
 )
 from zlab.errors import (
+    LatticeMismatch,
     NotFiniteCoxeterType,
     NotMinusTwoClass,
     NotNef,
@@ -124,6 +125,21 @@ def test_orbit_cap_env_below_one_is_refused(dp3, monkeypatch, env):
     with pytest.raises(OutOfRange, match=f"the orbit cap must be at least 1, got {env}"):
         weyl_orbit(dp3, dp3.canonical)
     assert weyl_orbit(dp3, dp3.canonical, cap=1) == {dp3.canonical}  # the argument wins
+
+
+@pytest.mark.parametrize("model_r, class_r", [(6, 5), (5, 6)], ids=["shorter", "longer"])
+def test_orbit_of_a_class_from_another_lattice_is_refused_unsearched(model_r, class_r,
+                                                                   monkeypatch):
+    """A dp5 class in dp6 once raised a bare IndexError, and a dp6 class in dp5
+    came back as a one-class orbit; now neither reaches the simple roots."""
+    model, start = dp_model(model_r), dp_model(class_r).canonical
+
+    def unreachable(*args):
+        raise AssertionError("the orbit was searched")
+
+    monkeypatch.setattr(zlab.weyl, "simple_roots", unreachable)
+    with pytest.raises(LatticeMismatch, match="class lives in a different lattice"):
+        weyl_orbit(model, start)
 
 
 def count_orbit_searches(monkeypatch) -> list[tuple[int, int]]:
@@ -313,17 +329,22 @@ def test_coxeter_order_refuses_affine_diagrams(n, edges):
 def test_group_order_builds_no_orbit_classes(monkeypatch):
     """The classifier reads the simple roots' integer coordinates; the only
     classes built are the eight simple roots (374 when every element of the
-    tower's orbits became a DivisorClass)."""
+    tower's orbits became a DivisorClass).  Classes are built by ``__init__``,
+    by ``_reduced`` and, gcd-free, by negation; all three are counted."""
     model = dp_model(8)
     built = 0
-    plain = DivisorClass.__post_init__
+    init, reduced, neg = DivisorClass.__init__, DivisorClass._reduced, DivisorClass.__neg__
 
-    def counting(self):
-        nonlocal built
-        built += 1
-        plain(self)
+    def counting(plain):
+        def count(*args):
+            nonlocal built
+            built += 1
+            return plain(*args)
+        return count
 
-    monkeypatch.setattr(DivisorClass, "__post_init__", counting)
+    monkeypatch.setattr(DivisorClass, "__init__", counting(init))
+    monkeypatch.setattr(DivisorClass, "_reduced", staticmethod(counting(reduced)))
+    monkeypatch.setattr(DivisorClass, "__neg__", counting(neg))
     assert weyl_group_order(model) == 696_729_600
     assert built == 8
 
