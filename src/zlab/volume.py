@@ -7,7 +7,7 @@ from math import comb
 from typing import Iterable
 
 from .errors import LatticeMismatch, NegativeDimension, NotNegativeDefinite, NotPseudoEffective
-from .lattice import DivisorClass, _Value
+from .lattice import DivisorClass, IntersectionLattice, _Value
 from .surface import SurfaceModel
 from .zariski import ChamberDescriptor, _resolve_support, zariski_decompose
 
@@ -32,16 +32,17 @@ class QuadraticVolumePolynomial(_Value, fields=("chamber", "matrix")):
 
     ``matrix`` is symmetric with exact rational entries, expressed in the
     model basis with no normalization, so printed coefficients can be
-    compared directly against hand computations.
+    compared directly against hand computations.  ``lattice``, when given
+    (``volume_polynomial`` gives its model's), is no field: repr and equality
+    read the two fields only, and ``evaluate`` refuses a class of another.
     """
 
     chamber: ChamberDescriptor
     matrix: tuple[tuple[Fraction, ...], ...]
 
-    def __init__(self, chamber: ChamberDescriptor,
-                 matrix: tuple[tuple[Fraction, ...], ...]) -> None:
-        object.__setattr__(self, "chamber", chamber)
-        object.__setattr__(self, "matrix", matrix)
+    def __init__(self, chamber: ChamberDescriptor, matrix: tuple[tuple[Fraction, ...], ...],
+                 lattice: "IntersectionLattice | None" = None) -> None:
+        vars(self).update(chamber=chamber, matrix=matrix, lattice=lattice)
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -63,6 +64,8 @@ class QuadraticVolumePolynomial(_Value, fields=("chamber", "matrix")):
         return total
 
     def evaluate(self, divisor: DivisorClass) -> Fraction:
+        if self.lattice is not None and divisor.lattice != self.lattice:
+            raise LatticeMismatch("class lives in a different lattice")
         return self.evaluate_coords(divisor.coords)
 
 
@@ -93,7 +96,7 @@ def volume_polynomial(
         )
         for i in range(rank)
     )
-    return QuadraticVolumePolynomial(chamber, quadratic)
+    return QuadraticVolumePolynomial(chamber, quadratic, model.lattice)
 
 
 def kunneth_volume(volume_1, dimension_1: int, volume_2, dimension_2: int):

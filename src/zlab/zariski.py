@@ -27,10 +27,10 @@ from .surface import NegativeCurve, SurfaceModel, is_nef
 
 
 class ZariskiDecomposition(_Value, fields=("model", "input", "positive", "coefficients")):
-    """D = P + sum(a_C * C) with P nef, P.C = 0 on the support, and the
-    support's pairing matrix negative definite.  All listed coefficients are
-    strictly positive; zero coefficients are pruned before construction.
-    Construction re-checks every one of these invariants exactly.
+    """D = P + sum(a_C * C) with P nef, P.C = 0 on the support, its pairing
+    matrix negative definite, and every listed coefficient strictly positive
+    (zeros are pruned).  The constructor re-checks each exactly.  ``_of`` checks
+    none: ``zariski_decompose`` establishes each on its way, as its comments say.
     """
 
     model: SurfaceModel
@@ -40,19 +40,21 @@ class ZariskiDecomposition(_Value, fields=("model", "input", "positive", "coeffi
 
     def __init__(self, model: SurfaceModel, input: DivisorClass, positive: DivisorClass,
                  coefficients: Iterable[tuple[NegativeCurve, Fraction]]) -> None:
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "input", input)
-        object.__setattr__(self, "positive", positive)
-        object.__setattr__(self, "coefficients", coefficients)
+        vars(self).update(vars(self._of(model, input, positive, coefficients)))
         self.__post_init__()
 
+    @classmethod
+    def _of(cls, model: SurfaceModel, input: DivisorClass, positive: DivisorClass,
+            pairs: Iterable[tuple[NegativeCurve, Fraction]]) -> "ZariskiDecomposition":
+        out, pairs = object.__new__(cls), tuple(sorted(pairs, key=lambda item: item[0].label))
+        vars(out).update(model=model, input=input, positive=positive, coefficients=pairs)
+        return out
+
     def __post_init__(self) -> None:
-        pairs = tuple(sorted(self.coefficients, key=lambda item: item[0].label))
-        object.__setattr__(self, "coefficients", pairs)
-        if any(coeff <= 0 for _, coeff in pairs):
+        if any(coeff <= 0 for _, coeff in self.coefficients):
             raise ValueError("negative-part coefficients must be strictly positive")
-        indices = [self.model.curve_index(curve.label) for curve, _ in pairs]
-        xs, e = clear_denominators(x for _, x in pairs)
+        indices = [self.model.curve_index(curve.label) for curve, _ in self.coefficients]
+        xs, e = clear_denominators(x for _, x in self.coefficients)
         rest = self.model.minus_curves(*self.input.cleared, indices, xs, e)
         if DivisorClass._reduced(self.model.lattice, *rest) != self.positive:
             raise ValueError("positive and negative part do not sum to the input")
@@ -65,10 +67,6 @@ class ZariskiDecomposition(_Value, fields=("model", "input", "positive", "coeffi
             raise ValueError("support pairing matrix is not negative definite")
 
     @property
-    def negative_coeffs(self) -> dict[NegativeCurve, Fraction]:
-        return dict(self.coefficients)
-
-    @property
     def support(self) -> tuple[NegativeCurve, ...]:
         return tuple(curve for curve, _ in self.coefficients)
 
@@ -78,13 +76,10 @@ class ZariskiDecomposition(_Value, fields=("model", "input", "positive", "coeffi
 
     @property
     def negative(self) -> DivisorClass:
-        return self.input - self.positive  # = sum(a_C * C), checked at construction
+        return self.input - self.positive  # = sum(a_C * C)
 
     def coefficient(self, label: str) -> Fraction:
-        for curve, coeff in self.coefficients:
-            if curve.label == label:
-                return coeff
-        return Fraction(0)
+        return next((x for curve, x in self.coefficients if curve.label == label), Fraction(0))
 
 
 class ChamberDescriptor(_Value, fields=("support",)):
@@ -162,7 +157,7 @@ def zariski_decompose(model: SurfaceModel, divisor: DivisorClass) -> ZariskiDeco
     nums, den = model.pairing_numerators(divisor)  # every sign below reads ints
     witness = divisor.dot(model.ample)  # is_nef inlined: the test below reuses it
     if divisor.square >= 0 and witness >= 0 and min(nums, default=0) >= 0:
-        return ZariskiDecomposition(model, divisor, divisor, ())
+        return ZariskiDecomposition._of(model, divisor, divisor, ())
     if witness <= 0:
         raise NotPseudoEffective(
             "class pairs non-positively with the ample witness and is not nef"
@@ -177,18 +172,22 @@ def zariski_decompose(model: SurfaceModel, divisor: DivisorClass) -> ZariskiDeco
         xs, e = model.solve_curves(support, [nums[i] for i in support], den)
         p, q = model.minus_curves(v, d, support, xs, e)
         positive_nums = model.pair_cleared(p, q)[0]
-        # the exact solve makes P . C = 0 on the support, so no support curve is listed
-        violating = [i for i, n in enumerate(positive_nums) if n < 0]
-        if not violating:
+        if min(positive_nums, default=0) >= 0:
             break
-        support.extend(violating)
-    positive = DivisorClass._reduced(model.lattice, p, q)
+        # the exact solve makes P . C = 0 on the support, so no support curve is listed
+        support.extend([i for i, n in enumerate(positive_nums) if n < 0])
+    positive = DivisorClass._reduced(model.lattice, p, q)  # = D - N for exactly these xs
     if not is_nef(model, positive, positive_nums):
         raise NotPseudoEffective(
             "no curve left to add but the candidate positive part is not nef"
         )
+    if any(x < 0 for x in xs):  # never, as the decomposition exists; cheap on ints
+        raise ValueError("negative-part coefficients must be strictly positive")
+    if any(positive_nums[i] for i in support):
+        raise ValueError("positive part is not orthogonal to the support")
+    # negative definite, as the solve's pivots showed; dropping zeros leaves a principal submatrix
     pairs = tuple((model.curves[i], Fraction(x, e)) for i, x in zip(support, xs) if x)
-    return ZariskiDecomposition(model, divisor, positive, pairs)
+    return ZariskiDecomposition._of(model, divisor, positive, pairs)
 
 
 def neg_set(model: SurfaceModel, divisor: DivisorClass) -> frozenset[str]:

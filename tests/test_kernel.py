@@ -10,6 +10,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import zlab.lattice
+import zlab.zariski
 from conftest import assert_segments_match_chambers, dp_model, user_models
 from test_acceptance import _negative_definite_subsets, _oracle_decompose
 from zlab import (
@@ -114,39 +116,73 @@ def test_del_pezzo_8_pairs_each_curve_once(monkeypatch):
     assert calls <= 241
 
 
-def test_each_class_is_paired_once(monkeypatch):
-    """A decomposition pairs its input once, each candidate positive part once
-    and the checked positive part once more; a walk pairs the bundle and the
-    direction once rather than on every round, and reuses the direction's
-    pairings from its ampleness test (the counts were 6 and 24, then 3 and 15).
-    Every pairing goes through the packed kernel ``pair_cleared``, so it is the
-    one counted: ``pairing_numerators`` and ``curve_pairings`` wrap it, and the
-    integer positive parts of a decomposition or a walk are paired by it."""
-    dp7, dp8 = del_pezzo(7), del_pezzo(8)
-    calls = 0
+def count_pairings(monkeypatch) -> list[int]:
+    """Count the calls of the packed kernel ``pair_cleared``, which every
+    pairing goes through: ``pairing_numerators`` and ``curve_pairings`` wrap it,
+    and the integer positive parts of a decomposition or a walk are paired by it."""
+    calls = [0]
     plain = SurfaceModel.pair_cleared
 
     def counting(self, v, d):
-        nonlocal calls
-        calls += 1
+        calls[0] += 1
         return plain(self, v, d)
 
     monkeypatch.setattr(SurfaceModel, "pair_cleared", counting)
+    return calls
+
+
+def test_each_class_is_paired_once(monkeypatch):
+    """A decomposition pairs its input once and each candidate positive part
+    once; the last candidate's pairings serve the nef, orthogonality and
+    result checks.  A walk pairs the bundle and the direction once rather
+    than on every round, and reuses the direction's pairings from its
+    ampleness test (the counts were 6 and 24, then 3 and 15, then 3 and 14
+    while the result's invariants were re-derived on construction)."""
+    dp7, dp8 = del_pezzo(7), del_pezzo(8)
+    calls = count_pairings(monkeypatch)
     dec = zariski_decompose(dp8, dp8.lattice.divisor([10, -6, -5, -2, -2, -1, -1, -1, -1]))
     assert [c.label for c in dec.support] == ["L-E1-E2"]
-    assert calls == 3  # input, one round's candidate, the invariant check
-    calls = 0
+    assert calls == [2]  # the input and one round's candidate
+    calls[0] = 0
     bundle = dp7.lattice.divisor([9, -3, -3, -2, -2, -1, -1, -1])
     walk = destabilizing_numbers(dp7, bundle, dp7.ample)
     assert walk.breakpoints == (1, 2) and len(walk.segments) == 3
-    assert calls == 14
+    assert calls == [13]
+
+
+def count_eliminations(monkeypatch) -> list[int]:
+    """Record the size of every negative-definiteness elimination, in the
+    solves and in the public constructor's re-check alike."""
+    sizes: list[int] = []
+    plain = zlab.lattice._negative_definite_factor
+
+    def counting(matrix):
+        sizes.append(len(matrix))
+        return plain(matrix)
+
+    monkeypatch.setattr(zlab.lattice, "_negative_definite_factor", counting)
+    monkeypatch.setattr(zlab.zariski, "_negative_definite_factor", counting)
+    return sizes
+
+
+def test_nef_class_is_paired_once_and_eliminates_nothing(monkeypatch):
+    """The nef fast path returns after pairing the input once; the big class
+    of the test above solves its one-curve support by one elimination."""
+    dp8 = del_pezzo(8)
+    calls, sizes = count_pairings(monkeypatch), count_eliminations(monkeypatch)
+    dec = zariski_decompose(dp8, 3 * dp8.ample)
+    assert dec.positive == 3 * dp8.ample and dec.coefficients == ()
+    assert calls == [1] and sizes == []
+    zariski_decompose(dp8, dp8.lattice.divisor([10, -6, -5, -2, -2, -1, -1, -1, -1]))
+    assert sizes == [1]
 
 
 def test_decomposition_pairs_its_input_with_the_witness_once(monkeypatch):
     """The input's pairing with the ample witness serves both the nef test and
-    the pseudo-effectivity test; the other two pairings belong to the final
-    nef check and the invariant check of the positive part (4 while the nef
-    test and the pseudo-effectivity test each paired the input)."""
+    the pseudo-effectivity test; the other pairing belongs to the final nef
+    check of the positive part (4 while the nef test and the
+    pseudo-effectivity test each paired the input, 3 while the result's
+    invariants were re-derived on construction)."""
     dp8 = del_pezzo(8)
     calls = 0
     plain = DivisorClass.dot
@@ -159,7 +195,7 @@ def test_decomposition_pairs_its_input_with_the_witness_once(monkeypatch):
     monkeypatch.setattr(DivisorClass, "dot", counting)
     dec = zariski_decompose(dp8, dp8.lattice.divisor([10, -6, -5, -2, -2, -1, -1, -1, -1]))
     assert [c.label for c in dec.support] == ["L-E1-E2"]
-    assert calls == 3
+    assert calls == 2
 
 
 @settings(max_examples=80, deadline=None)

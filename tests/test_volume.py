@@ -13,13 +13,16 @@ import zlab.lattice
 from conftest import a2_chain_model, dp_model, k3_model, random_big_class, user_models
 from test_kernel import scaled_user_models
 from zlab import (
+    IntersectionLattice,
     QuadraticIrrational,
+    QuadraticVolumePolynomial,
     chamber_of,
     construct_nef_with_null,
     enumerate_chambers,
     kunneth_volume,
     vol,
     volume_polynomial,
+    zariski_decompose,
 )
 from zlab.errors import LatticeMismatch, NegativeDimension, UnrealizableSupport
 from zlab.lattice import clear_denominators, gram_matrix, invert_matrix
@@ -246,11 +249,49 @@ def test_kunneth_rejects_negative_dimensions():
 
 def test_evaluate_refuses_a_coordinate_count_other_than_the_form_size():
     """A count check, not zip, meets extra or missing coordinates: zip read a
-    dp6 class as 4 on this dp5 form, and [1, 0] as 1."""
+    dp6 class as 4 on this dp5 form, and [1, 0] as 1.  A form that knows no
+    lattice, built by hand, still counts a class's coordinates."""
     form = volume_polynomial(dp_model(5), [])
+    unbound = QuadraticVolumePolynomial(form.chamber, form.matrix)
     with pytest.raises(LatticeMismatch, match="expected 6 coordinates, got 7"):
-        form.evaluate(dp_model(6).ample)
+        unbound.evaluate(dp_model(6).ample)
     for coords in ([1, 0], [1] * 7):
         with pytest.raises(LatticeMismatch, match=f"expected 6 coordinates, got {len(coords)}"):
             form.evaluate_coords(coords)
     assert form.evaluate(dp_model(5).ample) == form.evaluate_coords(dp_model(5).ample.coords) == 4
+    assert unbound == form and unbound.evaluate(dp_model(5).ample) == 4
+
+
+def test_evaluate_refuses_a_class_of_another_lattice():
+    """The form keeps the lattice it was built on, out of its fields: a class
+    of another lattice of the same rank read 0 here, silently."""
+    form = volume_polynomial(dp_model(2), ["E1"])
+    other = IntersectionLattice([[2, 0, 0], [0, -1, 0], [0, 0, -1]], "abc")
+    for divisor in (other.divisor([1, 1, 1]), dp_model(6).ample):
+        with pytest.raises(LatticeMismatch, match="class lives in a different lattice"):
+            form.evaluate(divisor)
+    assert form.lattice is dp_model(2).lattice and "lattice" not in repr(form)
+    assert form == QuadraticVolumePolynomial(form.chamber, form.matrix)
+    assert form.evaluate_coords([1, 1, 1]) == form.evaluate(dp_model(2).lattice.divisor([1, 1, 1]))
+
+
+@pytest.mark.parametrize("model", [lambda: dp_model(3), lambda: dp_model(4), lambda: dp_model(5),
+                                   lambda: dp_model(6), a2_chain_model, lambda: k3_model(1)],
+                         ids=["dp3", "dp4", "dp5", "dp6", "a2", "k3(1)"])
+def test_volume_gradient_is_twice_the_positive_part(model):
+    """grad vol(D) = 2 P(D) . (-) (Boucksom-Favre-Jonsson): on the chamber
+    of a big class D, the form's matrix M has M @ D = G @ P(D), with P(D)
+    from the augmentation and M from one Bareiss solve on the support."""
+    surface, rng = model(), random.Random(97)
+    gram, rank = surface.lattice.gram, surface.lattice.rank
+    supports = set()
+    for _ in range(25):
+        divisor = random_big_class(surface, rng)
+        chamber = chamber_of(surface, divisor)
+        matrix = volume_polynomial(surface, chamber).matrix
+        positive = zariski_decompose(surface, divisor).positive.coords
+        for i in range(rank):
+            assert sum(m * x for m, x in zip(matrix[i], divisor.coords)) == sum(
+                g * p for g, p in zip(gram[i], positive))
+        supports.add(chamber.support)
+    assert len(supports) > 1

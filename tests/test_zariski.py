@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dp_model, random_ample_class, random_big_class
+from conftest import (a2_chain_model, dp_model, k3_model, random_ample_class, random_big_class,
+                      user_models)
+from test_kernel import RATIONALS, scaled_user_models
 from zlab import (
     SurfaceModel,
     chamber_closure_contains,
@@ -93,6 +95,60 @@ def test_decomposition_refuses_broken_invariants(dp2, input_coords, positive_coo
             coefficients=tuple((dp2.curve_by_label(k), Fraction(v)) for k, v in parts.items()),
         )
     assert str(excinfo.value) == message
+
+
+# -- the public constructor as an oracle for zariski_decompose --------------
+
+
+def rebuilds_through_the_constructor(model: SurfaceModel, divisor) -> bool:
+    """Decompose the class, if it decomposes, and rebuild the result with the
+    public constructor, which re-checks every invariant that
+    ``zariski_decompose`` establishes on its own path; True iff the support is
+    nonempty."""
+    try:
+        dec = zariski_decompose(model, divisor)
+    except (NotPseudoEffective, NotNegativeDefinite):
+        return False
+    rebuilt = ZariskiDecomposition(model, divisor, dec.positive, dec.coefficients)
+    assert rebuilt == dec and rebuilt.coefficients == dec.coefficients
+    return bool(dec.coefficients)
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_every_decomposition_passes_the_constructor_on_del_pezzo(r):
+    """Classes drawn as the benchmark draws them: randint(1, 30), then
+    Fraction(randint(-6, 8), randint(1, 4)) per exceptional coordinate."""
+    model, rng = dp_model(r), random.Random(400 + r)
+    supported = sum(
+        rebuilds_through_the_constructor(model, model.lattice.divisor(
+            [rng.randint(1, 30)] + [Fraction(rng.randint(-6, 8), rng.randint(1, 4))
+                                    for _ in range(r)]))
+        for _ in range(40)
+    )
+    assert supported > 0
+
+
+@pytest.mark.parametrize("model", [a2_chain_model, lambda: k3_model(1), lambda: k3_model(2)],
+                         ids=["a2", "k3(1)", "k3(2)"])
+def test_every_decomposition_passes_the_constructor_off_del_pezzo(model):
+    surface, rng = model(), random.Random(409)
+    rank = surface.lattice.rank
+    supported = sum(
+        rebuilds_through_the_constructor(surface, surface.lattice.divisor(
+            [Fraction(rng.randint(-6, 8), rng.randint(1, 4)) for _ in range(rank)]))
+        for _ in range(60)
+    )
+    assert supported > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(user_models(), scaled_user_models()), st.data())
+def test_every_decomposition_passes_the_constructor_on_user_models(model, data):
+    rank = model.lattice.rank
+    for _ in range(3):
+        coords = data.draw(st.lists(RATIONALS, min_size=rank, max_size=rank))
+        rebuilds_through_the_constructor(model, model.lattice.divisor(coords))
+        rebuilds_through_the_constructor(model, model.ample + model.lattice.divisor(coords))
 
 
 def test_not_pseudo_effective_class_is_not_big(dp2):
@@ -252,7 +308,7 @@ def test_iterative_matches_brute_force(dp2, dp3):
 
 def test_decomposition_on_the_largest_model():
     """240-curve model: multi-round augmentation still lands on a valid
-    decomposition with all invariants re-verified by construction."""
+    decomposition, which the public constructor re-checks and accepts."""
     model = dp_model(8)
     rng = random.Random(83)
     lat = model.lattice
@@ -260,6 +316,7 @@ def test_decomposition_on_the_largest_model():
     for _ in range(10):
         divisor = random_big_class(model, rng, lo=-3, hi=4, max_den=2)
         dec = zariski_decompose(model, divisor)
+        assert rebuilds_through_the_constructor(model, divisor) == bool(dec.coefficients)
         assert dec.support_labels <= null_set(model, dec.positive)
         seen_nonempty = seen_nonempty or bool(dec.coefficients)
         doubled = zariski_decompose(model, 2 * divisor)
