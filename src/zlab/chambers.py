@@ -126,7 +126,7 @@ def enumerate_chambers(model: SurfaceModel) -> list[ChamberDescriptor]:
             f"chamber enumeration supports at most {MAX_ENUMERABLE_CURVES} curves;"
             f" the model lists {n}"
         )
-    g = model.curve_gram(range(n))
+    g = model.kernel_gram(range(n))  # s**2 * C_i . C_j: pairs, meets and definiteness ignore s
     pairs = [sum(1 << j for j in range(n) if g[i][i] * g[j][j] > g[i][j] ** 2) for i in range(n)]
     meets = [sum(1 << j for j in range(n) if g[i][j]) for i in range(n)]
     found = [ChamberDescriptor(())]
@@ -136,7 +136,7 @@ def enumerate_chambers(model: SurfaceModel) -> list[ChamberDescriptor]:
             idx = allowed.bit_length() - 1
             allowed ^= 1 << idx
             support = stack + (idx,)
-            if met >> idx & 1 and not is_negative_definite(model.curve_gram(support)):
+            if met >> idx & 1 and not is_negative_definite(model.kernel_gram(support)):
                 continue
             found.append(ChamberDescriptor(tuple(curves[i].label for i in support)))
             descend(support, allowed & pairs[idx], met | meets[idx])

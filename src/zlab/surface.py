@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import struct
 from fractions import Fraction
-from math import isqrt, lcm
+from itertools import combinations
+from math import lcm
 from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
@@ -35,11 +36,6 @@ def _pack(column: Sequence[int], width: int) -> int:
     return sum(x << (width * i) for i, x in enumerate(column) if x)
 
 
-def _exact(value: int, scale: int) -> Rational:
-    """value / scale, kept a plain int at scale 1 (int / int would be a float)."""
-    return value if scale == 1 else Fraction(value, scale)
-
-
 class NegativeCurve(_Value, fields=("label", "cls")):
     """An irreducible curve class with negative self-intersection."""
 
@@ -52,7 +48,8 @@ class NegativeCurve(_Value, fields=("label", "cls")):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        if self.cls.square >= 0:
+        v = self.cls.cleared[0]
+        if self.cls.lattice.form(v, v) >= 0:
             raise CurvePairingError(
                 f"curve {self.label} has non-negative self-intersection"
             )
@@ -92,13 +89,13 @@ class SurfaceModel(_Value, fields=("lattice", "ample", "curves", "canonical")):
         index = {c.label: i for i, c in enumerate(self.curves)}
         if len(index) != len(self.curves):
             raise CurvePairingError("curve labels must be distinct")
-        seen: set[DivisorClass] = set()
+        seen: set[tuple[tuple[int, ...], int]] = set()  # the lattice is checked already
         for curve in self.curves:
             if curve.cls.lattice != self.lattice:
                 raise LatticeMismatch(f"curve {curve.label} in a different lattice")
-            if curve.cls in seen:
+            if curve.cls.cleared in seen:
                 raise CurvePairingError(f"curve class {curve.label} is duplicated")
-            seen.add(curve.cls)
+            seen.add(curve.cls.cleared)
         # The pairing kernel: s clears the curve denominators, c_i = s*C_i and
         # rows[i] = G @ c_i; column k of the rows is packed into one int with a
         # 64-bit slot per curve, and gram[i][j] = c_i . c_j is paired by it.
@@ -180,10 +177,6 @@ class SurfaceModel(_Value, fields=("lattice", "ample", "curves", "canonical")):
         """s**2 times the intersection matrix of the curves at ``indices``, in ints."""
         return [[self._gram[i][j] for j in indices] for i in indices]
 
-    def curve_gram(self, indices: Sequence[int]) -> list[list[Rational]]:
-        """The intersection matrix (C_i . C_j) of the curves at ``indices``."""
-        return [[_exact(x, self._scale ** 2) for x in row] for row in self.kernel_gram(indices)]
-
     def kernel_rows(self, indices: Sequence[int]) -> list[list[int]]:
         """s times the rows G @ C_i of the curves at ``indices``, in ints:
         D . C_i = (D @ row) / s."""
@@ -210,7 +203,8 @@ def is_nef(
     pairings or their numerators (``model.pairing_numerators``) passes them."""
     if divisor.lattice != model.lattice:
         raise LatticeMismatch("class lives in a different lattice")
-    if divisor.square < 0 or divisor.dot(model.ample) < 0:
+    v, form = divisor.cleared[0], model.lattice.form  # signs of D**2 and D.A, on ints
+    if form(v, v) < 0 or form(v, model.ample.cleared[0]) < 0:
         return False
     if pairings is None:
         pairings = model.pairing_numerators(divisor)[0]
@@ -222,77 +216,60 @@ def is_nef(
 # ---------------------------------------------------------------------------
 
 
+def _standard_gram(r: int) -> tuple[tuple[int, ...], ...]:
+    """diag(1, -1, ..., -1), the form on L, E1, ..., Er."""
+    return tuple(tuple(1 if i == j == 0 else -(i == j) for j in range(r + 1)) for i in range(r + 1))
+
+
 def _del_pezzo_lattice(r: int) -> IntersectionLattice:
-    gram = [[0] * (r + 1) for _ in range(r + 1)]
-    gram[0][0] = 1
-    for i in range(1, r + 1):
-        gram[i][i] = -1
-    labels = ["L"] + [f"E{i}" for i in range(1, r + 1)]
-    return IntersectionLattice(gram, labels)
+    return IntersectionLattice(_standard_gram(r), ["L"] + [f"E{i}" for i in range(1, r + 1)])
 
 
 def _is_standard_del_pezzo(lattice: IntersectionLattice) -> bool:
-    n = lattice.rank
-    return n >= 2 and all(
-        lattice.gram[i][j] == (1 if i == j == 0 else -(i == j)) for i in range(n) for j in range(n)
-    )
+    return lattice.rank >= 2 and lattice.gram == _standard_gram(lattice.rank - 1)
 
 
-def _vectors_with_sum_and_square(length: int, total: int, square: int) -> list[tuple[int, ...]]:
-    """All integer vectors with the given coordinate sum and sum of squares.
-
-    Depth-first search over coordinates; a branch is cut as soon as the
-    Cauchy-Schwarz bound (remaining sum)^2 <= (slots left) * (remaining
-    square) fails, which keeps the search tiny at the ranks used here.
-    """
-    out: list[tuple[int, ...]] = []
-    current: list[int] = []
-
-    def descend(slots: int, total_left: int, square_left: int) -> None:
-        if slots == 0:
-            if total_left == 0 and square_left == 0:
-                out.append(tuple(current))
-            return
-        if square_left < 0 or total_left * total_left > slots * square_left:
-            return
-        bound = isqrt(square_left)
-        for value in range(-bound, bound + 1):
-            current.append(value)
-            descend(slots - 1, total_left - value, square_left - value * value)
-            current.pop()
-
-    descend(length, total, square)
-    return out
+# dL - sum(m_i E_i) as (d, m) up to a permutation of m, zeros omitted (Manin,
+# *Cubic Forms*, ch. IV): the (-1)-curves and the (-2)-roots of a del Pezzo surface
+_EXCEPTIONAL_TYPES = (
+    (0, (-1,)), (1, (1,) * 2), (2, (1,) * 5), (3, (2,) + (1,) * 6),
+    (4, (2,) * 3 + (1,) * 5), (5, (2,) * 6 + (1,) * 2), (6, (3,) + (2,) * 7),
+)
+_ROOT_TYPES = (
+    (0, (1, -1)), (1, (1,) * 3), (-1, (-1,) * 3), (2, (1,) * 6), (-2, (-1,) * 6),
+    (3, (2,) + (1,) * 7), (-3, (-2,) + (-1,) * 7),
+)
 
 
-def _classes_by_degree_constraints(
-    lattice: IntersectionLattice, k_degree: int, self_intersection: int
+def _classes_of_types(
+    lattice: IntersectionLattice, types: Sequence[tuple[int, tuple[int, ...]]]
 ) -> list[DivisorClass]:
-    """Integral classes dL - sum(m_i E_i) with the given square and K-degree.
-
-    With K = -3L + sum(E_i) such a class has square d^2 - sum(m_i^2) and
-    K-pairing -3d + sum(m_i), so the search runs over sum(m_i) = 3d + k_degree
-    and sum(m_i^2) = d^2 - self_intersection for each feasible d.
-    """
+    """Every class dL - sum(m_i E_i) whose m permutes a type (d, m) padded with
+    zeros, sorted by (d, m) on ints: each distinct value of m is placed on each
+    combination of the slots still empty.  Types longer than r are skipped."""
     r = lattice.rank - 1
     found: list[tuple[int, tuple[int, ...]]] = []
-    for d in range(-4, 9):
-        m_sum = 3 * d + k_degree  # K . class = -3d + sum(m_i) = k_degree
-        m_square = d * d - self_intersection
-        if m_square < 0:
+    for d, m in types:
+        if len(m) > r:
             continue
-        if m_sum * m_sum > r * m_square:
-            continue
-        found += ((d, m) for m in _vectors_with_sum_and_square(r, m_sum, m_square))
-    found.sort()  # by degree, then multiplicities, on ints
-    return [lattice.divisor((d,) + tuple(-mi for mi in m)) for d, m in found]
+        placed = [(0,) * r]
+        for value in set(m):
+            placed = [
+                tuple(value if i in slots else x for i, x in enumerate(p))
+                for p in placed
+                for slots in map(set, combinations(
+                    [i for i, x in enumerate(p) if not x], m.count(value)))
+            ]
+        found += ((d, p) for p in placed)
+    found.sort()
+    return [DivisorClass._reduced(lattice, (d,) + tuple(-x for x in p), 1) for d, p in found]
 
 
 def exceptional_classes(lattice: IntersectionLattice) -> list[DivisorClass]:
     """All classes E with E**2 = -1 and E.K = -1 on a standard del Pezzo lattice."""
     if not _is_standard_del_pezzo(lattice):
         raise UnsupportedLattice("exceptional-class enumeration needs the standard basis")
-    return _classes_by_degree_constraints(lattice, k_degree=-1, self_intersection=-1)
+    return _classes_of_types(lattice, _EXCEPTIONAL_TYPES)
 
 
 def del_pezzo(r: int) -> SurfaceModel:
@@ -306,11 +283,8 @@ def del_pezzo(r: int) -> SurfaceModel:
         raise OutOfRange("del Pezzo models need 1 <= r <= 8")
     lattice = _del_pezzo_lattice(r)
     canonical = lattice.divisor([-3] + [1] * r)
-    ample = -canonical
-    curves = tuple(
-        NegativeCurve(cls.format(), cls) for cls in exceptional_classes(lattice)
-    )
-    return SurfaceModel(lattice=lattice, ample=ample, curves=curves, canonical=canonical)
+    curves = [NegativeCurve(cls.format(), cls) for cls in exceptional_classes(lattice)]
+    return SurfaceModel(lattice=lattice, ample=-canonical, curves=curves, canonical=canonical)
 
 
 class RootSystem(NamedTuple):
@@ -327,22 +301,13 @@ def simple_roots(model: SurfaceModel) -> tuple[DivisorClass, ...]:
     if not _is_standard_del_pezzo(lattice):
         raise UnsupportedLattice("root enumeration needs the standard basis")
     r = lattice.rank - 1
-    simple: list[DivisorClass] = []
-    if r >= 3:
-        simple.append(lattice.divisor([1, -1, -1, -1] + [0] * (r - 3)))
-    for i in range(2, r + 1):
-        coords = [0] * (r + 1)
-        coords[i] = 1
-        coords[i - 1] = -1
-        simple.append(lattice.divisor(coords))
-    return tuple(simple)
+    simple = [[1, -1, -1, -1] + [0] * (r - 3)] if r >= 3 else []
+    simple += ([0] * (i - 1) + [-1, 1] + [0] * (r - i) for i in range(2, r + 1))  # E_i - E_{i-1}
+    return tuple(map(lattice.divisor, simple))
 
 
 def enumerate_roots(model: SurfaceModel) -> RootSystem:
-    """All roots (square -2, orthogonal to K) together with the simple ones.
-
-    Both alpha and -alpha appear in ``roots``.
-    """
+    """All roots (square -2, orthogonal to K), both alpha and -alpha, together
+    with the simple ones."""
     simple = simple_roots(model)
-    roots = _classes_by_degree_constraints(model.lattice, k_degree=0, self_intersection=-2)
-    return RootSystem(roots=tuple(roots), simple=simple)
+    return RootSystem(roots=tuple(_classes_of_types(model.lattice, _ROOT_TYPES)), simple=simple)

@@ -155,14 +155,15 @@ def zariski_decompose(model: SurfaceModel, divisor: DivisorClass) -> ZariskiDeco
     the class already pairs non-positively with the ample witness).
     """
     nums, den = model.pairing_numerators(divisor)  # every sign below reads ints
-    witness = divisor.dot(model.ample)  # is_nef inlined: the test below reuses it
-    if divisor.square >= 0 and witness >= 0 and min(nums, default=0) >= 0:
+    v, d = divisor.cleared
+    form = model.lattice.form  # is_nef inlined on ints: the test below reuses the witness sign
+    witness = form(v, model.ample.cleared[0])
+    if form(v, v) >= 0 and witness >= 0 and min(nums, default=0) >= 0:
         return ZariskiDecomposition._of(model, divisor, divisor, ())
     if witness <= 0:
         raise NotPseudoEffective(
             "class pairs non-positively with the ample witness and is not nef"
         )
-    v, d = divisor.cleared
     support = [i for i, p in enumerate(nums) if p < 0]
     for _ in range(len(model.curves) + 1):
         if len(support) >= model.lattice.rank:  # refused unread, see the docstring

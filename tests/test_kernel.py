@@ -16,6 +16,7 @@ from conftest import assert_segments_match_chambers, dp_model, user_models
 from test_acceptance import _negative_definite_subsets, _oracle_decompose
 from zlab import (
     DivisorClass,
+    IntersectionLattice,
     NegativeCurve,
     SurfaceModel,
     del_pezzo,
@@ -55,10 +56,10 @@ def scaled_user_models(draw):
 def test_kernel_matches_pairing_on_scaled_user_models(model, data):
     n = len(model.curves)
     classes = [c.cls for c in model.curves]
-    kernel = model.curve_gram(range(n))
-    assert kernel == gram_matrix(classes)
-    rows = model.kernel_rows(range(n))  # s * G @ C_i, s clearing the curve denominators
-    s = math.lcm(*(cls.cleared[1] for cls in classes))
+    s = math.lcm(*(cls.cleared[1] for cls in classes))  # clears the curve denominators
+    kernel = model.kernel_gram(range(n))  # s**2 * C_i . C_j
+    assert [[Fraction(x, s * s) for x in row] for row in kernel] == gram_matrix(classes)
+    rows = model.kernel_rows(range(n))  # s * G @ C_i
     divisor = model.lattice.divisor(
         data.draw(st.lists(RATIONALS, min_size=model.lattice.rank, max_size=model.lattice.rank))
     )
@@ -66,8 +67,8 @@ def test_kernel_matches_pairing_on_scaled_user_models(model, data):
     assert pairings == [divisor.dot(cls) for cls in classes]
     assert pairings == [sum(x * g for x, g in zip(divisor.coords, row)) / s for row in rows]
     assert all(type(x) is int for row in rows for x in row)
-    for value in [x for row in kernel for x in row] + pairings:
-        assert type(value) in (int, Fraction)
+    assert all(type(x) is int for row in kernel for x in row)
+    assert all(type(x) in (int, Fraction) for x in pairings)
 
     # A + sum(t_i C_i) is big, so it has a decomposition for the oracle to find.
     ts = data.draw(st.lists(st.fractions(0, 3, max_denominator=3), min_size=n, max_size=n))
@@ -94,14 +95,15 @@ def test_pairing_a_foreign_class_is_a_lattice_mismatch(method, foreign):
 
 def test_integer_kernel_stores_plain_ints():
     model = del_pezzo(3)
-    for row in model.curve_gram(range(len(model.curves))) + model.kernel_rows(range(6)):
+    for row in model.kernel_gram(range(len(model.curves))) + model.kernel_rows(range(6)):
         assert all(type(x) is int for x in row)
 
 
 def test_del_pezzo_8_pairs_each_curve_once(monkeypatch):
-    """The kernel pairs curves with integer rows, so the only class pairings
-    left are the ample square and the 240 curve squares NegativeCurve checks
-    (validating by class pairings took 29,161 DivisorClass.dot calls)."""
+    """The kernel pairs curves with integer rows and NegativeCurve reads the
+    sign of each curve square off the integer form, so the only class pairing
+    left is the ample square (validating by class pairings took 29,161
+    DivisorClass.dot calls, and 241 while the curve squares were Fractions)."""
     calls = 0
     plain = DivisorClass.dot
 
@@ -113,7 +115,7 @@ def test_del_pezzo_8_pairs_each_curve_once(monkeypatch):
     monkeypatch.setattr(DivisorClass, "dot", counting)
     model = del_pezzo(8)
     assert len(model.curves) == 240
-    assert calls <= 241
+    assert calls == 1
 
 
 def count_pairings(monkeypatch) -> list[int]:
@@ -182,20 +184,29 @@ def test_decomposition_pairs_its_input_with_the_witness_once(monkeypatch):
     the pseudo-effectivity test; the other pairing belongs to the final nef
     check of the positive part (4 while the nef test and the
     pseudo-effectivity test each paired the input, 3 while the result's
-    invariants were re-derived on construction)."""
+    invariants were re-derived on construction).  Only their signs are read,
+    so both are integer forms on the cleared coordinates and no
+    ``DivisorClass.dot`` is called (2 while they were Fractions)."""
     dp8 = del_pezzo(8)
-    calls = 0
-    plain = DivisorClass.dot
+    witness = dp8.ample.cleared[0]
+    calls, dots = 0, 0
+    plain_form, plain_dot = IntersectionLattice.form, DivisorClass.dot
 
-    def counting(self, other):
+    def counting_form(self, u, v):
         nonlocal calls
-        calls += other is dp8.ample or self is dp8.ample
-        return plain(self, other)
+        calls += u is witness or v is witness
+        return plain_form(self, u, v)
 
-    monkeypatch.setattr(DivisorClass, "dot", counting)
+    def counting_dot(self, other):
+        nonlocal dots
+        dots += 1
+        return plain_dot(self, other)
+
+    monkeypatch.setattr(IntersectionLattice, "form", counting_form)
+    monkeypatch.setattr(DivisorClass, "dot", counting_dot)
     dec = zariski_decompose(dp8, dp8.lattice.divisor([10, -6, -5, -2, -2, -1, -1, -1, -1]))
     assert [c.label for c in dec.support] == ["L-E1-E2"]
-    assert calls == 2
+    assert (calls, dots) == (2, 0)
 
 
 @settings(max_examples=80, deadline=None)

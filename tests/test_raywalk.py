@@ -320,7 +320,7 @@ def assert_walk_theorems(model, bundle, direction):
     for b in walk.breakpoints:
         positive = zariski_decompose(model, bundle - b * direction).positive
         indices = [model.curve_index(label) for label in null_set(model, positive)]
-        assert indices and is_negative_definite(model.curve_gram(indices))
+        assert indices and is_negative_definite(model.kernel_gram(indices))
 
     samples = set(walk.breakpoints)
     for segment in walk.segments:

@@ -421,14 +421,14 @@ def test_integer_orbit_matches_reflect_oracle(r):
 
 def test_simple_roots_skip_the_root_enumeration(monkeypatch):
     calls = 0
-    plain = zlab.surface._classes_by_degree_constraints
+    plain = zlab.surface._classes_of_types
 
     def counting(*args, **kwargs):
         nonlocal calls
         calls += 1
         return plain(*args, **kwargs)
 
-    monkeypatch.setattr(zlab.surface, "_classes_by_degree_constraints", counting)
+    monkeypatch.setattr(zlab.surface, "_classes_of_types", counting)
     simple = simple_roots(dp_model(8))
     assert calls == 0
     assert simple == enumerate_roots(dp_model(8)).simple and len(simple) == 8

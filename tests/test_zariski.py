@@ -326,7 +326,7 @@ def test_decomposition_on_the_largest_model():
 
 def count_kernel_reads(monkeypatch) -> list[int]:
     """Record the size of every submatrix read from a model's pairing kernel;
-    ``curve_gram`` and the integer solves both read it through ``kernel_gram``."""
+    the integer solves and the chamber enumeration read it through ``kernel_gram``."""
     sizes: list[int] = []
     plain = SurfaceModel.kernel_gram
 
