@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .errors import (
     NotNef, NotNegativeDefinite, NullMismatch, RankTooLargeForEnumeration, UnrealizableSupport
 )
-from .lattice import DivisorClass, is_negative_definite
+from .lattice import (DivisorClass, _negative_definite_factor, is_negative_definite,
+                      solve_negative_definite)
 from .surface import SurfaceModel, is_nef
 from .zariski import ChamberDescriptor, null_set
 
@@ -24,25 +24,27 @@ def construct_nef_with_null(
     conditions against the support; ampleness of A forces every t_i to be
     strictly positive.  The resulting class is verified to be nef and to
     vanish against no curve outside the support (NullMismatch otherwise).
-    An unknown label raises UnrealizableSupport naming it.
+    Each label counts once; an unknown one raises UnrealizableSupport naming it.
     This is the constructive side of the theorem ``enumerate_chambers``
     relies on; the tests use it as an oracle for that theorem.
     """
-    labels = support.support if isinstance(support, ChamberDescriptor) else support
+    if not isinstance(support, ChamberDescriptor):
+        support = ChamberDescriptor.from_labels(support)  # each label once, sorted
     try:
-        indices = [model.curve_index(label) for label in labels]
+        indices = [model.curve_index(label) for label in support.support]
     except KeyError as exc:
         raise UnrealizableSupport(exc.args[0]) from exc
     if not indices:
         return model.ample
     nums, den = model.pairing_numerators(model.ample)
-    xs, e = model.solve_curves(indices, [-nums[i] for i in indices], den)
+    try:
+        (xs,), e = model.solve_curves(indices, [[-nums[i] for i in indices]])
+    except NotNegativeDefinite as exc:
+        raise NotNegativeDefinite(f"support {support}: {exc}") from None
     if any(x <= 0 for x in xs):  # t_i = x_i / e with e > 0
-        raise NotNegativeDefinite(
-            "orthogonality system produced a non-positive coefficient"
-        )
-    result = DivisorClass._reduced(
-        model.lattice, *model.minus_curves(*model.ample.cleared, indices, [-x for x in xs], e))
+        raise NotNegativeDefinite("orthogonality system produced a non-positive coefficient")
+    result = DivisorClass._reduced(model.lattice, *model.minus_curves(
+        *model.ample.cleared, indices, [-x for x in xs], e * den))
     if not is_nef(model, result):
         raise NullMismatch("constructed class is not nef")
     if null_set(model, result) != frozenset(model.curves[i].label for i in indices):
@@ -58,40 +60,31 @@ class Face(NamedTuple):
 
 
 def face_of(model: SurfaceModel, nef_class: DivisorClass) -> Face:
-    """Null set of a nef class and an exact basis of its orthogonal complement
-    {v : v . C = 0 for every null curve C}, by Gauss-Jordan on the kernel rows
-    s * G @ C (scaling a row leaves its reduced row echelon form unchanged)."""
+    """Null set of a nef class and the reduced row echelon basis of its
+    orthogonal complement {v : R @ v = 0}, R the kernel rows s * G @ C of the
+    null curves (scaling a row leaves the basis unchanged).  Over Q, ker R =
+    ker R^T R, and column j of R is a pivot exactly when -R^T R is negative
+    definite on the earlier pivots plus j; one solve of the normal equations
+    then gives the pivot coordinates of every free column's basis vector."""
     if not is_nef(model, nef_class):
         raise NotNef("face is only defined for nef classes")
     labels = null_set(model, nef_class)
-    indices = [model.curve_index(label) for label in sorted(labels)]
+    rows = model.kernel_rows([model.curve_index(label) for label in labels])
     rank = model.lattice.rank
-    rows = [[Fraction(x) for x in row] for row in model.kernel_rows(indices)]
+    neg = [[-sum(r[i] * r[j] for r in rows) for j in range(rank)] for i in range(rank)]  # -R^T R
     pivots: list[int] = []
-    row_index = 0
-    for col in range(rank):
-        pivot = next(
-            (r for r in range(row_index, len(rows)) if rows[r][col] != 0), None
-        )
-        if pivot is None:
-            continue
-        rows[row_index], rows[pivot] = rows[pivot], rows[row_index]
-        lead = rows[row_index][col]
-        rows[row_index] = [x / lead for x in rows[row_index]]
-        for r in range(len(rows)):
-            if r != row_index and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[row_index])]
-        pivots.append(col)
-        row_index += 1
-    basis: list[DivisorClass] = []
-    free_columns = [c for c in range(rank) if c not in pivots]
-    for free in free_columns:
-        coords = [Fraction(0)] * rank
-        coords[free] = Fraction(1)
-        for row_pos, col in enumerate(pivots):
-            coords[col] = -rows[row_pos][free]
-        basis.append(model.lattice.divisor(coords))
+    for j in range(rank):
+        trial = pivots + [j]
+        if _negative_definite_factor([[neg[a][b] for b in trial] for a in trial]) is not None:
+            pivots.append(j)
+    free = [j for j in range(rank) if j not in pivots]
+    xs, det = solve_negative_definite(  # -R_P^T R_P @ x = det * R_P^T R_f: R_P @ (x / det) = -R_f
+        [[neg[a][b] for b in pivots] for a in pivots], [[-neg[p][f] for p in pivots] for f in free])
+    sign, basis = (1 if det > 0 else -1), []  # free column f: e_f plus x / det at the pivots
+    for f, x in zip(free, xs):
+        entries = {**dict(zip(pivots, x)), f: det}
+        v = [sign * entries.get(j, 0) for j in range(rank)]
+        basis.append(DivisorClass._reduced(model.lattice, v, abs(det)))
     return Face(labels, tuple(basis))
 
 

@@ -88,7 +88,8 @@ def _ample_pairings(model: SurfaceModel, divisor: DivisorClass) -> "Numerators |
     """The pairing numerators of an ample class, or None when it is not ample."""
     if divisor.lattice != model.lattice:
         raise LatticeMismatch("class lives in a different lattice")
-    if divisor.square <= 0 or divisor.dot(model.ample) <= 0:
+    v, form = divisor.cleared[0], model.lattice.form  # signs of D**2 and D.A, on ints
+    if form(v, v) <= 0 or form(v, model.ample.cleared[0]) <= 0:
         return None
     nums, den = model.pairing_numerators(divisor)
     return (nums, den) if min(nums, default=1) > 0 else None
@@ -116,10 +117,10 @@ def _absorb_walls(
     bundle_coords, minus_ample = bundle.cleared, (-ample).cleared
     support = list(support)
     while True:
-        x0 = model.solve_curves(support, [b[i] for i in support], b_den)
-        x1 = model.solve_curves(support, [-a[i] for i in support], a_den)
-        p0 = model.minus_curves(*bundle_coords, support, *x0)
-        p1 = model.minus_curves(*minus_ample, support, *x1)
+        (x0, x1), e = model.solve_curves(support, [[b[i] for i in support],
+                                                   [-a[i] for i in support]])
+        p0 = model.minus_curves(*bundle_coords, support, x0, e * b_den)
+        p1 = model.minus_curves(*minus_ample, support, x1, e * a_den)
         f0, f1 = model.pair_cleared(*p0), model.pair_cleared(*p1)
         u, w = f1[1] * lam.denominator, f0[1] * lam.numerator
         entrants = [

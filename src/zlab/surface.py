@@ -155,13 +155,14 @@ class SurfaceModel(_Value, fields=("lattice", "ample", "curves", "canonical")):
         nums, den = self.pairing_numerators(divisor)
         return [Fraction(n, den) for n in nums]
 
-    def solve_curves(self, indices: Sequence[int], rhs: Sequence[int], den: int) -> Numerators:
-        """(xs, e) with e > 0 and x_j = xs[j] / e solving sum_j (C_i . C_j) x_j =
-        rhs[i] / den over the curves at ``indices``, by one integer elimination;
+    def solve_curves(self, indices: Sequence[int],
+                     columns: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+        """(xss, e), e > 0, with x_j = xss[c][j] / e solving sum_j (C_i . C_j) x_j =
+        columns[c][i] over the curves at ``indices``, all on one integer elimination;
         NotNegativeDefinite unless their matrix is negative definite."""
-        (xs,), det = solve_negative_definite(self.kernel_gram(indices), [rhs])
+        xss, det = solve_negative_definite(self.kernel_gram(indices), columns)
         square = self._scale ** 2 if det > 0 else -self._scale ** 2  # kernel: s**2 * C_i . C_j
-        return [square * x for x in xs], abs(det) * den
+        return [[square * x for x in xs] for xs in xss], abs(det)
 
     def minus_curves(self, v: Sequence[int], d: int, indices: Sequence[int], xs: Sequence[int],
                      e: int) -> Numerators:

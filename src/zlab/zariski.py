@@ -170,8 +170,8 @@ def zariski_decompose(model: SurfaceModel, divisor: DivisorClass) -> ZariskiDeco
             raise NotNegativeDefinite(
                 f"{len(support)} classes in rank {model.lattice.rank} are never negative definite"
             )
-        xs, e = model.solve_curves(support, [nums[i] for i in support], den)
-        p, q = model.minus_curves(v, d, support, xs, e)
+        (xs,), e = model.solve_curves(support, [[nums[i] for i in support]])
+        p, q = model.minus_curves(v, d, support, xs, e * den)
         positive_nums = model.pair_cleared(p, q)[0]
         if min(positive_nums, default=0) >= 0:
             break
@@ -187,7 +187,7 @@ def zariski_decompose(model: SurfaceModel, divisor: DivisorClass) -> ZariskiDeco
     if any(positive_nums[i] for i in support):
         raise ValueError("positive part is not orthogonal to the support")
     # negative definite, as the solve's pivots showed; dropping zeros leaves a principal submatrix
-    pairs = tuple((model.curves[i], Fraction(x, e)) for i, x in zip(support, xs) if x)
+    pairs = tuple((model.curves[i], Fraction(x, e * den)) for i, x in zip(support, xs) if x)
     return ZariskiDecomposition._of(model, divisor, positive, pairs)
 
 
@@ -207,10 +207,10 @@ def null_set(model: SurfaceModel, nef_class: DivisorClass) -> frozenset[str]:
 def is_big(model: SurfaceModel, divisor: DivisorClass) -> bool:
     """True iff the class decomposes with a positive part of positive square."""
     try:
-        decomposition = zariski_decompose(model, divisor)
-    except (NotPseudoEffective, NotNegativeDefinite):
+        _decompose_big(model, divisor)
+    except NotBig:
         return False
-    return decomposition.positive.square > 0
+    return True
 
 
 def _decompose_big(model: SurfaceModel, divisor: DivisorClass) -> ZariskiDecomposition:
@@ -218,7 +218,8 @@ def _decompose_big(model: SurfaceModel, divisor: DivisorClass) -> ZariskiDecompo
         decomposition = zariski_decompose(model, divisor)
     except (NotPseudoEffective, NotNegativeDefinite) as exc:
         raise NotBig(str(exc)) from exc
-    if decomposition.positive.square <= 0:
+    v = decomposition.positive.cleared[0]  # the sign of P**2, on ints
+    if model.lattice.form(v, v) <= 0:
         raise NotBig("positive part has non-positive square")
     return decomposition
 

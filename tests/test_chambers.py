@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from conftest import a2_chain_model, dp_model, k3_model, random_big_class, user_models
 import zlab.chambers
 from zlab import (
+    Face,
     IntersectionLattice,
     NegativeCurve,
     SurfaceModel,
@@ -48,6 +49,20 @@ def test_construct_rejects_indefinite_support(dp2):
         construct_nef_with_null(dp2, ["E1", "L-E1-E2"])
 
 
+def test_construct_reads_each_label_once(dp3):
+    """A repeated label names the same support as the label alone, as it does
+    for ``support_curves`` and ``volume_polynomial``; it used to enter the
+    solve twice and fail as a singular matrix."""
+    assert construct_nef_with_null(dp3, ["E1", "E1"]) == construct_nef_with_null(dp3, ["E1"])
+    assert null_set(dp3, construct_nef_with_null(dp3, ["E1", "E2", "E1"])) == {"E1", "E2"}
+
+
+def test_construct_names_an_indefinite_support(dp2):
+    with pytest.raises(NotNegativeDefinite) as excinfo:
+        construct_nef_with_null(dp2, ["L-E1-E2", "E1", "E1"])
+    assert str(excinfo.value) == "support {E1, L-E1-E2}: matrix is not negative definite"
+
+
 def test_construct_names_an_unknown_label(dp2):
     """An unknown label used to escape as a bare KeyError."""
     with pytest.raises(UnrealizableSupport) as excinfo:
@@ -74,6 +89,75 @@ def test_face_worked_values(dp2):
 
     with pytest.raises(NotNef):
         face_of(dp2, lat.divisor([2, 1, 0]))
+
+
+def gauss_jordan_face(model, nef_class):
+    """Oracle for ``face_of``: Fraction Gauss-Jordan on the kernel rows of the
+    null curves, sorted by label, and one basis vector per free column of
+    their reduced row echelon form (the library's routine before ``face_of``
+    solved the normal equations by the integer Bareiss elimination)."""
+    labels = null_set(model, nef_class)
+    rank = model.lattice.rank
+    rows = [[Fraction(x) for x in row]
+            for row in model.kernel_rows([model.curve_index(label) for label in sorted(labels)])]
+    pivots: list[int] = []
+    for col in range(rank):
+        pivot = next((r for r in range(len(pivots), len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        top = len(pivots)
+        rows[top], rows[pivot] = rows[pivot], rows[top]
+        rows[top] = [x / rows[top][col] for x in rows[top]]
+        for r in range(len(rows)):
+            if r != top and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[top])]
+        pivots.append(col)
+    basis = []
+    for free in (c for c in range(rank) if c not in pivots):
+        coords = [Fraction(int(c == free)) for c in range(rank)]
+        for row, col in zip(rows, pivots):
+            coords[col] = -row[free]
+        basis.append(model.lattice.divisor(coords))
+    return Face(labels, tuple(basis))
+
+
+def assert_faces_match_the_oracle(model, nef_classes):
+    for nef_class in nef_classes:
+        face = face_of(model, nef_class)
+        assert face == gauss_jordan_face(model, nef_class)
+        for vector in face.orthogonal_basis:
+            nums = model.pairing_numerators(vector)[0]
+            assert all(nums[model.curve_index(label)] == 0 for label in face.null_labels)
+
+
+@pytest.mark.parametrize("key", [1, 2, 3, 4, 5, 6, "a2", "k3(1)", "k3(2)"])
+def test_face_matches_the_gauss_jordan_oracle_on_chamber_witnesses(key):
+    """Every chamber's witness, dp6's 2,764 among them, and the zero class,
+    whose null rows are every curve's and linearly dependent from dp3 on."""
+    model = bundled_model(key)
+    witnesses = [construct_nef_with_null(model, c) for c in enumerate_chambers(model)]
+    assert_faces_match_the_oracle(model, witnesses + [model.lattice.zero()])
+
+
+@pytest.mark.parametrize("r", range(2, 9))
+def test_face_matches_the_oracle_on_square_zero_classes(r):
+    """L - E1 and L have square 0.  The 2(r - 1) null curves of L - E1, the
+    E_j and L - E1 - E_j for j > 1, have rows that are linearly dependent from
+    dp3 on, and leave the one free column E1: the basis is E1 - L."""
+    model = dp_model(r)
+    fibration, line = (model.lattice.divisor([1, -1] + [0] * (r - 1)),
+                       model.lattice.basis_divisor(0))
+    assert_faces_match_the_oracle(model, [fibration, line])
+    assert face_of(model, fibration).orthogonal_basis == (-fibration,)
+    assert face_of(model, line).orthogonal_basis == (line,)
+
+
+@settings(max_examples=60, deadline=None)
+@given(user_models())
+def test_face_matches_the_oracle_on_user_models(model):
+    witnesses = [construct_nef_with_null(model, c) for c in enumerate_chambers(model)]
+    assert_faces_match_the_oracle(model, witnesses + [model.ample, model.lattice.zero()])
 
 
 def test_enumerate_chambers_dp1_dp2(dp2):

@@ -19,11 +19,13 @@ from zlab import (
     IntersectionLattice,
     NegativeCurve,
     SurfaceModel,
+    chamber_of,
     del_pezzo,
     destabilizing_numbers,
     is_ample,
     is_big,
     is_nef,
+    stable_base_locus,
     zariski_decompose,
 )
 from zlab.cutkosky import abelian_surface, abelian_surface_model
@@ -139,17 +141,24 @@ def test_each_class_is_paired_once(monkeypatch):
     result checks.  A walk pairs the bundle and the direction once rather
     than on every round, and reuses the direction's pairings from its
     ampleness test (the counts were 6 and 24, then 3 and 15, then 3 and 14
-    while the result's invariants were re-derived on construction)."""
+    while the result's invariants were re-derived on construction).
+
+    The walk also solves the bundle's and the direction's right-hand sides on
+    one elimination per support it tries: the nef bundle decomposes with
+    none, the rounds at 0 and 1 start on the empty support (a 0 x 0 solve),
+    three curves enter at 1 and two more at 2.  That is 5 eliminations, 10
+    while each side had its own."""
     dp7, dp8 = del_pezzo(7), del_pezzo(8)
     calls = count_pairings(monkeypatch)
     dec = zariski_decompose(dp8, dp8.lattice.divisor([10, -6, -5, -2, -2, -1, -1, -1, -1]))
     assert [c.label for c in dec.support] == ["L-E1-E2"]
     assert calls == [2]  # the input and one round's candidate
     calls[0] = 0
+    sizes = count_eliminations(monkeypatch)
     bundle = dp7.lattice.divisor([9, -3, -3, -2, -2, -1, -1, -1])
     walk = destabilizing_numbers(dp7, bundle, dp7.ample)
     assert walk.breakpoints == (1, 2) and len(walk.segments) == 3
-    assert calls == [13]
+    assert calls == [13] and sizes == [0, 0, 3, 3, 5]
 
 
 def count_eliminations(monkeypatch) -> list[int]:
@@ -207,6 +216,31 @@ def test_decomposition_pairs_its_input_with_the_witness_once(monkeypatch):
     dec = zariski_decompose(dp8, dp8.lattice.divisor([10, -6, -5, -2, -2, -1, -1, -1, -1]))
     assert [c.label for c in dec.support] == ["L-E1-E2"]
     assert (calls, dots) == (2, 0)
+
+
+def test_big_class_queries_call_no_dot(monkeypatch):
+    """chamber_of, is_big, stable_base_locus and destabilizing_numbers read
+    only the signs of P**2, D**2 and D.A, so each is an integer form on the
+    cleared coordinates and no ``DivisorClass.dot`` is called (on a block of
+    dp8 queries, 22 of 35 calls were these signs; the rest are vol's P**2)."""
+    dp7, dp8 = del_pezzo(7), del_pezzo(8)
+    dots = 0
+    plain_dot = DivisorClass.dot
+
+    def counting_dot(self, other):
+        nonlocal dots
+        dots += 1
+        return plain_dot(self, other)
+
+    monkeypatch.setattr(DivisorClass, "dot", counting_dot)
+    big = dp8.lattice.divisor([10, -6, -5, -2, -2, -1, -1, -1, -1])
+    assert chamber_of(dp8, big).support == ("L-E1-E2",)
+    assert is_big(dp8, big) and not is_big(dp8, dp8.lattice.divisor([1, -1] + [0] * 7))
+    assert stable_base_locus(dp8, big) == {"L-E1-E2"}
+    walk = destabilizing_numbers(dp7, dp7.lattice.divisor([9, -3, -3, -2, -2, -1, -1, -1]),
+                                 dp7.ample)
+    assert walk.breakpoints == (1, 2)
+    assert dots == 0
 
 
 @settings(max_examples=80, deadline=None)
