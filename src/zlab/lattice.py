@@ -462,6 +462,8 @@ class IntersectionLattice(_Value, fields=("gram", "basis_labels")):
         object.__setattr__(self, "gram", rows)
         object.__setattr__(self, "basis_labels", labels)
         object.__setattr__(self, "_hash", hash((rows, labels)))
+        object.__setattr__(self, "_entries", tuple(zip(*(  # non-zero (i, j, g), as 3 tuples
+            (i, j, g) for i, row in enumerate(rows) for j, g in enumerate(row) if g))))
 
     def __hash__(self) -> int:
         return self._hash
@@ -474,8 +476,10 @@ class IntersectionLattice(_Value, fields=("gram", "basis_labels")):
         return len(self.gram)
 
     def form(self, u: Sequence[int], v: Sequence[int]) -> int:
-        """u^T G v for integer coordinate vectors."""
-        return sum(x * sum(map(mul, row, v)) for x, row in zip(u, self.gram) if x)
+        """u^T G v on integer vectors, over G's non-zero entries (not by itemgetter,
+        which returns a bare value for one index)."""
+        i, j, g = self._entries
+        return sum(map(mul, g, map(mul, map(u.__getitem__, i), map(v.__getitem__, j))))
 
     def divisor(self, coords: Sequence[Rational]) -> "DivisorClass":
         return DivisorClass(self, coords)

@@ -95,40 +95,38 @@ def _ample_pairings(model: SurfaceModel, divisor: DivisorClass) -> "Numerators |
     return (nums, den) if min(nums, default=1) > 0 else None
 
 
-def _absorb_walls(
-    model: SurfaceModel,
-    support: list[int],
-    bundle: DivisorClass,
-    ample: DivisorClass,
-    lam: Fraction,
-    pairings: tuple[Numerators, Numerators],
-):
+def _absorb_walls(model: SurfaceModel, support: list[int], bundle: DivisorClass,
+                  ample: DivisorClass, lam: Fraction, pairings: tuple[Numerators, Numerators],
+                  affine: Optional[tuple]):
     """Add every curve whose wall passes through lam with decreasing pairing.
 
-    Returns the affine data on the grown support: the candidate positive part
-    P(t) = p0 + t*p1, whose coefficients x(t) = x0 + t*x1 solve the support's
-    pairing system, with p0 and p1 as (integer coordinates, denominator), and
-    the pairing numerators (g0s, d0), (g1s, d1) of p0 and p1.  ``pairings``
-    holds those of the bundle and of the ample class, computed once per walk.
+    Grows ``support`` in place and returns it with the affine data on it:
+    the candidate positive part P(t) = p0 + t*p1, whose coefficients x(t) =
+    x0 + t*x1 solve the support's pairing system, with p0 and p1 as (integer
+    coordinates, denominator), and the pairing numerators (g0s, d0), (g1s, d1)
+    of p0 and p1.  ``affine`` holds the last round's data on the same support
+    (x0 and x1 do not depend on lam), so a support is solved once; ``pairings``
+    holds the bundle's and the ample class's numerators, computed once per walk.
     P(lam) . C has the sign of g0*u + g1*w, that is g0/d0 + lam*g1/d1 times
     d0*d1*lam's denominator.  The exact solves make g0 = g1 = 0 on the support.
     """
     (b, b_den), (a, a_den) = pairings
-    bundle_coords, minus_ample = bundle.cleared, (-ample).cleared
-    support = list(support)
     while True:
-        (x0, x1), e = model.solve_curves(support, [[b[i] for i in support],
-                                                   [-a[i] for i in support]])
-        p0 = model.minus_curves(*bundle_coords, support, x0, e * b_den)
-        p1 = model.minus_curves(*minus_ample, support, x1, e * a_den)
-        f0, f1 = model.pair_cleared(*p0), model.pair_cleared(*p1)
+        if affine is None:
+            (x0, x1), e = model.solve_curves(support, [[b[i] for i in support],
+                                                       [-a[i] for i in support]])
+            p0 = model.minus_curves(*bundle.cleared, support, x0, e * b_den)
+            p1 = model.minus_curves(*(-ample).cleared, support, x1, e * a_den)
+            affine = p0, p1, model.pair_cleared(*p0), model.pair_cleared(*p1)
+        f0, f1 = affine[2:]
         u, w = f1[1] * lam.denominator, f0[1] * lam.numerator
         entrants = [
             i for i, (g0, g1) in enumerate(zip(f0[0], f1[0])) if g1 < 0 and g0 * u + g1 * w == 0
         ]
         if not entrants:
-            return support, p0, p1, f0, f1
+            return support, affine
         support.extend(entrants)
+        affine = None
 
 
 def destabilizing_numbers(
@@ -158,15 +156,14 @@ def destabilizing_numbers(
     pairings = (model.pairing_numerators(bundle), ample_pairings)
 
     support = [model.curve_index(c.label) for c in initial.support]
-    lam = Fraction(0)
+    lam, affine = Fraction(0), None
     segments: list[RaySegment] = []
     breakpoints: list[Fraction] = []
 
     for _ in range(len(model.curves) + 1):
-        support, p0, p1, f0, f1 = _absorb_walls(
-            model, support, bundle, ample, lam, pairings
-        )
-        descriptor = _descriptor(model, support)
+        support, affine = _absorb_walls(model, support, bundle, ample, lam, pairings, affine)
+        p0, p1, f0, f1 = affine
+        descriptor = ChamberDescriptor.from_labels(model.curves[i].label for i in support)
 
         # P(t) . C falls to zero at t = g0*d1 / (-g1*d0), above lam when g0*u +
         # g1*w > 0 (see _absorb_walls); walls compare as g0 / -g1 (d1/d0 > 0)
@@ -199,10 +196,6 @@ def destabilizing_numbers(
         breakpoints.append(wall)
         lam = wall
     raise RuntimeError("ray walk did not terminate")
-
-
-def _descriptor(model: SurfaceModel, support: list[int]) -> ChamberDescriptor:
-    return ChamberDescriptor.from_labels(model.curves[i].label for i in support)
 
 
 def is_stable(model: SurfaceModel, divisor: DivisorClass) -> bool:

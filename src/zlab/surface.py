@@ -29,11 +29,43 @@ from .lattice import DivisorClass, IntersectionLattice, Rational, _Value, solve_
 
 
 Numerators = tuple[list[int], int]  # integers over one positive denominator
+_CODES = {16: "h", 32: "i", 64: "q"}  # the struct codes of the slot widths kept packed
 
 
 def _pack(column: Sequence[int], width: int) -> int:
     """sum(x << (width * i)): entry i of the column in slot i of ``width`` bits."""
     return sum(x << (width * i) for i, x in enumerate(column) if x)
+
+
+class PackedSum(NamedTuple):
+    """sum(v_k * column_k) + offset: slot i of ``width`` bits holds v @ rows[i]
+    plus its offset bit 2**(width-1), which no slot borrows past."""
+
+    total: int
+    width: int
+    offset: int
+
+    def negatives(self) -> list[int]:
+        """The indices of the negative slots, read off the offset bits the sum cleared."""
+        found, bits, width = [], self.offset & ~self.total, self.width
+        while bits:
+            low = bits & -bits
+            found.append(low.bit_length() // width - 1)
+            bits ^= low
+        return found
+
+    def slot(self, i: int) -> int:
+        width = self.width
+        return (self.total >> (width * i) & ((1 << width) - 1)) - (1 << (width - 1))
+
+    def values(self) -> list[int]:
+        """Every slot: flipping the offset bits back leaves each in two's complement."""
+        width, n = self.width, self.offset.bit_length() // self.width
+        raw = (self.total ^ self.offset).to_bytes(width // 8 * n, "little")
+        if width <= 64:
+            return list(struct.unpack(f"<{n}{_CODES[width]}", raw))
+        return [int.from_bytes(raw[i:i + width // 8], "little", signed=True)
+                for i in range(0, len(raw), width // 8)]
 
 
 class NegativeCurve(_Value, fields=("label", "cls")):
@@ -98,23 +130,19 @@ class SurfaceModel(_Value, fields=("lattice", "ample", "curves", "canonical")):
             seen.add(curve.cls.cleared)
         # The pairing kernel: s clears the curve denominators, c_i = s*C_i and
         # rows[i] = G @ c_i; column k of the rows is packed into one int with a
-        # 64-bit slot per curve, and gram[i][j] = c_i . c_j is paired by it.
+        # slot per curve, and gram[i][j] = c_i . c_j is paired by it.
         cleared = [c.cls.cleared for c in self.curves]
         scale = lcm(*(d for _, d in cleared))
         vectors = [tuple(x * (scale // d) for x in v) for v, d in cleared]
         rows = tuple(tuple(sum(map(mul, row, v)) for row in self.lattice.gram) for v in vectors)
-        columns = list(zip(*rows))
         vars(self).update(
-            _index=index, _scale=scale, _vectors=vectors, _rows=rows,
-            _column_max=[max(map(abs, c)) for c in columns],
-            _packed=[_pack(c, 64) for c in columns], _offset=_pack([1 << 63] * len(rows), 64),
+            _index=index, _scale=scale, _vectors=vectors, _rows=rows, _packings={},
+            _column_max=[max(map(abs, c)) for c in zip(*rows)],
         )
         gram = vars(self)["_gram"] = [self.pair_cleared(v, 1)[0] for v in vectors]
         for curve, p in zip(self.curves, self.pairing_numerators(self.ample)[0]):
             if p <= 0:
-                raise AmpleWitnessError(
-                    f"ample witness pairs non-positively with {curve.label}"
-                )
+                raise AmpleWitnessError(f"ample witness pairs non-positively with {curve.label}")
         for i, ci in enumerate(self.curves):
             for j in range(i + 1, len(self.curves)):
                 if gram[i][j] < 0:
@@ -122,33 +150,39 @@ class SurfaceModel(_Value, fields=("lattice", "ample", "curves", "canonical")):
                         f"distinct curves {ci.label}, {self.curves[j].label} pair negatively"
                     )
 
+    def pair_packed(self, v: Sequence[int]) -> PackedSum:
+        """The kernel's one multiply-accumulate sum(v_k * column_k) for integral
+        v: slot i holds v @ rows[i] = s * (v . C_i).  The bound sum(|v_k| *
+        max_i |rows[i][k]|) on |v @ rows[i]| picks the narrowest slot of 16,
+        32 or 64 bits it fits with a sign; their packings are built on first
+        use and kept, and wider ones are packed per call."""
+        bits = sum(map(mul, map(abs, v), self._column_max)).bit_length()
+        width = 16 if bits < 16 else 32 if bits < 32 else 64 * ((bits + 64) // 64)
+        packing = self._packings.get(width)
+        if packing is None:
+            packing = ([_pack(col, width) for col in zip(*self._rows)],
+                       _pack([1 << (width - 1)] * len(self._rows), width))
+            if width <= 64:
+                self._packings[width] = packing
+        columns, offset = packing
+        return PackedSum(sum(map(mul, v, columns)) + offset, width, offset)
+
     def pair_cleared(self, v: Sequence[int], d: int) -> Numerators:
         """(nums, den) with (v/d) . C_i = nums[i] / den for integral v and d > 0:
-        den = d*s and nums[i] = v @ rows[i], all read off one multiply-accumulate
-        sum(v_k * column_k).  64-bit slots serve unless the bound sum(|v_k| *
-        max_i |rows[i][k]|) on |nums[i]| reaches 2**63; wider ones are packed
-        per call.  An offset 2**(width-1) per slot keeps every slot from
-        borrowing; flipping that bit back leaves each in two's complement."""
-        n, width = len(self._rows), 64
-        bound = sum(map(mul, map(abs, v), self._column_max))
-        columns, offset = self._packed, self._offset
-        if bound >> 63:
-            width = 64 * ((bound.bit_length() + 64) // 64)
-            columns = [_pack(col, width) for col in zip(*self._rows)]
-            offset = _pack([1 << (width - 1)] * n, width)
-        raw = ((sum(map(mul, v, columns)) + offset) ^ offset).to_bytes(width // 8 * n, "little")
-        if width == 64:
-            return list(struct.unpack(f"<{n}q", raw)), d * self._scale
-        step = width // 8
-        return [int.from_bytes(raw[i:i + step], "little", signed=True)
-                for i in range(0, len(raw), step)], d * self._scale
+        den = d*s and nums = the slots of ``pair_packed(v)``."""
+        return self.pair_packed(v).values(), d * self._scale
 
-    def pairing_numerators(self, divisor: DivisorClass) -> Numerators:
-        """(nums, den) with D . C_i = nums[i] / den and den > 0, so every sign
-        or zero test reads the ints: ``pair_cleared`` on D's cleared coordinates."""
+    def pairing_sum(self, divisor: DivisorClass) -> tuple[PackedSum, int]:
+        """(sums, den): D . C_i = sums.slot(i) / den with den > 0, so every sign
+        or zero test reads the ints: ``pair_packed`` on D's cleared coordinates."""
         if divisor.lattice is not self.lattice and divisor.lattice != self.lattice:
             raise LatticeMismatch("class lives in a different lattice")
-        return self.pair_cleared(*divisor.cleared)
+        return self.pair_packed(divisor.cleared[0]), divisor.cleared[1] * self._scale
+
+    def pairing_numerators(self, divisor: DivisorClass) -> Numerators:
+        """(nums, den) with D . C_i = nums[i] / den: the slots of ``pairing_sum``."""
+        sums, den = self.pairing_sum(divisor)
+        return sums.values(), den
 
     def curve_pairings(self, divisor: DivisorClass) -> list[Fraction]:
         """[D . C for C in curves] as Fractions, built from ``pairing_numerators``."""
@@ -201,14 +235,15 @@ def is_nef(
 ) -> bool:
     """Nefness test under the model assumption (complete curve list).  Only the
     signs of ``pairings`` are read, so a caller holding the class's curve
-    pairings or their numerators (``model.pairing_numerators``) passes them."""
+    pairings or their numerators (``model.pairing_numerators``) passes them;
+    else the negative slots of ``model.pairing_sum`` are read."""
     if divisor.lattice != model.lattice:
         raise LatticeMismatch("class lives in a different lattice")
     v, form = divisor.cleared[0], model.lattice.form  # signs of D**2 and D.A, on ints
     if form(v, v) < 0 or form(v, model.ample.cleared[0]) < 0:
         return False
     if pairings is None:
-        pairings = model.pairing_numerators(divisor)[0]
+        return not model.pairing_sum(divisor)[0].negatives()
     return min(pairings, default=0) >= 0
 
 

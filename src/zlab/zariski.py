@@ -54,6 +54,9 @@ class ZariskiDecomposition(_Value, fields=("model", "input", "positive", "coeffi
         if any(coeff <= 0 for _, coeff in self.coefficients):
             raise ValueError("negative-part coefficients must be strictly positive")
         indices = [self.model.curve_index(curve.label) for curve, _ in self.coefficients]
+        for i, (curve, _) in zip(indices, self.coefficients):
+            if self.model.curves[i] != curve:
+                raise ValueError(f"curve {curve.label} is not the model's curve of that label")
         xs, e = clear_denominators(x for _, x in self.coefficients)
         rest = self.model.minus_curves(*self.input.cleared, indices, xs, e)
         if DivisorClass._reduced(self.model.lattice, *rest) != self.positive:
@@ -154,40 +157,40 @@ def zariski_decompose(model: SurfaceModel, divisor: DivisorClass) -> ZariskiDeco
     (the candidate positive part fails nefness with no curve left to add, or
     the class already pairs non-positively with the ample witness).
     """
-    nums, den = model.pairing_numerators(divisor)  # every sign below reads ints
+    sums, den = model.pairing_sum(divisor)  # every sign below reads its slots
     v, d = divisor.cleared
-    form = model.lattice.form  # is_nef inlined on ints: the test below reuses the witness sign
-    witness = form(v, model.ample.cleared[0])
-    if form(v, v) >= 0 and witness >= 0 and min(nums, default=0) >= 0:
+    form, ample = model.lattice.form, model.ample.cleared[0]
+    witness, support = form(v, ample), sums.negatives()  # is_nef inlined, reusing the witness
+    if form(v, v) >= 0 and witness >= 0 and not support:
         return ZariskiDecomposition._of(model, divisor, divisor, ())
     if witness <= 0:
         raise NotPseudoEffective(
             "class pairs non-positively with the ample witness and is not nef"
         )
-    support = [i for i, p in enumerate(nums) if p < 0]
     for _ in range(len(model.curves) + 1):
         if len(support) >= model.lattice.rank:  # refused unread, see the docstring
             raise NotNegativeDefinite(
                 f"{len(support)} classes in rank {model.lattice.rank} are never negative definite"
             )
-        (xs,), e = model.solve_curves(support, [[nums[i] for i in support]])
+        (xs,), e = model.solve_curves(support, [[sums.slot(i) for i in support]])
         p, q = model.minus_curves(v, d, support, xs, e * den)
-        positive_nums = model.pair_cleared(p, q)[0]
-        if min(positive_nums, default=0) >= 0:
+        candidate = model.pair_packed(p)
+        entrants = candidate.negatives()
+        if not entrants:
             break
         # the exact solve makes P . C = 0 on the support, so no support curve is listed
-        support.extend([i for i, n in enumerate(positive_nums) if n < 0])
-    positive = DivisorClass._reduced(model.lattice, p, q)  # = D - N for exactly these xs
-    if not is_nef(model, positive, positive_nums):
+        support.extend(entrants)
+    if entrants or form(p, p) < 0 or form(p, ample) < 0:  # is_nef on P = p/q, q > 0
         raise NotPseudoEffective(
             "no curve left to add but the candidate positive part is not nef"
         )
     if any(x < 0 for x in xs):  # never, as the decomposition exists; cheap on ints
         raise ValueError("negative-part coefficients must be strictly positive")
-    if any(positive_nums[i] for i in support):
+    if any(candidate.slot(i) for i in support):
         raise ValueError("positive part is not orthogonal to the support")
     # negative definite, as the solve's pivots showed; dropping zeros leaves a principal submatrix
     pairs = tuple((model.curves[i], Fraction(x, e * den)) for i, x in zip(support, xs) if x)
+    positive = DivisorClass._reduced(model.lattice, p, q)  # = D - N for exactly these xs
     return ZariskiDecomposition._of(model, divisor, positive, pairs)
 
 

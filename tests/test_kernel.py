@@ -121,17 +121,18 @@ def test_del_pezzo_8_pairs_each_curve_once(monkeypatch):
 
 
 def count_pairings(monkeypatch) -> list[int]:
-    """Count the calls of the packed kernel ``pair_cleared``, which every
-    pairing goes through: ``pairing_numerators`` and ``curve_pairings`` wrap it,
-    and the integer positive parts of a decomposition or a walk are paired by it."""
+    """Count the calls of the kernel's one multiply-accumulate ``pair_packed``,
+    which every pairing goes through: ``pair_cleared``, ``pairing_sum``,
+    ``pairing_numerators`` and ``curve_pairings`` wrap it, and the integer
+    positive parts of a decomposition or a walk are paired by it."""
     calls = [0]
-    plain = SurfaceModel.pair_cleared
+    plain = SurfaceModel.pair_packed
 
-    def counting(self, v, d):
+    def counting(self, v):
         calls[0] += 1
-        return plain(self, v, d)
+        return plain(self, v)
 
-    monkeypatch.setattr(SurfaceModel, "pair_cleared", counting)
+    monkeypatch.setattr(SurfaceModel, "pair_packed", counting)
     return calls
 
 
@@ -141,13 +142,15 @@ def test_each_class_is_paired_once(monkeypatch):
     result checks.  A walk pairs the bundle and the direction once rather
     than on every round, and reuses the direction's pairings from its
     ampleness test (the counts were 6 and 24, then 3 and 15, then 3 and 14
-    while the result's invariants were re-derived on construction).
+    while the result's invariants were re-derived on construction, then 2
+    and 13 while each round solved its starting support again).
 
     The walk also solves the bundle's and the direction's right-hand sides on
-    one elimination per support it tries: the nef bundle decomposes with
-    none, the rounds at 0 and 1 start on the empty support (a 0 x 0 solve),
-    three curves enter at 1 and two more at 2.  That is 5 eliminations, 10
-    while each side had its own."""
+    one elimination per support: the nef bundle decomposes with none, the
+    round at 0 starts on the empty support (a 0 x 0 solve), three curves
+    enter at 1 and two more at 2.  That is 3 eliminations, 5 while each
+    round solved its starting support again and 10 while each side had its
+    own."""
     dp7, dp8 = del_pezzo(7), del_pezzo(8)
     calls = count_pairings(monkeypatch)
     dec = zariski_decompose(dp8, dp8.lattice.divisor([10, -6, -5, -2, -2, -1, -1, -1, -1]))
@@ -158,7 +161,7 @@ def test_each_class_is_paired_once(monkeypatch):
     bundle = dp7.lattice.divisor([9, -3, -3, -2, -2, -1, -1, -1])
     walk = destabilizing_numbers(dp7, bundle, dp7.ample)
     assert walk.breakpoints == (1, 2) and len(walk.segments) == 3
-    assert calls == [13] and sizes == [0, 0, 3, 3, 5]
+    assert calls == [9] and sizes == [0, 3, 5]
 
 
 def count_eliminations(monkeypatch) -> list[int]:
@@ -312,14 +315,15 @@ KERNEL_MODELS = st.one_of(
     scaled_user_models(),
     st.just(abelian_surface_model()),
 )
-WIDTHS = st.sampled_from([4, 31, 62, 63, 64, 65, 100, 127, 128, 129, 200])
+WIDTHS = st.sampled_from([4, 14, 15, 16, 30, 31, 32, 62, 63, 64, 65, 100, 127, 128, 129, 200])
 
 
 @settings(max_examples=150, deadline=None)
 @given(KERNEL_MODELS, st.data())
 def test_packed_kernel_matches_one_dot_product_per_row(model, data):
     """Coordinates up to 2**200 in absolute value: the numerators cross the
-    one-word slot at 2**63 and the wider ones at 2**127 on either side."""
+    kept slots at 2**15, 2**31 and 2**63 and the wider ones at 2**127 on
+    either side."""
     rank = model.lattice.rank
     bits = data.draw(WIDTHS)
     v = data.draw(st.lists(st.integers(-(2**bits), 2**bits), min_size=rank, max_size=rank))
@@ -329,7 +333,24 @@ def test_packed_kernel_matches_one_dot_product_per_row(model, data):
     assert model.pairing_numerators(divisor) == oracle_numerators(model, *divisor.cleared)
 
 
-EDGES = [2**63 - 1, 2**63, 2**64, 2**127 - 1, 2**127, 2**128 + 1]
+@settings(max_examples=150, deadline=None)
+@given(KERNEL_MODELS, st.data())
+def test_sign_and_slot_read_outs_match_the_unpacked_slots(model, data):
+    """The negative slots read off the offset bits, and each slot read alone,
+    agree with the full list at every width; on the abelian model, which has
+    no curves, all three are empty."""
+    rank = model.lattice.rank
+    bits = data.draw(WIDTHS)
+    v = data.draw(st.lists(st.integers(-(2**bits), 2**bits), min_size=rank, max_size=rank))
+    sums = model.pair_packed(v)
+    nums = sums.values()
+    assert nums == oracle_numerators(model, v, 1)[0]
+    assert sums.negatives() == [i for i, x in enumerate(nums) if x < 0]
+    assert [sums.slot(i) for i in range(len(nums))] == nums
+
+
+EDGES = [2**15 - 1, 2**15, 2**31 - 1, 2**31, 2**63 - 1, 2**63, 2**64, 2**127 - 1, 2**127,
+         2**128 + 1]
 
 
 @pytest.mark.parametrize("r", range(1, 9))
@@ -354,6 +375,28 @@ def test_one_and_several_word_slots_both_run():
         nums, den = model.pair_cleared([0, t, 0], 1)
         assert den == 1 and sorted(nums) == sorted([-t, 0, t])  # E1, E2, L-E1-E2
         assert nums == oracle_numerators(model, [0, t, 0], 1)[0]
+
+
+def test_the_narrowest_slot_that_fits_is_chosen():
+    """On dp2 the bound of t*E1 is |t|, and a slot of w bits holds |t| < 2**(w-1)."""
+    model = dp_model(2)
+    for t, width in ((2**15 - 1, 16), (2**15, 32), (2**31 - 1, 32), (2**31, 64),
+                     (2**63 - 1, 64), (2**63, 128), (2**127, 192)):
+        for signed in (t, -t):
+            sums = model.pair_packed([0, signed, 0])
+            assert sums.width == width
+            assert sorted(sums.values()) == sorted([-signed, 0, signed])
+
+
+def test_kept_packings_are_built_on_first_use():
+    """Construction pairs the curves and the witness in 16-bit slots; the 32-
+    and 64-bit packings appear when a class needs them, and wider slots are
+    never kept."""
+    model = del_pezzo(3)
+    assert sorted(vars(model)["_packings"]) == [16]
+    model.pair_packed([2**20, 0, 0, 0])
+    model.pair_packed([2**100, 0, 0, 0])
+    assert sorted(vars(model)["_packings"]) == [16, 32]
 
 
 def test_abelian_model_has_no_numerators():

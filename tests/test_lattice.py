@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zlab.lattice
-from conftest import dp_model
+from conftest import dp_model, user_models
 from zlab import (
     IntersectionLattice,
     QuadraticIrrational,
@@ -22,6 +23,7 @@ from zlab import (
     solve_gram_system,
     sqrt_fraction,
 )
+from zlab.cutkosky import abelian_surface
 from zlab.errors import LatticeMismatch, NotNegativeDefinite, SignatureError
 from zlab.lattice import (
     gram_matrix,
@@ -78,6 +80,40 @@ def test_pair_is_symmetric(u, v):
 def test_pair_is_bilinear(u, v, w, s, t):
     du, dv, dw = dp2_class(*u), dp2_class(*v), dp2_class(*w)
     assert pair(s * du + t * dv, dw) == s * pair(du, dw) + t * pair(dv, dw)
+
+
+# -- form on the non-zero Gram entries against the dense product ----------------
+
+
+def dense_form(lattice, u, v):
+    """u^T G v over every entry of G, zeros included."""
+    return sum(x * g * y for x, row in zip(u, lattice.gram) for g, y in zip(row, v))
+
+
+VECTOR_ENTRIES = st.integers(-(10**12), 10**12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(user_models(), st.data())
+def test_form_matches_the_dense_product_on_user_models(model, data):
+    lattice = model.lattice
+    vectors = st.lists(VECTOR_ENTRIES, min_size=lattice.rank, max_size=lattice.rank)
+    u, v = data.draw(vectors), tuple(data.draw(vectors))  # lists and tuples alike
+    assert lattice.form(u, v) == dense_form(lattice, u, v) == lattice.form(v, u)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: IntersectionLattice([[3]], ["H"]),  # one entry: no itemgetter-style scalar
+    lambda: abelian_surface().lattice,  # zero diagonal
+    lambda: pickle.loads(pickle.dumps(abelian_surface().lattice)),
+    lambda: pickle.loads(pickle.dumps(dp_model(8).lattice)),
+], ids=["rank-1", "abelian", "pickled-abelian", "pickled-dp8"])
+def test_form_matches_the_dense_product_on_edge_lattices(build):
+    lattice, rng = build(), random.Random(11)
+    for _ in range(50):
+        u, v = ([rng.randint(-(10**9), 10**9) for _ in range(lattice.rank)] for _ in "uv")
+        assert lattice.form(u, v) == dense_form(lattice, u, v)
+    assert lattice.form([1] * lattice.rank, [1] * lattice.rank) == sum(map(sum, lattice.gram))
 
 
 # -- signature ---------------------------------------------------------------

@@ -14,6 +14,7 @@ from conftest import (a2_chain_model, dp_model, k3_model, random_ample_class, ra
                       user_models)
 from test_kernel import RATIONALS, scaled_user_models
 from zlab import (
+    NegativeCurve,
     SurfaceModel,
     chamber_closure_contains,
     chamber_of,
@@ -95,6 +96,19 @@ def test_decomposition_refuses_broken_invariants(dp2, input_coords, positive_coo
             coefficients=tuple((dp2.curve_by_label(k), Fraction(v)) for k, v in parts.items()),
         )
     assert str(excinfo.value) == message
+
+
+def test_constructor_refuses_a_curve_that_is_not_the_model_curve_of_its_label(dp3):
+    """A curve is looked up by its label, so a curve labelled E1 that carries
+    E2's class used to pass every check on E1's class and leave E2's class in
+    the coefficients while the negative part read E1."""
+    lat = dp3.lattice
+    divisor, positive = lat.divisor([2, 1, 0, 0]), lat.divisor([2, 0, 0, 0])
+    e1, e2 = dp3.curve_by_label("E1"), dp3.curve_by_label("E2")
+    assert ZariskiDecomposition(dp3, divisor, positive, [(e1, Fraction(1))]).negative == e1.cls
+    impostor = NegativeCurve("E1", e2.cls)
+    with pytest.raises(ValueError, match="curve E1 is not the model's curve of that label"):
+        ZariskiDecomposition(dp3, divisor, positive, [(impostor, Fraction(1))])
 
 
 # -- the public constructor as an oracle for zariski_decompose --------------
