@@ -36,18 +36,19 @@ def construct_nef_with_null(
         raise UnrealizableSupport(exc.args[0]) from exc
     if not indices:
         return model.ample
-    nums, den = model.pairing_numerators(model.ample)
+    sums, den = model.pairing_sum(model.ample)
     try:
-        (xs,), e = model.solve_curves(indices, [[-nums[i] for i in indices]])
+        (xs,), e = model.solve_curves(indices, [[-sums.slot(i) for i in indices]])
     except NotNegativeDefinite as exc:
         raise NotNegativeDefinite(f"support {support}: {exc}") from None
     if any(x <= 0 for x in xs):  # t_i = x_i / e with e > 0
         raise NotNegativeDefinite("orthogonality system produced a non-positive coefficient")
     result = DivisorClass._reduced(model.lattice, *model.minus_curves(
         *model.ample.cleared, indices, [-x for x in xs], e * den))
-    if not is_nef(model, result):
+    nums = model.pairing_sum(result)[0].values()  # one pairing serves both checks
+    if not is_nef(model, result, nums):
         raise NullMismatch("constructed class is not nef")
-    if null_set(model, result) != frozenset(model.curves[i].label for i in indices):
+    if {i for i, p in enumerate(nums) if p == 0} != set(indices):
         raise NullMismatch("constructed class has extra null curves")
     return result
 

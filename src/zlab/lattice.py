@@ -105,11 +105,6 @@ class QuadraticIrrational:
     def is_rational(self) -> bool:
         return self._q == 0
 
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError(f"{self} is irrational")
-        return self.a
-
     # -- arithmetic --------------------------------------------------------
 
     @classmethod

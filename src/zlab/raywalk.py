@@ -14,11 +14,11 @@ QuadraticIrrational (rational values embed with radicand 0).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 from .errors import InstableDivisor, LatticeMismatch, NotAmple
 from .lattice import DivisorClass, QuadraticIrrational, _Value, sqrt_fraction
-from .surface import Numerators, SurfaceModel
+from .surface import PackedSum, SurfaceModel
 from .zariski import (
     ChamberDescriptor,
     _decompose_big,
@@ -84,49 +84,15 @@ def is_ample(model: SurfaceModel, divisor: DivisorClass) -> bool:
     return _ample_pairings(model, divisor) is not None
 
 
-def _ample_pairings(model: SurfaceModel, divisor: DivisorClass) -> "Numerators | None":
-    """The pairing numerators of an ample class, or None when it is not ample."""
+def _ample_pairings(model: SurfaceModel, divisor: DivisorClass) -> "tuple[PackedSum, int] | None":
+    """The pairing sum of an ample class (see ``pairing_sum``), or None when it is not ample."""
     if divisor.lattice != model.lattice:
         raise LatticeMismatch("class lives in a different lattice")
     v, form = divisor.cleared[0], model.lattice.form  # signs of D**2 and D.A, on ints
     if form(v, v) <= 0 or form(v, model.ample.cleared[0]) <= 0:
         return None
-    nums, den = model.pairing_numerators(divisor)
-    return (nums, den) if min(nums, default=1) > 0 else None
-
-
-def _absorb_walls(model: SurfaceModel, support: list[int], bundle: DivisorClass,
-                  ample: DivisorClass, lam: Fraction, pairings: tuple[Numerators, Numerators],
-                  affine: Optional[tuple]):
-    """Add every curve whose wall passes through lam with decreasing pairing.
-
-    Grows ``support`` in place and returns it with the affine data on it:
-    the candidate positive part P(t) = p0 + t*p1, whose coefficients x(t) =
-    x0 + t*x1 solve the support's pairing system, with p0 and p1 as (integer
-    coordinates, denominator), and the pairing numerators (g0s, d0), (g1s, d1)
-    of p0 and p1.  ``affine`` holds the last round's data on the same support
-    (x0 and x1 do not depend on lam), so a support is solved once; ``pairings``
-    holds the bundle's and the ample class's numerators, computed once per walk.
-    P(lam) . C has the sign of g0*u + g1*w, that is g0/d0 + lam*g1/d1 times
-    d0*d1*lam's denominator.  The exact solves make g0 = g1 = 0 on the support.
-    """
-    (b, b_den), (a, a_den) = pairings
-    while True:
-        if affine is None:
-            (x0, x1), e = model.solve_curves(support, [[b[i] for i in support],
-                                                       [-a[i] for i in support]])
-            p0 = model.minus_curves(*bundle.cleared, support, x0, e * b_den)
-            p1 = model.minus_curves(*(-ample).cleared, support, x1, e * a_den)
-            affine = p0, p1, model.pair_cleared(*p0), model.pair_cleared(*p1)
-        f0, f1 = affine[2:]
-        u, w = f1[1] * lam.denominator, f0[1] * lam.numerator
-        entrants = [
-            i for i, (g0, g1) in enumerate(zip(f0[0], f1[0])) if g1 < 0 and g0 * u + g1 * w == 0
-        ]
-        if not entrants:
-            return support, affine
-        support.extend(entrants)
-        affine = None
+    sums, den = model.pairing_sum(divisor)
+    return (sums, den) if min(sums.values(), default=1) > 0 else None
 
 
 def destabilizing_numbers(
@@ -148,39 +114,54 @@ def destabilizing_numbers(
     coefficient p1**2 >= A**2 > 0, because -p1 is A projected off the span
     of the support, and P(t) . A falls without bound, so P(t)**2 turns
     non-positive above lam and both roots are real and above lam.
+
+    Each pass of the loop either adds the curves whose walls pass through
+    lam with decreasing pairing, or closes the segment that starts at lam;
+    so there are at most 2 * len(model.curves) + 1 passes.  A support is
+    solved once, for the bundle's and the direction's right-hand sides
+    together: the candidate positive part is P(t) = u0/q0 + t*u1/q1, with
+    the coefficients x0 + t*x1 of the support curves, and g0, g1 are the
+    kernel's slots of u0 and u1, s times u . C.  So P(lam) . C has the sign
+    of g0*q1*lam.den + g1*q0*lam.num, and its wall is t = g0*q1 / (-g1*q0);
+    the exact solves make g0 = g1 = 0 on the support.
     """
     ample_pairings = _ample_pairings(model, ample)
     if ample_pairings is None:
         raise NotAmple("the direction class must be ample in the model")
-    initial = _decompose_big(model, bundle)
-    pairings = (model.pairing_numerators(bundle), ample_pairings)
-
-    support = [model.curve_index(c.label) for c in initial.support]
-    lam, affine = Fraction(0), None
+    (a, a_den), (b, b_den) = ample_pairings, model.pairing_sum(bundle)
+    support = [model.curve_index(c.label) for c in _decompose_big(model, bundle).support]
+    lam, grown = Fraction(0), True
     segments: list[RaySegment] = []
     breakpoints: list[Fraction] = []
 
-    for _ in range(len(model.curves) + 1):
-        support, affine = _absorb_walls(model, support, bundle, ample, lam, pairings, affine)
-        p0, p1, f0, f1 = affine
-        descriptor = ChamberDescriptor.from_labels(model.curves[i].label for i in support)
-
-        # P(t) . C falls to zero at t = g0*d1 / (-g1*d0), above lam when g0*u +
-        # g1*w > 0 (see _absorb_walls); walls compare as g0 / -g1 (d1/d0 > 0)
-        u, w = f1[1] * lam.denominator, f0[1] * lam.numerator
-        least: Optional[tuple[int, int]] = None
-        for g0, g1 in zip(f0[0], f1[0]):
+    for _ in range(2 * len(model.curves) + 2):
+        if grown:
+            (x0, x1), e = model.solve_curves(support, [[b.slot(i) for i in support],
+                                                       [-a.slot(i) for i in support]])
+            u0, q0 = model.minus_curves(*bundle.cleared, support, x0, e * b_den)
+            u1, q1 = model.minus_curves(*(-ample).cleared, support, x1, e * a_den)
+            g0s, g1s = model.pair_packed(u0).values(), model.pair_packed(u1).values()
+        # entrants have P(lam) . C = 0; the least wall above lam compares as g0 / -g1
+        u, w = q1 * lam.denominator, q0 * lam.numerator
+        entrants, least = [], None
+        for i, (g0, g1) in enumerate(zip(g0s, g1s)):
             if g1 >= 0:  # support curves included: g1 = 0 there
                 continue
             above = g0 * u + g1 * w
             assert above >= 0, "segment invariant broken"
-            if above and (least is None or g0 * least[1] < -g1 * least[0]):
+            if not above:
+                entrants.append(i)
+            elif least is None or g0 * least[1] < -g1 * least[0]:
                 least = (g0, -g1)
-        wall = None if least is None else Fraction(least[0] * f1[1], least[1] * f0[1])
-        # p0 = u0/q0, p1 = u1/q1 and fij = ui . uj: P(t)**2 = f00/q0**2 + 2*f01*t/(q0*q1)
-        # + f11*t**2/q1**2, whose smaller root -(f01 + sqrt(f01**2 - f00*f11)) * q1/(q0*f11)
-        # is the threshold
-        (u0, q0), (u1, q1), form = p0, p1, model.lattice.form
+        grown = bool(entrants)
+        if grown:
+            support.extend(entrants)
+            continue
+        descriptor = ChamberDescriptor.from_labels(model.curves[i].label for i in support)
+        wall = None if least is None else Fraction(least[0] * q1, least[1] * q0)
+        # fij = ui . uj: P(t)**2 = f00/q0**2 + 2*f01*t/(q0*q1) + f11*t**2/q1**2, whose
+        # smaller root -(f01 + sqrt(f01**2 - f00*f11)) * q1/(q0*f11) is the threshold
+        form = model.lattice.form
         f00, f01, f11 = form(u0, u0), form(u0, u1), form(u1, u1)
         root = sqrt_fraction(f01 * f01 - f00 * f11)
         threshold = (QuadraticIrrational(-f01) - root) * Fraction(q1, q0 * f11)

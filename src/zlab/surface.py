@@ -28,7 +28,6 @@ from .errors import (
 from .lattice import DivisorClass, IntersectionLattice, Rational, _Value, solve_negative_definite
 
 
-Numerators = tuple[list[int], int]  # integers over one positive denominator
 _CODES = {16: "h", 32: "i", 64: "q"}  # the struct codes of the slot widths kept packed
 
 
@@ -139,8 +138,8 @@ class SurfaceModel(_Value, fields=("lattice", "ample", "curves", "canonical")):
             _index=index, _scale=scale, _vectors=vectors, _rows=rows, _packings={},
             _column_max=[max(map(abs, c)) for c in zip(*rows)],
         )
-        gram = vars(self)["_gram"] = [self.pair_cleared(v, 1)[0] for v in vectors]
-        for curve, p in zip(self.curves, self.pairing_numerators(self.ample)[0]):
+        gram = vars(self)["_gram"] = [self.pair_packed(v).values() for v in vectors]
+        for curve, p in zip(self.curves, self.pairing_sum(self.ample)[0].values()):
             if p <= 0:
                 raise AmpleWitnessError(f"ample witness pairs non-positively with {curve.label}")
         for i, ci in enumerate(self.curves):
@@ -167,11 +166,6 @@ class SurfaceModel(_Value, fields=("lattice", "ample", "curves", "canonical")):
         columns, offset = packing
         return PackedSum(sum(map(mul, v, columns)) + offset, width, offset)
 
-    def pair_cleared(self, v: Sequence[int], d: int) -> Numerators:
-        """(nums, den) with (v/d) . C_i = nums[i] / den for integral v and d > 0:
-        den = d*s and nums = the slots of ``pair_packed(v)``."""
-        return self.pair_packed(v).values(), d * self._scale
-
     def pairing_sum(self, divisor: DivisorClass) -> tuple[PackedSum, int]:
         """(sums, den): D . C_i = sums.slot(i) / den with den > 0, so every sign
         or zero test reads the ints: ``pair_packed`` on D's cleared coordinates."""
@@ -179,15 +173,10 @@ class SurfaceModel(_Value, fields=("lattice", "ample", "curves", "canonical")):
             raise LatticeMismatch("class lives in a different lattice")
         return self.pair_packed(divisor.cleared[0]), divisor.cleared[1] * self._scale
 
-    def pairing_numerators(self, divisor: DivisorClass) -> Numerators:
-        """(nums, den) with D . C_i = nums[i] / den: the slots of ``pairing_sum``."""
-        sums, den = self.pairing_sum(divisor)
-        return sums.values(), den
-
     def curve_pairings(self, divisor: DivisorClass) -> list[Fraction]:
-        """[D . C for C in curves] as Fractions, built from ``pairing_numerators``."""
-        nums, den = self.pairing_numerators(divisor)
-        return [Fraction(n, den) for n in nums]
+        """[D . C for C in curves] as Fractions, built from ``pairing_sum``."""
+        sums, den = self.pairing_sum(divisor)
+        return [Fraction(n, den) for n in sums.values()]
 
     def solve_curves(self, indices: Sequence[int],
                      columns: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
@@ -199,7 +188,7 @@ class SurfaceModel(_Value, fields=("lattice", "ample", "curves", "canonical")):
         return [[square * x for x in xs] for xs in xss], abs(det)
 
     def minus_curves(self, v: Sequence[int], d: int, indices: Sequence[int], xs: Sequence[int],
-                     e: int) -> Numerators:
+                     e: int) -> tuple[list[int], int]:
         """(p, q) with v/d - sum(xs[j]/e * C_j) = p/q over the curves at
         ``indices``, for d, e > 0: a class minus curves, formed in integers."""
         es = e * self._scale  # xs[j]/e * C_j = xs[j] * c_j / es
@@ -235,8 +224,8 @@ def is_nef(
 ) -> bool:
     """Nefness test under the model assumption (complete curve list).  Only the
     signs of ``pairings`` are read, so a caller holding the class's curve
-    pairings or their numerators (``model.pairing_numerators``) passes them;
-    else the negative slots of ``model.pairing_sum`` are read."""
+    pairings or their numerators (the slots of ``model.pairing_sum``) passes
+    them; else the negative slots of ``model.pairing_sum`` are read."""
     if divisor.lattice != model.lattice:
         raise LatticeMismatch("class lives in a different lattice")
     v, form = divisor.cleared[0], model.lattice.form  # signs of D**2 and D.A, on ints

@@ -61,7 +61,7 @@ class ZariskiDecomposition(_Value, fields=("model", "input", "positive", "coeffi
         rest = self.model.minus_curves(*self.input.cleared, indices, xs, e)
         if DivisorClass._reduced(self.model.lattice, *rest) != self.positive:
             raise ValueError("positive and negative part do not sum to the input")
-        nums = self.model.pairing_numerators(self.positive)[0]
+        nums = self.model.pairing_sum(self.positive)[0].values()
         if not is_nef(self.model, self.positive, nums):
             raise ValueError("positive part is not nef")
         if any(nums[i] for i in indices):
@@ -80,9 +80,6 @@ class ZariskiDecomposition(_Value, fields=("model", "input", "positive", "coeffi
     @property
     def negative(self) -> DivisorClass:
         return self.input - self.positive  # = sum(a_C * C)
-
-    def coefficient(self, label: str) -> Fraction:
-        return next((x for curve, x in self.coefficients if curve.label == label), Fraction(0))
 
 
 class ChamberDescriptor(_Value, fields=("support",)):
@@ -160,17 +157,21 @@ def zariski_decompose(model: SurfaceModel, divisor: DivisorClass) -> ZariskiDeco
     sums, den = model.pairing_sum(divisor)  # every sign below reads its slots
     v, d = divisor.cleared
     form, ample = model.lattice.form, model.ample.cleared[0]
-    witness, support = form(v, ample), sums.negatives()  # is_nef inlined, reusing the witness
-    if form(v, v) >= 0 and witness >= 0 and not support:
+    witness, negative = form(v, ample), sums.offset & ~sums.total  # a set bit per negative slot
+    if form(v, v) >= 0 and witness >= 0 and not negative:  # is_nef inlined, reusing the witness
         return ZariskiDecomposition._of(model, divisor, divisor, ())
     if witness <= 0:
         raise NotPseudoEffective(
             "class pairs non-positively with the ample witness and is not nef"
         )
+    rank, size = model.lattice.rank, negative.bit_count()
+    if size >= rank:  # refused before its slots are read, see the docstring
+        raise NotNegativeDefinite(f"{size} classes in rank {rank} are never negative definite")
+    support = sums.negatives()
     for _ in range(len(model.curves) + 1):
-        if len(support) >= model.lattice.rank:  # refused unread, see the docstring
+        if len(support) >= rank:  # refused unread, see the docstring
             raise NotNegativeDefinite(
-                f"{len(support)} classes in rank {model.lattice.rank} are never negative definite"
+                f"{len(support)} classes in rank {rank} are never negative definite"
             )
         (xs,), e = model.solve_curves(support, [[sums.slot(i) for i in support]])
         p, q = model.minus_curves(v, d, support, xs, e * den)
@@ -201,7 +202,7 @@ def neg_set(model: SurfaceModel, divisor: DivisorClass) -> frozenset[str]:
 
 def null_set(model: SurfaceModel, nef_class: DivisorClass) -> frozenset[str]:
     """Labels of the listed curves pairing to zero with a nef class."""
-    nums = model.pairing_numerators(nef_class)[0]
+    nums = model.pairing_sum(nef_class)[0].values()
     if not is_nef(model, nef_class, nums):
         raise NotNef("null set is only defined for nef classes")
     return frozenset(c.label for c, p in zip(model.curves, nums) if p == 0)

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from conftest import rank_ten_model
-from zlab.cli import COMMANDS, _qi_json, main, parse_surface, surface_to_json
+from zlab.cli import COMMANDS, MAX_SCAN_POINTS, _qi_json, main, parse_surface, surface_to_json
 from zlab.cutkosky import volume_closed_form
 from zlab.errors import (
     AmpleWitnessError,
@@ -399,6 +399,18 @@ def test_cutkosky_scan_refuses_bad_bounds(capsys, bounds):
     code, out, err = run_cli(capsys, ["cutkosky-scan", *bounds])
     assert (code, out) == (1, "")
     assert err == "usage error: need --num >= 2 and --stop > --start\n"
+
+
+def test_cutkosky_scan_refuses_too_many_points_before_any_value(capsys, monkeypatch):
+    """A point costs 0.2 ms and more as the steps' denominators grow, so an
+    unbounded --num ran for minutes; the bound is checked before any step."""
+    def unreached(eps):
+        raise AssertionError("a value was computed")
+
+    monkeypatch.setattr("zlab.cutkosky.volume_L_eps", unreached)
+    code, out, err = run_cli(capsys, ["cutkosky-scan", "--num", str(MAX_SCAN_POINTS + 1)])
+    assert (code, out) == (1, "")
+    assert err == f"usage error: need --num <= {MAX_SCAN_POINTS}\n"
 
 
 def test_csv_refusal_comes_before_any_work(capsys, monkeypatch):

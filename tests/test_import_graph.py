@@ -1,4 +1,5 @@
-"""The package's import graph is acyclic and layered, and every import is used.
+"""The package's import graph is acyclic and layered, every import is used,
+and every definition is read somewhere.
 
 Every module of ``zlab`` may import only from a strictly lower tier, so the
 graph follows lattice -> surface -> zariski -> {chambers, volume, raywalk}
@@ -9,10 +10,12 @@ graph follows lattice -> surface -> zariski -> {chambers, volume, raywalk}
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from graphlib import TopologicalSorter
 from pathlib import Path
 
 import zlab
+from test_cold_start import load_tracer
 
 PACKAGE = Path(zlab.__file__).parent
 
@@ -113,4 +116,62 @@ def test_every_import_is_used():
         if path.stem != "__init__":
             tree = ast.parse(path.read_text(encoding="utf-8"))
             unused += [(path.stem, name) for name in imported_names(tree) - used_names(tree)]
+    assert unused == []
+
+
+# -- every definition is used ------------------------------------------------
+
+# Methods no library code reads, each with the reason it stays.
+UNREFERENCED_BY_DESIGN = {
+    "DivisorClass.is_zero": "public predicate; the tests compare it with a reference class",
+    "SurfaceModel.curve_by_label": "public lookup; users and the tests name curves by it",
+    "IntersectionLattice.zero": "public constructor of the zero class; the tests call it",
+    "QuadraticIrrational.inverse": "public arithmetic beside the division operators",
+    "QuadraticVolumePolynomial.evaluate": "public; the tests and the benchmark evaluate forms",
+    "_Parser.error": "argparse calls it on a usage error",
+}
+
+
+def definitions(tree: ast.AST, prefix: str = "") -> list[tuple[str, ast.AST]]:
+    """(qualified name, node) for every function, method and class a module
+    defines, nested ones as ``outer.inner``."""
+    found: list[tuple[str, ast.AST]] = []
+    for child in ast.iter_child_nodes(tree):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((prefix + child.name, child))
+            found += definitions(child, f"{prefix}{child.name}.")
+        else:
+            found += definitions(child, prefix)
+    return found
+
+
+def identifiers(tree: ast.AST) -> Counter:
+    """How often each identifier is read: names, attributes, and the names
+    inside string annotations."""
+    found = Counter(node.id for node in ast.walk(tree) if isinstance(node, ast.Name))
+    found.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+    for annotation in annotation_nodes(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                quoted = ast.parse(node.value, mode="eval")
+                found.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+    return found
+
+
+def test_every_definition_is_used():
+    """A function, method or class of ``zlab`` is read somewhere else in the
+    package, or is public (``__all__``), a dunder, a benchmark tracer target,
+    or listed above with a reason."""
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))]
+    everywhere = sum(map(identifiers, trees), Counter())
+    kept = set(zlab.__all__) | set(UNREFERENCED_BY_DESIGN)
+    kept.update(attr for _, attr, _, _ in load_tracer().TARGETS)
+    unused = [
+        name
+        for tree in trees
+        for name, node in definitions(tree)
+        if name not in kept
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and everywhere[node.name] <= identifiers(node)[node.name]  # read only inside itself
+    ]
     assert unused == []

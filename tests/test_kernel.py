@@ -82,7 +82,7 @@ def test_kernel_matches_pairing_on_scaled_user_models(model, data):
     assert got == _oracle_decompose(model, big, _negative_definite_subsets(model))
 
 
-@pytest.mark.parametrize("method", ["pairing_numerators", "curve_pairings"])
+@pytest.mark.parametrize("method", ["pairing_sum", "curve_pairings"])
 @pytest.mark.parametrize(
     "foreign",
     [lambda: abelian_surface().d, lambda: del_pezzo(3).ample],
@@ -122,9 +122,9 @@ def test_del_pezzo_8_pairs_each_curve_once(monkeypatch):
 
 def count_pairings(monkeypatch) -> list[int]:
     """Count the calls of the kernel's one multiply-accumulate ``pair_packed``,
-    which every pairing goes through: ``pair_cleared``, ``pairing_sum``,
-    ``pairing_numerators`` and ``curve_pairings`` wrap it, and the integer
-    positive parts of a decomposition or a walk are paired by it."""
+    which every pairing goes through: ``pairing_sum`` and ``curve_pairings``
+    wrap it, and the integer positive parts of a decomposition or a walk are
+    paired by it."""
     calls = [0]
     plain = SurfaceModel.pair_packed
 
@@ -255,7 +255,8 @@ def test_pairing_numerators_over_one_positive_denominator(model, data):
     divisor = model.lattice.divisor(
         data.draw(st.lists(RATIONALS, min_size=rank, max_size=rank))
     )
-    nums, den = model.pairing_numerators(divisor)
+    sums, den = model.pairing_sum(divisor)
+    nums = sums.values()
     assert type(den) is int and den > 0
     assert all(type(n) is int for n in nums)
     assert [Fraction(n, den) for n in nums] == [divisor.dot(c.cls) for c in model.curves]
@@ -297,7 +298,7 @@ def oracle_rows(model):
 
 
 def oracle_numerators(model, v, d):
-    """What ``pair_cleared`` computed before its columns were packed: one
+    """What the kernel computed before its columns were packed: one
     sum(map(mul, v, row)) per row, over the denominator d*s."""
     rows, s = oracle_rows(model)
     return [sum(map(mul, v, row)) for row in rows], d * s
@@ -328,9 +329,10 @@ def test_packed_kernel_matches_one_dot_product_per_row(model, data):
     bits = data.draw(WIDTHS)
     v = data.draw(st.lists(st.integers(-(2**bits), 2**bits), min_size=rank, max_size=rank))
     d = data.draw(st.integers(1, 12))
-    assert model.pair_cleared(v, d) == oracle_numerators(model, v, d)
+    assert model.pair_packed(v).values() == oracle_numerators(model, v, 1)[0]
     divisor = model.lattice.divisor([Fraction(x, d) for x in v])
-    assert model.pairing_numerators(divisor) == oracle_numerators(model, *divisor.cleared)
+    sums, den = model.pairing_sum(divisor)
+    assert (sums.values(), den) == oracle_numerators(model, *divisor.cleared)
 
 
 @settings(max_examples=150, deadline=None)
@@ -362,8 +364,8 @@ def test_packed_kernel_at_slot_edges(r, t):
     model = dp_model(r)
     for k in range(1, r + 1):
         for v in ([0] * k + [t] + [0] * (r - k), [t] + [-t] * r, [t] * (r + 1)):
-            assert model.pair_cleared(v, 1) == oracle_numerators(model, v, 1)
-    assert model.pair_cleared([0, t] + [0] * (r - 1), 1)[0].count(-t) == 1
+            assert model.pair_packed(v).values() == oracle_numerators(model, v, 1)[0]
+    assert model.pair_packed([0, t] + [0] * (r - 1)).values().count(-t) == 1
 
 
 def test_one_and_several_word_slots_both_run():
@@ -372,7 +374,8 @@ def test_one_and_several_word_slots_both_run():
     model = dp_model(2)
     assert slot_bound(model, [0, 2**63 - 1, 0]) == 2**63 - 1
     for t in (2**63 - 1, -(2**63 - 1), 2**63, -(2**63)):
-        nums, den = model.pair_cleared([0, t, 0], 1)
+        sums, den = model.pairing_sum(model.lattice.divisor([0, t, 0]))
+        nums = sums.values()
         assert den == 1 and sorted(nums) == sorted([-t, 0, t])  # E1, E2, L-E1-E2
         assert nums == oracle_numerators(model, [0, t, 0], 1)[0]
 
@@ -401,5 +404,7 @@ def test_kept_packings_are_built_on_first_use():
 
 def test_abelian_model_has_no_numerators():
     model = abelian_surface_model()
-    assert model.pair_cleared([1, -2, 3], 5) == ([], 5)
-    assert model.pairing_numerators(model.ample)[0] == []
+    assert model.pair_packed([1, -2, 3]).values() == []
+    sums, den = model.pairing_sum(model.lattice.divisor([Fraction(x, 5) for x in (1, -2, 3)]))
+    assert (sums.values(), den) == ([], 5)
+    assert model.pairing_sum(model.ample)[0].values() == []

@@ -24,7 +24,9 @@ from zlab import (
     abelian_surface,
     abelian_surface_model,
     chamber_of,
+    construct_nef_with_null,
     destabilizing_numbers,
+    enumerate_chambers,
     is_ample,
     is_big,
     is_stable,
@@ -32,6 +34,7 @@ from zlab import (
     sqrt_fraction,
     stable_base_locus,
     vol,
+    volume_polynomial,
     zariski_decompose,
 )
 from zlab.errors import InstableDivisor, NotAmple, NotBig
@@ -365,3 +368,55 @@ def test_walk_theorems_on_user_models(model, data):
     )
     assume(is_ample(model, direction))
     assert_walk_theorems(model, bundle, direction)
+
+
+def walk_derivative(form, bundle, direction, t):
+    """d/dt form(L - t*A) = -2 * A^T Q (L - t*A), Q the form's matrix."""
+    point = (bundle - t * direction).coords
+    return -2 * sum(a * q * x for a, row in zip(direction.coords, form.matrix)
+                    for q, x in zip(row, point))
+
+
+@pytest.mark.parametrize("key", THEOREM_MODELS)
+def test_walk_derivative_and_c1_at_breakpoints(key):
+    """d/dt vol(L - t*A) = -2 P(t) . A (Boucksom-Favre-Jonsson, J. Algebraic
+    Geom. 18, 2009): inside each segment the derivative of the segment's volume
+    form equals -2 P(t) . A with P(t) the positive part of the decomposition at
+    t, and at each breakpoint the two neighbouring forms have equal derivatives."""
+    model = THEOREM_MODELS[key]()
+    rng = random.Random(f"derivative-{key}")
+    for _ in range(6):
+        bundle, direction = random_big_class(model, rng), random_ample_class(model, rng)
+        walk = destabilizing_numbers(model, bundle, direction)
+        forms = [volume_polynomial(model, segment.support) for segment in walk.segments]
+        for segment, form in zip(walk.segments, forms):
+            start, end = segment.lambda_start, segment.lambda_end
+            if not isinstance(end, Fraction):
+                end = rational_bracket(end)[0]
+            for t in (start + (end - start) * Fraction(k, 8) for k in (1, 4, 7)):
+                if start < t and segment.lambda_end > t:
+                    positive = zariski_decompose(model, bundle - t * direction).positive
+                    expected = -2 * positive.dot(direction)
+                    assert walk_derivative(form, bundle, direction, t) == expected
+        for b, left, right in zip(walk.breakpoints, forms, forms[1:]):
+            assert left.matrix != right.matrix  # the forms differ, their derivatives agree
+            assert (walk_derivative(left, bundle, direction, b)
+                    == walk_derivative(right, bundle, direction, b))
+
+
+@pytest.mark.parametrize("key", ["dp2", "dp3", "dp4", "dp5", "a2", "k3(1)", "k3(2)"])
+def test_construct_then_decompose_round_trip(key):
+    """P = construct_nef_with_null(S) is nef with null set S, and S is negative
+    definite, so by uniqueness P + sum(c_i * C_i) with every c_i > 0
+    decomposes to exactly P and the c_i, for every chamber S."""
+    model = THEOREM_MODELS[key]()
+    rng = random.Random(f"round-trip-{key}")
+    for chamber in enumerate_chambers(model):
+        positive = construct_nef_with_null(model, chamber)
+        parts = {label: Fraction(rng.randint(1, 12), rng.randint(1, 4)) for label in chamber.support}
+        divisor = positive
+        for label, c in parts.items():
+            divisor = divisor + c * model.curve_by_label(label).cls
+        dec = zariski_decompose(model, divisor)
+        assert dec.positive == positive
+        assert {curve.label: x for curve, x in dec.coefficients} == parts

@@ -34,6 +34,7 @@ from zlab.errors import (
     UnrealizableSupport,
 )
 from zlab.lattice import gram_matrix, is_negative_definite
+from zlab.surface import PackedSum
 from zlab.zariski import ZariskiDecomposition, support_curves
 
 
@@ -368,6 +369,24 @@ def test_support_of_rank_many_curves_is_refused_unbuilt(dp2, monkeypatch):
     with pytest.raises(UnrealizableSupport):
         support_curves(dp2, ["E1", "E2", "L-E1-E2"])
     assert sizes == []
+
+
+def test_rank_many_negative_slots_are_refused_by_count(monkeypatch):
+    """This dp8 class pairs negatively with 15 curves, so its first support is
+    refused by counting the negative slots, before any is listed; the
+    canonical class pairs negatively with all 240 but fails the witness
+    test first."""
+    model = dp_model(8)
+
+    def unread(self):
+        raise AssertionError("the negative slots were listed")
+
+    monkeypatch.setattr(PackedSum, "negatives", unread)
+    with pytest.raises(NotNegativeDefinite) as excinfo:
+        zariski_decompose(model, model.lattice.divisor([2, 0, -2, -2, 7, -2, 1, 8, -2]))
+    assert str(excinfo.value) == "15 classes in rank 9 are never negative definite"
+    with pytest.raises(NotPseudoEffective):
+        zariski_decompose(model, model.canonical)
 
 
 # -- continuity across a wall ----------------------------------------------
