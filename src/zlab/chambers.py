@@ -10,7 +10,7 @@ from .errors import (
 from .lattice import (DivisorClass, _negative_definite_factor, is_negative_definite,
                       solve_negative_definite)
 from .surface import SurfaceModel, is_nef
-from .zariski import ChamberDescriptor, null_set
+from .zariski import ChamberDescriptor
 
 MAX_ENUMERABLE_CURVES = 63
 
@@ -20,10 +20,10 @@ def construct_nef_with_null(
 ) -> DivisorClass:
     """A nef class whose null set is exactly the given curve set.
 
-    Built as A + sum(t_i * C_i) where the t_i solve the orthogonality
-    conditions against the support; ampleness of A forces every t_i to be
-    strictly positive.  The resulting class is verified to be nef and to
-    vanish against no curve outside the support (NullMismatch otherwise).
+    Built as the projection P_S(A) = A - sum(x_i * C_i) of the ample witness
+    onto the orthogonal complement of the support S; ampleness of A forces
+    every x_i to be strictly negative.  The result is verified to be nef and
+    to vanish against no curve outside the support (NullMismatch otherwise).
     Each label counts once; an unknown one raises UnrealizableSupport naming it.
     This is the constructive side of the theorem ``enumerate_chambers``
     relies on; the tests use it as an oracle for that theorem.
@@ -36,15 +36,13 @@ def construct_nef_with_null(
         raise UnrealizableSupport(exc.args[0]) from exc
     if not indices:
         return model.ample
-    sums, den = model.pairing_sum(model.ample)
     try:
-        (xs,), e = model.solve_curves(indices, [[-sums.slot(i) for i in indices]])
+        [projected], (xs,), _ = model.project([model.ample.cleared], indices)
     except NotNegativeDefinite as exc:
         raise NotNegativeDefinite(f"support {support}: {exc}") from None
-    if any(x <= 0 for x in xs):  # t_i = x_i / e with e > 0
+    if any(x >= 0 for x in xs):  # x_i = xs[i] / (e*d) with e, d > 0
         raise NotNegativeDefinite("orthogonality system produced a non-positive coefficient")
-    result = DivisorClass._reduced(model.lattice, *model.minus_curves(
-        *model.ample.cleared, indices, [-x for x in xs], e * den))
+    result = DivisorClass._reduced(model.lattice, *projected)
     nums = model.pairing_sum(result)[0].values()  # one pairing serves both checks
     if not is_nef(model, result, nums):
         raise NullMismatch("constructed class is not nef")
@@ -67,10 +65,11 @@ def face_of(model: SurfaceModel, nef_class: DivisorClass) -> Face:
     ker R^T R, and column j of R is a pivot exactly when -R^T R is negative
     definite on the earlier pivots plus j; one solve of the normal equations
     then gives the pivot coordinates of every free column's basis vector."""
-    if not is_nef(model, nef_class):
+    nums = model.pairing_sum(nef_class)[0].values()  # one pairing: the nef test and the null set
+    if not is_nef(model, nef_class, nums):
         raise NotNef("face is only defined for nef classes")
-    labels = null_set(model, nef_class)
-    rows = model.kernel_rows([model.curve_index(label) for label in labels])
+    null = [i for i, p in enumerate(nums) if p == 0]
+    rows = model.kernel_rows(null)
     rank = model.lattice.rank
     neg = [[-sum(r[i] * r[j] for r in rows) for j in range(rank)] for i in range(rank)]  # -R^T R
     pivots: list[int] = []
@@ -86,7 +85,7 @@ def face_of(model: SurfaceModel, nef_class: DivisorClass) -> Face:
         entries = {**dict(zip(pivots, x)), f: det}
         v = [sign * entries.get(j, 0) for j in range(rank)]
         basis.append(DivisorClass._reduced(model.lattice, v, abs(det)))
-    return Face(labels, tuple(basis))
+    return Face(frozenset(model.curves[i].label for i in null), tuple(basis))
 
 
 def enumerate_chambers(model: SurfaceModel) -> list[ChamberDescriptor]:

@@ -18,7 +18,7 @@ from typing import Iterable, Union
 
 from .errors import InstableDivisor, LatticeMismatch, NotAmple
 from .lattice import DivisorClass, QuadraticIrrational, _Value, sqrt_fraction
-from .surface import PackedSum, SurfaceModel
+from .surface import SurfaceModel
 from .zariski import (
     ChamberDescriptor,
     _decompose_big,
@@ -81,18 +81,12 @@ class RayWalkResult(_Value, fields=("segments", "breakpoints", "bigness_threshol
 
 def is_ample(model: SurfaceModel, divisor: DivisorClass) -> bool:
     """Strict positivity against the square, the witness and every curve."""
-    return _ample_pairings(model, divisor) is not None
-
-
-def _ample_pairings(model: SurfaceModel, divisor: DivisorClass) -> "tuple[PackedSum, int] | None":
-    """The pairing sum of an ample class (see ``pairing_sum``), or None when it is not ample."""
     if divisor.lattice != model.lattice:
         raise LatticeMismatch("class lives in a different lattice")
     v, form = divisor.cleared[0], model.lattice.form  # signs of D**2 and D.A, on ints
     if form(v, v) <= 0 or form(v, model.ample.cleared[0]) <= 0:
-        return None
-    sums, den = model.pairing_sum(divisor)
-    return (sums, den) if min(sums.values(), default=1) > 0 else None
+        return False
+    return min(model.pairing_sum(divisor)[0].values(), default=1) > 0
 
 
 def destabilizing_numbers(
@@ -118,28 +112,27 @@ def destabilizing_numbers(
     Each pass of the loop either adds the curves whose walls pass through
     lam with decreasing pairing, or closes the segment that starts at lam;
     so there are at most 2 * len(model.curves) + 1 passes.  A support is
-    solved once, for the bundle's and the direction's right-hand sides
-    together: the candidate positive part is P(t) = u0/q0 + t*u1/q1, with
-    the coefficients x0 + t*x1 of the support curves, and g0, g1 are the
-    kernel's slots of u0 and u1, s times u . C.  So P(lam) . C has the sign
-    of g0*q1*lam.den + g1*q0*lam.num, and its wall is t = g0*q1 / (-g1*q0);
-    the exact solves make g0 = g1 = 0 on the support.
+    solved once, projecting the bundle and the direction together: the
+    candidate positive part is P(t) = P_S(L) - t*P_S(A) = u0/q0 + t*u1/q1,
+    and g0, g1 are the kernel's slots of u0 and u1, s times u . C.  So
+    P(lam) . C has the sign of g0*q1*lam.den + g1*q0*lam.num, and its wall is
+    t = g0*q1 / (-g1*q0); the exact solves make g0 = g1 = 0 on the support.
+
+    Only the last segment takes a square root.  In tau = t*q0/q1, P(t)**2 is
+    (f00 + 2*f01*tau + f11*tau**2) / q0**2 with fij = ui . uj, and the wall is
+    a/b = g0/-g1.  It comes first exactly when f00*b*b + 2*f01*a*b + f11*a*a > 0
+    (P is big there; a tie ends the walk) and f11*a + f01*b < 0 (left of the vertex).
     """
-    ample_pairings = _ample_pairings(model, ample)
-    if ample_pairings is None:
+    if not is_ample(model, ample):
         raise NotAmple("the direction class must be ample in the model")
-    (a, a_den), (b, b_den) = ample_pairings, model.pairing_sum(bundle)
     support = [model.curve_index(c.label) for c in _decompose_big(model, bundle).support]
+    classes, form = [bundle.cleared, (-ample).cleared], model.lattice.form
     lam, grown = Fraction(0), True
     segments: list[RaySegment] = []
-    breakpoints: list[Fraction] = []
 
     for _ in range(2 * len(model.curves) + 2):
         if grown:
-            (x0, x1), e = model.solve_curves(support, [[b.slot(i) for i in support],
-                                                       [-a.slot(i) for i in support]])
-            u0, q0 = model.minus_curves(*bundle.cleared, support, x0, e * b_den)
-            u1, q1 = model.minus_curves(*(-ample).cleared, support, x1, e * a_den)
+            [(u0, q0), (u1, q1)], _, _ = model.project(classes, support)
             g0s, g1s = model.pair_packed(u0).values(), model.pair_packed(u1).values()
         # entrants have P(lam) . C = 0; the least wall above lam compares as g0 / -g1
         u, w = q1 * lam.denominator, q0 * lam.numerator
@@ -158,24 +151,18 @@ def destabilizing_numbers(
             support.extend(entrants)
             continue
         descriptor = ChamberDescriptor.from_labels(model.curves[i].label for i in support)
-        wall = None if least is None else Fraction(least[0] * q1, least[1] * q0)
-        # fij = ui . uj: P(t)**2 = f00/q0**2 + 2*f01*t/(q0*q1) + f11*t**2/q1**2, whose
-        # smaller root -(f01 + sqrt(f01**2 - f00*f11)) * q1/(q0*f11) is the threshold
-        form = model.lattice.form
         f00, f01, f11 = form(u0, u0), form(u0, u1), form(u1, u1)
+        if least is not None:  # does the wall come first?  Decided on ints, see the docstring
+            a, b = least
+            if f11 * a + f01 * b < 0 and f00 * b * b + 2 * f01 * a * b + f11 * a * a > 0:
+                segments.append(RaySegment(lam, Fraction(a * q1, b * q0), descriptor))
+                lam = segments[-1].lambda_end
+                continue
+        # the smaller root -(f01 + sqrt(f01**2 - f00*f11)) * q1/(q0*f11) is the threshold
         root = sqrt_fraction(f01 * f01 - f00 * f11)
         threshold = (QuadraticIrrational(-f01) - root) * Fraction(q1, q0 * f11)
-
-        if wall is None or threshold <= wall:
-            segments.append(RaySegment(lam, threshold, descriptor))
-            return RayWalkResult(
-                segments=tuple(segments),
-                breakpoints=tuple(breakpoints),
-                bigness_threshold=threshold,
-            )
-        segments.append(RaySegment(lam, wall, descriptor))
-        breakpoints.append(wall)
-        lam = wall
+        segments.append(RaySegment(lam, threshold, descriptor))
+        return RayWalkResult(segments, (s.lambda_start for s in segments[1:]), threshold)
     raise RuntimeError("ray walk did not terminate")
 
 

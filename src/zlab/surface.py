@@ -178,24 +178,22 @@ class SurfaceModel(_Value, fields=("lattice", "ample", "curves", "canonical")):
         sums, den = self.pairing_sum(divisor)
         return [Fraction(n, den) for n in sums.values()]
 
-    def solve_curves(self, indices: Sequence[int],
-                     columns: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
-        """(xss, e), e > 0, with x_j = xss[c][j] / e solving sum_j (C_i . C_j) x_j =
-        columns[c][i] over the curves at ``indices``, all on one integer elimination;
-        NotNegativeDefinite unless their matrix is negative definite."""
-        xss, det = solve_negative_definite(self.kernel_gram(indices), columns)
-        square = self._scale ** 2 if det > 0 else -self._scale ** 2  # kernel: s**2 * C_i . C_j
-        return [[square * x for x in xs] for xs in xss], abs(det)
-
-    def minus_curves(self, v: Sequence[int], d: int, indices: Sequence[int], xs: Sequence[int],
-                     e: int) -> tuple[list[int], int]:
-        """(p, q) with v/d - sum(xs[j]/e * C_j) = p/q over the curves at
-        ``indices``, for d, e > 0: a class minus curves, formed in integers."""
-        es = e * self._scale  # xs[j]/e * C_j = xs[j] * c_j / es
-        q = lcm(d, es)
-        a, b = q // d, q // es
-        columns = zip(*(self._vectors[i] for i in indices)) if indices else [()] * len(v)
-        return [a * x - b * sum(map(mul, xs, col)) for x, col in zip(v, columns)], q
+    def project(self, classes: Sequence[tuple[Sequence[int], int]], indices: Sequence[int]
+                ) -> tuple[list[tuple[list[int], int]], list[list[int]], int]:
+        """P_S(v/d) = v/d - sum(x_j * C_j) for each cleared pair (v, d), x solving
+        sum_j (C_i . C_j) x_j = v/d . C_i over the curves at ``indices``.  One integer
+        elimination K @ ys[c] = det * (v @ rows[i]) serves every class, with K =
+        ``kernel_gram(indices)`` and v @ rows[i] slot i of ``pair_packed(v)``.  Returns
+        ([(p, q)], xss, e): P_S(v/d) = p/q, p = det*v - sum(y_j * c_j) and q = |det|*d
+        with the sign that makes q > 0, and x_j = xss[c][j] / (e*d) with e = |det|.
+        NotNegativeDefinite unless the curves' matrix is negative definite."""
+        ys, det = solve_negative_definite(self.kernel_gram(indices), [
+            [sum(map(mul, v, self._rows[i])) for i in indices] for v, _ in classes])
+        sign, e = (1 if det > 0 else -1), abs(det)  # x_j = s*y_j / (det*d): K = s**2 * C_i . C_j
+        columns = list(zip(*(self._vectors[i] for i in indices))) or [()] * self.lattice.rank
+        projected = [([sign * (det * x - sum(map(mul, y, c))) for x, c in zip(v, columns)], e * d)
+                     for (v, d), y in zip(classes, ys)]
+        return projected, [[sign * self._scale * x for x in y] for y in ys], e
 
     def kernel_gram(self, indices: Sequence[int]) -> list[list[int]]:
         """s**2 times the intersection matrix of the curves at ``indices``, in ints."""
@@ -232,7 +230,8 @@ def is_nef(
     if form(v, v) < 0 or form(v, model.ample.cleared[0]) < 0:
         return False
     if pairings is None:
-        return not model.pairing_sum(divisor)[0].negatives()
+        sums = model.pairing_sum(divisor)[0]
+        return not sums.offset & ~sums.total  # no offset bit cleared: no negative slot
     return min(pairings, default=0) >= 0
 
 

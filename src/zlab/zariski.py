@@ -21,8 +21,7 @@ from .errors import (
     NotPseudoEffective,
     UnrealizableSupport,
 )
-from .lattice import (DivisorClass, _negative_definite_factor, _Value, clear_denominators,
-                      solve_negative_definite)
+from .lattice import DivisorClass, _negative_definite_factor, _Value, solve_negative_definite
 from .surface import NegativeCurve, SurfaceModel, is_nef
 
 
@@ -57,9 +56,8 @@ class ZariskiDecomposition(_Value, fields=("model", "input", "positive", "coeffi
         for i, (curve, _) in zip(indices, self.coefficients):
             if self.model.curves[i] != curve:
                 raise ValueError(f"curve {curve.label} is not the model's curve of that label")
-        xs, e = clear_denominators(x for _, x in self.coefficients)
-        rest = self.model.minus_curves(*self.input.cleared, indices, xs, e)
-        if DivisorClass._reduced(self.model.lattice, *rest) != self.positive:
+        negative = sum((curve.cls * x for curve, x in self.coefficients), self.model.lattice.zero())
+        if self.input - negative != self.positive:
             raise ValueError("positive and negative part do not sum to the input")
         nums = self.model.pairing_sum(self.positive)[0].values()
         if not is_nef(self.model, self.positive, nums):
@@ -154,7 +152,7 @@ def zariski_decompose(model: SurfaceModel, divisor: DivisorClass) -> ZariskiDeco
     (the candidate positive part fails nefness with no curve left to add, or
     the class already pairs non-positively with the ample witness).
     """
-    sums, den = model.pairing_sum(divisor)  # every sign below reads its slots
+    sums = model.pairing_sum(divisor)[0]  # every sign below reads its slots
     v, d = divisor.cleared
     form, ample = model.lattice.form, model.ample.cleared[0]
     witness, negative = form(v, ample), sums.offset & ~sums.total  # a set bit per negative slot
@@ -173,8 +171,7 @@ def zariski_decompose(model: SurfaceModel, divisor: DivisorClass) -> ZariskiDeco
             raise NotNegativeDefinite(
                 f"{len(support)} classes in rank {rank} are never negative definite"
             )
-        (xs,), e = model.solve_curves(support, [[sums.slot(i) for i in support]])
-        p, q = model.minus_curves(v, d, support, xs, e * den)
+        [(p, q)], (xs,), e = model.project([(v, d)], support)
         candidate = model.pair_packed(p)
         entrants = candidate.negatives()
         if not entrants:
@@ -190,7 +187,7 @@ def zariski_decompose(model: SurfaceModel, divisor: DivisorClass) -> ZariskiDeco
     if any(candidate.slot(i) for i in support):
         raise ValueError("positive part is not orthogonal to the support")
     # negative definite, as the solve's pivots showed; dropping zeros leaves a principal submatrix
-    pairs = tuple((model.curves[i], Fraction(x, e * den)) for i, x in zip(support, xs) if x)
+    pairs = tuple((model.curves[i], Fraction(x, e * d)) for i, x in zip(support, xs) if x)
     positive = DivisorClass._reduced(model.lattice, p, q)  # = D - N for exactly these xs
     return ZariskiDecomposition._of(model, divisor, positive, pairs)
 

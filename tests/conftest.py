@@ -20,6 +20,7 @@ from zlab import (
     is_big,
 )
 from zlab.errors import SignatureError
+from zlab.lattice import solve_symmetric
 
 _DP_CACHE: dict[int, SurfaceModel] = {}
 
@@ -122,6 +123,18 @@ def assert_segments_match_chambers(model: SurfaceModel, bundle, direction) -> No
             if lo < t and segment.lambda_end > t:
                 point = bundle - t * direction
                 assert chamber_of(model, point).support == segment.support.support
+
+
+def oracle_project(model: SurfaceModel, divisor: DivisorClass, labels) -> tuple:
+    """(P_S(D), xs): D - sum(x_i * C_i) over the curves S named by ``labels``,
+    with x the solution of sum_j (C_i . C_j) x_j = D . C_i, solved on Fractions
+    from the ``DivisorClass.dot`` Gram matrix."""
+    curves = [model.curve_by_label(label).cls for label in labels]
+    xs = solve_symmetric([[c.dot(e) for e in curves] for c in curves],
+                         [divisor.dot(c) for c in curves]) if curves else []
+    for c, x in zip(curves, xs):
+        divisor = divisor - x * c
+    return divisor, xs
 
 
 def random_ample_class(model: SurfaceModel, rng: random.Random) -> DivisorClass:

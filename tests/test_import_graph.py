@@ -125,7 +125,6 @@ def test_every_import_is_used():
 UNREFERENCED_BY_DESIGN = {
     "DivisorClass.is_zero": "public predicate; the tests compare it with a reference class",
     "SurfaceModel.curve_by_label": "public lookup; users and the tests name curves by it",
-    "IntersectionLattice.zero": "public constructor of the zero class; the tests call it",
     "QuadraticIrrational.inverse": "public arithmetic beside the division operators",
     "QuadraticVolumePolynomial.evaluate": "public; the tests and the benchmark evaluate forms",
     "_Parser.error": "argparse calls it on a usage error",
@@ -161,17 +160,25 @@ def identifiers(tree: ast.AST) -> Counter:
 def test_every_definition_is_used():
     """A function, method or class of ``zlab`` is read somewhere else in the
     package, or is public (``__all__``), a dunder, a benchmark tracer target,
-    or listed above with a reason."""
+    or listed above with a reason.  A listed entry that names no definition,
+    or that the package reads, is stale and fails too."""
     trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))]
     everywhere = sum(map(identifiers, trees), Counter())
+    defined = [pair for tree in trees for pair in definitions(tree)]
+
+    def unread(node: ast.AST) -> bool:  # read only inside itself
+        return everywhere[node.name] <= identifiers(node)[node.name]
+
     kept = set(zlab.__all__) | set(UNREFERENCED_BY_DESIGN)
     kept.update(attr for _, attr, _, _ in load_tracer().TARGETS)
     unused = [
         name
-        for tree in trees
-        for name, node in definitions(tree)
+        for name, node in defined
         if name not in kept
         and not (node.name.startswith("__") and node.name.endswith("__"))
-        and everywhere[node.name] <= identifiers(node)[node.name]  # read only inside itself
+        and unread(node)
     ]
     assert unused == []
+    listed = {name: node for name, node in defined if name in UNREFERENCED_BY_DESIGN}
+    assert sorted(listed) == sorted(UNREFERENCED_BY_DESIGN)  # each entry names a definition
+    assert [name for name, node in listed.items() if not unread(node)] == []

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from operator import mul
 
@@ -12,7 +13,15 @@ from hypothesis import strategies as st
 
 import zlab.lattice
 import zlab.zariski
-from conftest import assert_segments_match_chambers, dp_model, user_models
+from conftest import (
+    a2_chain_model,
+    assert_segments_match_chambers,
+    dp_model,
+    k3_model,
+    oracle_project,
+    random_class,
+    user_models,
+)
 from test_acceptance import _negative_definite_subsets, _oracle_decompose
 from zlab import (
     DivisorClass,
@@ -20,8 +29,11 @@ from zlab import (
     NegativeCurve,
     SurfaceModel,
     chamber_of,
+    construct_nef_with_null,
     del_pezzo,
     destabilizing_numbers,
+    enumerate_chambers,
+    face_of,
     is_ample,
     is_big,
     is_nef,
@@ -143,7 +155,9 @@ def test_each_class_is_paired_once(monkeypatch):
     than on every round, and reuses the direction's pairings from its
     ampleness test (the counts were 6 and 24, then 3 and 15, then 3 and 14
     while the result's invariants were re-derived on construction, then 2
-    and 13 while each round solved its starting support again).
+    and 13 while each round solved its starting support again, then 2 and 9
+    while the walk paired the bundle for its right-hand sides: ``project``
+    forms them from the kernel rows).
 
     The walk also solves the bundle's and the direction's right-hand sides on
     one elimination per support: the nef bundle decomposes with none, the
@@ -161,7 +175,22 @@ def test_each_class_is_paired_once(monkeypatch):
     bundle = dp7.lattice.divisor([9, -3, -3, -2, -2, -1, -1, -1])
     walk = destabilizing_numbers(dp7, bundle, dp7.ample)
     assert walk.breakpoints == (1, 2) and len(walk.segments) == 3
-    assert calls == [9] and sizes == [0, 3, 5]
+    assert calls == [8] and sizes == [0, 3, 5]
+
+
+def test_construct_and_face_pair_their_class_once(monkeypatch):
+    """``construct_nef_with_null`` projects A without pairing it and pairs the
+    result once for its nef and null checks; ``face_of`` pairs its class once
+    for the nef test and the null set (2 calls each before)."""
+    dp5 = del_pezzo(5)
+    chamber = next(c for c in enumerate_chambers(dp5) if len(c.support) == 3)
+    calls = count_pairings(monkeypatch)
+    nef = construct_nef_with_null(dp5, chamber)
+    assert calls == [1]
+    calls[0] = 0
+    face = face_of(dp5, nef)
+    assert calls == [1] and face.null_labels == chamber.label_set
+    assert len(face.orthogonal_basis) == dp5.lattice.rank - 3
 
 
 def count_eliminations(monkeypatch) -> list[int]:
@@ -408,3 +437,51 @@ def test_abelian_model_has_no_numerators():
     sums, den = model.pairing_sum(model.lattice.divisor([Fraction(x, 5) for x in (1, -2, 3)]))
     assert (sums.values(), den) == ([], 5)
     assert model.pairing_sum(model.ample)[0].values() == []
+
+
+# -- the projection P_S against a Fraction solve --------------------------------
+
+
+def assert_project_matches_the_oracle(model, chamber, classes):
+    """One ``project`` call for several classes against ``oracle_project``
+    per class: p/q is P_S(D) with q > 0, and xss[c][j] / (e*d) is x_j."""
+    indices = [model.curve_index(label) for label in chamber.support]
+    projected, xss, e = model.project([c.cleared for c in classes], indices)
+    assert e > 0 and len(projected) == len(xss) == len(classes)
+    for divisor, (p, q), xs in zip(classes, projected, xss):
+        positive, expected = oracle_project(model, divisor, chamber.support)
+        assert q > 0 and model.lattice.divisor([Fraction(x, q) for x in p]) == positive
+        assert [Fraction(x, e * divisor.cleared[1]) for x in xs] == expected
+
+
+PROJECT_MODELS = {
+    **{f"dp{r}": (lambda r=r: dp_model(r)) for r in range(2, 7)},
+    "a2": a2_chain_model,
+    "k3(1)": lambda: k3_model(1),
+    "k3(2)": lambda: k3_model(2),
+}
+
+
+@pytest.mark.parametrize("key", PROJECT_MODELS)
+def test_project_matches_the_fraction_oracle_on_every_chamber(key):
+    """The ample witness and two seeded classes, projected together onto
+    every chamber's support."""
+    model = PROJECT_MODELS[key]()
+    rng = random.Random(f"project-{key}")
+    for chamber in enumerate_chambers(model):
+        classes = [model.ample, random_class(model, rng), random_class(model, rng)]
+        assert_project_matches_the_oracle(model, chamber, classes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(scaled_user_models(), st.data())
+def test_project_matches_the_fraction_oracle_on_scaled_user_models(model, data):
+    """Curves over a common denominator s > 1, where the coefficients carry s."""
+    rank = model.lattice.rank
+    classes = [model.ample] + [
+        model.lattice.divisor(data.draw(st.lists(RATIONALS, min_size=rank, max_size=rank)))
+        for _ in range(2)
+    ]
+    chambers = enumerate_chambers(model)
+    for _ in range(4):
+        assert_project_matches_the_oracle(model, data.draw(st.sampled_from(chambers)), classes)

@@ -14,6 +14,7 @@ from conftest import (
     assert_segments_match_chambers,
     dp_model,
     k3_model,
+    oracle_project,
     random_ample_class,
     random_big_class,
     user_models,
@@ -37,6 +38,7 @@ from zlab import (
     volume_polynomial,
     zariski_decompose,
 )
+import zlab.raywalk
 from zlab.errors import InstableDivisor, NotAmple, NotBig
 from zlab.lattice import is_negative_definite
 from zlab.raywalk import RaySegment, RayWalkResult
@@ -80,6 +82,25 @@ def test_abelian_walk_has_irrational_threshold():
     expected = (QuadraticIrrational(9) - 3 * sqrt_fraction(5)) / 2
     assert walk.bigness_threshold == expected
     assert walk.bigness_threshold.m == 5
+
+
+def test_sixteen_digit_walk_takes_one_square_root(dp2, monkeypatch):
+    """Walls are decided on ints, so only the last segment takes a root: a
+    root per closed segment would trial-divide each segment's large radicand."""
+    roots = []
+
+    def counting(value):
+        roots.append(value)
+        return sqrt_fraction(value)
+
+    monkeypatch.setattr(zlab.raywalk, "sqrt_fraction", counting)
+    lat = dp2.lattice
+    bundle = lat.divisor([19922054172509764, -215883242609972, -807440948040823])
+    walk = destabilizing_numbers(dp2, bundle, lat.divisor([5, -1, -2]))
+    assert walk.breakpoints == (215883242609972, Fraction(807440948040823, 2))
+    assert walk.bigness_threshold == Fraction(19922054172509764, 5)
+    assert [seg.support.support for seg in walk.segments] == [(), ("E1",), ("E1", "E2")]
+    assert len(roots) == 1
 
 
 def test_ray_to_the_origin(dp2):
@@ -420,3 +441,42 @@ def test_construct_then_decompose_round_trip(key):
         dec = zariski_decompose(model, divisor)
         assert dec.positive == positive
         assert {curve.label: x for curve, x in dec.coefficients} == parts
+
+
+def per_segment_root_walk(model, bundle, direction):
+    """The walk as it stood when every closed segment took the square root of
+    its discriminant and compared the threshold with its wall, on Fraction
+    projections: P(t) = P_S(L) - t*P_S(A) on the support S, whose curves C
+    off S with P_S(A) . C > 0 meet their wall at P_S(L) . C / P_S(A) . C."""
+    labels = sorted(zariski_decompose(model, bundle).support_labels)
+    lam, segments = Fraction(0), []
+    while True:
+        p0, p1 = (oracle_project(model, c, labels)[0] for c in (bundle, direction))
+        walls = {}
+        for curve in model.curves:
+            slope = p1.dot(curve.cls)
+            if curve.label not in labels and slope > 0:
+                walls.setdefault(p0.dot(curve.cls) / slope, []).append(curve.label)
+        if lam in walls:
+            labels = sorted(labels + walls[lam])
+            continue
+        wall = min((w for w in walls if w > lam), default=None)
+        a, b, c = p0.square, p0.dot(p1), p1.square  # P(t)**2 = a - 2*b*t + c*t**2
+        threshold = (QuadraticIrrational(b) - sqrt_fraction(b * b - a * c)) / c
+        end = threshold if wall is None or threshold <= wall else wall
+        segments.append(RaySegment(lam, end, ChamberDescriptor(labels)))
+        if end is threshold:
+            return RayWalkResult(segments, [s.lambda_start for s in segments[1:]], threshold)
+        lam = wall
+
+
+@pytest.mark.parametrize("key", THEOREM_MODELS)
+def test_walk_matches_the_per_segment_root_oracle(key):
+    """Deciding each wall on ints gives the walk, threshold included, that a
+    square root per closed segment gave."""
+    model = THEOREM_MODELS[key]()
+    rng = random.Random(f"root-oracle-{key}")
+    for _ in range(10):
+        bundle, direction = random_big_class(model, rng), random_ample_class(model, rng)
+        walk = destabilizing_numbers(model, bundle, direction)
+        assert repr(walk) == repr(per_segment_root_walk(model, bundle, direction))
