@@ -11,10 +11,10 @@ integral
     vol(eps) = 3 * integral of q(x) from 1/(1 + sigma(eps)) to 1,
 
 with q(x) = (x*d - (1-x)*h + eps*f1)**2 and sigma(eps) the smaller root of
-the restricted class's square.  Everything is evaluated exactly in the
-quadratic field generated by sqrt(45 + 78*eps + 49*eps**2), on integers made
-from eps = p/q; floating point enters only in the quadrature cross-check and
-the interpolation certificate.
+the restricted class's square.  sigma and the volume are built on the
+integers of eps = p/q as one element of the field of sqrt(N), N = 45*q**2 +
+78*p*q + 49*p**2, after one squarefree split of N; floating point enters
+only in the quadrature cross-check and the interpolation certificate.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from .lattice import (
     IntersectionLattice,
     QuadraticIrrational,
     Rational,
+    _from_radicand,
     _Value,
-    sqrt_fraction,
 )
 from .surface import SurfaceModel
 
@@ -77,11 +77,6 @@ def abelian_surface_model() -> SurfaceModel:
     return SurfaceModel(lattice=data.lattice, ample=data.d, curves=())
 
 
-def _radicand(p: int, q: int) -> int:
-    """q**2 * (45 + 78*eps + 49*eps**2) for eps = p/q, an integer."""
-    return 45 * q * q + 78 * p * q + 49 * p * p
-
-
 def _check_domain(eps: Rational) -> Fraction:
     eps = Fraction(eps)
     if not 0 <= 2 * eps.numerator < 3 * eps.denominator:
@@ -89,13 +84,19 @@ def _check_domain(eps: Rational) -> Fraction:
     return eps
 
 
+def _sigma_ints(eps: Fraction) -> tuple[int, int, int]:
+    """(a, b, N) with sigma(eps) = (a - sqrt(N))/b for eps = p/q: a = 9*q + 5*p,
+    b = 18*q - 12*p > 0 on the domain and N = q**2 * (45 + 78*eps + 49*eps**2)."""
+    p, q = eps.numerator, eps.denominator
+    return 9 * q + 5 * p, 18 * q - 12 * p, 45 * q * q + 78 * p * q + 49 * p * p
+
+
 def sigma_eps(eps: Rational) -> QuadraticIrrational:
     """The nef threshold of the restricted ray: the smaller root of
     (d - t*h + (1+t)*eps*f1)**2 = 0, namely (9 + 5*eps - sqrt(45 + 78*eps + 49*eps**2))
     / (18 - 12*eps), evaluated for eps = p/q as (9*q + 5*p - sqrt(N)) / (18*q - 12*p)."""
-    eps = _check_domain(eps)
-    p, q = eps.numerator, eps.denominator
-    return (9 * q + 5 * p - sqrt_fraction(_radicand(p, q))) / (18 * q - 12 * p)
+    a, b, n = _sigma_ints(_check_domain(eps))
+    return _from_radicand(a, -1, n, b)
 
 
 class QuadraticPolynomial(_Value, fields=("c2", "c1", "c0")):
@@ -112,10 +113,6 @@ class QuadraticPolynomial(_Value, fields=("c2", "c1", "c0")):
 
     def __call__(self, x):
         return (self.c2 * x + self.c1) * x + self.c0
-
-    def antiderivative_at(self, x):
-        """Value at x of the primitive with zero constant term."""
-        return ((self.c2 / 3 * x + self.c1 / 2) * x + self.c0) * x
 
 
 @cache  # built on first use, from the cached lattice data
@@ -140,18 +137,19 @@ def q_poly(eps: Rational) -> QuadraticPolynomial:
     return QuadraticPolynomial(*(Fraction(c, eps.denominator**2) for c in _q_numerators(eps)))
 
 
-def integration_lower_limit(eps: Rational) -> QuadraticIrrational:
-    """The exact lower endpoint 1 / (1 + sigma(eps))."""
-    return 1 / (1 + sigma_eps(eps))
-
-
 def volume_L_eps(eps: Rational) -> QuadraticIrrational:
     """Exact volume, obtained from the antiderivative of q between the exact
     endpoints; lives in the field of sqrt(45 + 78*eps + 49*eps**2)."""
     eps = _check_domain(eps)
-    q = q_poly(eps)
-    lower = integration_lower_limit(eps)
-    return 3 * (q.antiderivative_at(Fraction(1)) - q.antiderivative_at(lower))
+    a, b, n = _sigma_ints(eps)
+    c2, c1, c0 = _q_numerators(eps)
+    u = a + b
+    e = u * u - n  # the lower limit 1/(1 + sigma) is x = b*w/e, w = u + sqrt(N), e > 0
+    # e**3 * (G(1) - G(x)) by Horner on integer pairs, G = 6*q**2 * primitive of q_poly
+    x0, x1 = 2 * c2 * b * u + 3 * c1 * e, 2 * c2 * b
+    x0, x1 = b * (x0 * u + x1 * n) + 6 * c0 * e * e, b * (x0 + x1 * u)
+    x0, x1 = (2 * c2 + 3 * c1 + 6 * c0) * e**3 - b * (x0 * u + x1 * n), -b * (x0 + x1 * u)
+    return _from_radicand(x0, x1, n, 2 * eps.denominator**2 * e**3)
 
 
 def volume_closed_form(eps: Rational) -> QuadraticIrrational:
@@ -159,18 +157,21 @@ def volume_closed_form(eps: Rational) -> QuadraticIrrational:
 
     Kept as an independent evaluation route; the test suite checks that it
     reduces to exactly the same canonical field element as volume_L_eps.
-    With eps = p/q and r = sqrt(_radicand(p, q)) it is (R + S*r) / (q * (7*p - 27*q + r)**3)
-    for R and S homogeneous in (p, q) of degrees 4 and 3.  Numerator and
-    denominator are each negative for small eps; the quotient is the positive volume.
+    With eps = p/q and r = sqrt(N) it is (R + S*r) / (q * (w + r)**3), w = 7*p - 27*q,
+    R and S homogeneous in (p, q) of degrees 4 and 3.  Numerator and denominator,
+    each negative for small eps, are multiplied by the conjugate of (w + r)**3.
     """
     eps = _check_domain(eps)
     p, q = eps.numerator, eps.denominator
-    root = sqrt_fraction(_radicand(p, q))
+    n = _sigma_ints(eps)[2]
     rational_part = (
         8748 * q**4 + 33480 * p * q**3 + 43128 * p**2 * q**2 + 14120 * p**3 * q + 588 * p**4
     )
     root_part = -1692 * q**3 - 3300 * p * q**2 - 2740 * p**2 * q + 84 * p**3
-    return (rational_part + root_part * root) / (q * (7 * p - 27 * q + root) ** 3)
+    w = 7 * p - 27 * q
+    d0, d1 = w**3 + 3 * w * n, 3 * w * w + n  # (w + r)**3, of norm (w**2 - N)**3
+    return _from_radicand(rational_part * d0 - root_part * d1 * n,
+                          root_part * d0 - rational_part * d1, n, q * (w * w - n) ** 3)
 
 
 def _adaptive_simpson(
@@ -201,7 +202,7 @@ def quadrature_volume(eps: Rational, tol: float = 1e-12) -> float:
     eps = _check_domain(eps)
     q = q_poly(eps)
     c2, c1, c0 = float(q.c2), float(q.c1), float(q.c0)
-    lower = float(integration_lower_limit(eps))
+    lower = float(1 / (1 + sigma_eps(eps)))
     return 3.0 * _adaptive_simpson(
         lambda x: (c2 * x + c1) * x + c0, lower, 1.0, tol
     )
@@ -212,19 +213,19 @@ def h0_section_count(k: int, eps: Rational) -> Fraction:
 
     Sections split over pairs (i, j) with i + j = k; the pair contributes
     half the square of i*d - j*h + (i+j)*eps*f1 when j/i lies below the nef
-    threshold sigma(eps) (decided exactly in the quadratic field) and nothing
-    otherwise.  The i = 0 column never contributes: -j*h + j*eps*f1 pairs
-    negatively with the ample class d for eps < 3/2.  The class is i*(d + h)
-    + k*(eps*f1 - h), so its square is k**2 * q(i/k) for q = q_poly(eps).
+    threshold sigma(eps) = (a - sqrt(N))/b, that is when t = i*a - j*b > 0 and
+    t**2 > i**2 * N, and nothing otherwise.  The i = 0 column never
+    contributes: -j*h + j*eps*f1 pairs negatively with the ample class d for
+    eps < 3/2.  The class is i*(d + h) + k*(eps*f1 - h), so its square is
+    k**2 * q(i/k) for q = q_poly(eps).
     """
     if not isinstance(k, int) or k < 1:
         raise ValueError("k must be a positive integer")
     eps = _check_domain(eps)
     c2, c1, c0 = _q_numerators(eps)
-    sigma = sigma_eps(eps)
-    total = sum(
-        i * i * c2 + i * k * c1 + k * k * c0 for i in range(1, k + 1) if sigma > Fraction(k - i, i)
-    )
+    a, b, n = _sigma_ints(eps)
+    total = sum(i * i * c2 + i * k * c1 + k * k * c0 for i in range(1, k + 1)
+                if (t := i * a - (k - i) * b) > 0 and t * t > i * i * n)
     return Fraction(total, 2 * eps.denominator**2)
 
 

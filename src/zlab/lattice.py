@@ -11,32 +11,49 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from operator import attrgetter, mul
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import LatticeMismatch, NotNegativeDefinite, SignatureError
 
 Rational = Union[int, Fraction]
+_SMALL_PRIME_BOUND = 1 << 12  # B in squarefree_split
 
 # ---------------------------------------------------------------------------
 # quadratic irrationals
 # ---------------------------------------------------------------------------
 
 
+@cache  # the 5,811-bit product of the primes below B, built on the first split
+def _small_prime_product() -> int:
+    sieve = bytearray([1]) * _SMALL_PRIME_BOUND
+    for d in range(2, math.isqrt(_SMALL_PRIME_BOUND) + 1):
+        sieve[d * d :: d] = bytes(len(range(d * d, _SMALL_PRIME_BOUND, d)))
+    return math.prod(d for d in range(2, _SMALL_PRIME_BOUND) if sieve[d])
+
+
 def squarefree_split(n: int) -> tuple[int, int]:
     """Write n = s**2 * m with m squarefree; return (s, m).
 
-    A perfect square costs one isqrt.  Otherwise trial division by d stops
-    once d**3 exceeds the unfactored part r: every prime of r is then at
-    least d, so r is 1, p, p*q or p**2 and isqrt decides.
+    A perfect square costs one isqrt.  Otherwise h = gcd(n, P), P the product
+    of the primes below B = 2**12, holds each small prime of n once; repeating
+    h = gcd(rest, h) peels one power per round, odd rounds into m and even
+    ones from m into s.  Trial division by odd d > B stops once d**3 exceeds
+    the unfactored r: r is then 1, p, p*q or p**2 and isqrt decides.
     """
     if n < 0:
         raise ValueError("negative radicand")
     t = math.isqrt(n)
     if t * t == n:
         return (t, 1) if n else (1, 0)
-    s, m, r, d = 1, 1, n, 2
+    s, m, r, h = 1, 1, n, math.gcd(n, _small_prime_product())
+    while h > 1:
+        r, m = r // h, m * h
+        h = math.gcd(r, h)
+        r, m, s = r // h, m // h, s * h
+        h = math.gcd(r, h)
+    d = _SMALL_PRIME_BOUND + 1
     while d * d * d <= r:
         if r % d == 0:
             while r % (d * d) == 0:
@@ -45,7 +62,7 @@ def squarefree_split(n: int) -> tuple[int, int]:
             if r % d == 0:
                 r //= d
                 m *= d
-        d += 1
+        d += 2
     t = math.isqrt(r)
     return (s * t, m) if t * t == r else (s, m * r)
 
@@ -250,6 +267,13 @@ def sqrt_fraction(value: Rational) -> QuadraticIrrational:
     if mp * mq <= 1:  # zero or the square of a rational
         return QuadraticIrrational._reduced(sp * mp, 0, 0, sq)
     return QuadraticIrrational._reduced(0, sp, mp * mq, sq * mq)
+
+
+def _from_radicand(x0: int, x1: int, n: int, d: int) -> QuadraticIrrational:
+    """(x0 + x1*sqrt(n))/d for integers, n > 0 and d != 0, after one split of n."""
+    s, m = squarefree_split(n)
+    x0, x1 = (x0 + x1 * s, 0) if m == 1 else (x0, x1 * s)
+    return QuadraticIrrational._reduced(x0, x1, m, d)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zlab.lattice
 from zlab import (
@@ -21,7 +23,6 @@ from zlab import (
     volume_L_eps,
     volume_closed_form,
 )
-from zlab.cutkosky import integration_lower_limit
 from zlab.errors import OutOfDomain, TooFewSamples
 
 SAMPLES = [Fraction(0), Fraction(1, 8), Fraction(1, 4), Fraction(3, 8),
@@ -73,7 +74,7 @@ def test_q_poly_worked_values():
 
 def test_lower_limit_worked_value():
     # 1/(1 + sigma(0)) = 6/(9 - sqrt(5))
-    lower = integration_lower_limit(0)
+    lower = 1 / (1 + sigma_eps(0))
     assert lower == QuadraticIrrational(6) / (QuadraticIrrational(9) - sqrt_fraction(5))
 
 
@@ -168,11 +169,83 @@ def test_certificate_needs_enough_samples():
         nonpolynomiality_certificate(SAMPLES + [Fraction(0)])
 
 
-@pytest.mark.parametrize("eps", [Fraction(3, 7), Fraction(1234567, 7654321), Fraction(1)])
+# -- the integer routes against the field-arithmetic routes they replaced ------
+
+# eps whose radicand 45*q**2 + 78*p*q + 49*p**2 is a square: 85**2, 73**2, 132**2, 229**2
+SQUARE_RADICAND_EPS = [Fraction(5, 8), Fraction(1, 10), Fraction(3, 17), Fraction(11, 24)]
+EDGE_EPS = [Fraction(0), Fraction(3, 2) - Fraction(1, 10**6), Fraction(3 * 10**9 - 1, 2 * 10**9)]
+
+
+def antiderivative_at(poly, x):
+    """Value at x of the primitive of a QuadraticPolynomial with zero constant term."""
+    return ((poly.c2 / 3 * x + poly.c1 / 2) * x + poly.c0) * x
+
+
+def oracle_sigma(eps):
+    """(9 + 5*eps - sqrt(45 + 78*eps + 49*eps**2)) / (18 - 12*eps) in field arithmetic."""
+    p, q = eps.numerator, eps.denominator
+    return (9 * q + 5 * p - sqrt_fraction(45 * q * q + 78 * p * q + 49 * p * p)) / (18 * q - 12 * p)
+
+
+def oracle_volume_L_eps(eps):
+    """3 * (F(1) - F(1/(1 + sigma))) for F the primitive of q_poly, in field arithmetic."""
+    poly = q_poly(eps)
+    lower = 1 / (1 + oracle_sigma(eps))
+    return 3 * (antiderivative_at(poly, Fraction(1)) - antiderivative_at(poly, lower))
+
+
+def oracle_volume_closed_form(eps):
+    """(R + S*r) / (q * (7*p - 27*q + r)**3) for r = sqrt(N), as a QuadraticIrrational expression."""
+    p, q = eps.numerator, eps.denominator
+    root = sqrt_fraction(45 * q * q + 78 * p * q + 49 * p * p)
+    rational_part = (
+        8748 * q**4 + 33480 * p * q**3 + 43128 * p**2 * q**2 + 14120 * p**3 * q + 588 * p**4
+    )
+    root_part = -1692 * q**3 - 3300 * p * q**2 - 2740 * p**2 * q + 84 * p**3
+    return (rational_part + root_part * root) / (q * (7 * p - 27 * q + root) ** 3)
+
+
+def oracle_h0(k, eps):
+    """Half the squares of the pairs (i, k - i) with sigma > (k - i)/i, compared in the field."""
+    poly, sigma = q_poly(eps), oracle_sigma(eps)
+    kept = [i for i in range(1, k + 1) if sigma > Fraction(k - i, i)]
+    return sum((k * k * poly(Fraction(i, k)) for i in kept), Fraction(0)) / 2
+
+
+def assert_matches_the_oracles(eps):
+    assert sigma_eps(eps) == oracle_sigma(eps)
+    assert volume_L_eps(eps) == oracle_volume_L_eps(eps)
+    assert volume_closed_form(eps) == oracle_volume_closed_form(eps)
+    for k in range(1, 9):  # k = 8 at eps = 5/8 puts j/i = 1/7 on sigma, a rational root
+        assert h0_section_count(k, eps) == oracle_h0(k, eps)
+
+
+@st.composite
+def domain_eps(draw):
+    q = draw(st.integers(min_value=1, max_value=10**6))
+    return Fraction(draw(st.integers(min_value=0, max_value=(3 * q - 1) // 2)), q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(domain_eps())
+def test_integer_routes_match_the_field_oracles(eps):
+    assert_matches_the_oracles(eps)
+
+
+@pytest.mark.parametrize("eps", EDGE_EPS + SQUARE_RADICAND_EPS)
+def test_integer_routes_match_the_field_oracles_at_the_edges(eps):
+    assert_matches_the_oracles(eps)
+
+
+@pytest.mark.parametrize(
+    "eps", [Fraction(3, 7), Fraction(1234567, 7654321), Fraction(1), Fraction(5, 8)]
+)
 def test_volume_factors_its_radicand_once(monkeypatch, eps):
-    """Both volume routes split the radicand's numerator and denominator once
-    each; field arithmetic never factors again (18 splits per volume_L_eps
-    when every arithmetic result was normalised)."""
+    """sigma_eps and both volume routes split the radicand N once each and
+    build their result from integers (the field routes split N and the
+    denominator 1, two calls; 18 per volume_L_eps when every arithmetic result
+    was normalised); h0_section_count decides sigma > j/i on integers and
+    splits nothing."""
     calls = 0
     plain = zlab.lattice.squarefree_split
 
@@ -182,8 +255,12 @@ def test_volume_factors_its_radicand_once(monkeypatch, eps):
         return plain(n)
 
     monkeypatch.setattr(zlab.lattice, "squarefree_split", counting)
-    for route in (volume_L_eps, volume_closed_form):
+    for route in (volume_L_eps, volume_closed_form, sigma_eps):
         calls = 0
         route(eps)
-        assert calls <= 2
+        assert calls == 1
+    for k in range(1, 7):
+        calls = 0
+        h0_section_count(k, eps)
+        assert calls == 0
     assert volume_L_eps(eps) == volume_closed_form(eps)

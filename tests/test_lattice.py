@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import math
+import os
 import pickle
 import random
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -345,6 +348,48 @@ def test_split_work_stops_at_the_cube_root(p, q):
     budget = 4 * round(n ** (1 / 3)) + 40
     assert _line_events(zlab.lattice.squarefree_split, n, budget) is not None
     assert squarefree_split(n) == (1, n)
+
+
+SMALL_PRIME_BOUND = zlab.lattice._SMALL_PRIME_BOUND  # B: primes below it are found by one gcd
+NEAR_B = _primes_from(SMALL_PRIME_BOUND - 20, 6)  # 4079, 4091, 4093 | 4099, 4111, 4127
+BELOW_B = [p for p in NEAR_B if p < SMALL_PRIME_BOUND]
+ABOVE_B = [p for p in NEAR_B if p > SMALL_PRIME_BOUND]
+
+
+def _boundary_cases():
+    cases = []
+    for p in NEAR_B:
+        cases += [p, p * p, p**3, 2 * p**3, 3 * p * p, p**4, p**5]
+    for p in BELOW_B:
+        cases += [p * q for q in ABOVE_B] + [p * p * q for q in ABOVE_B] + [p * q**3 for q in ABOVE_B]
+    # just below and above B**3, and cofactors above it that the trial loop must split
+    cases += [SMALL_PRIME_BOUND**3 + i for i in range(-6, 7)]
+    a, b, c = ABOVE_B
+    cases += [a * b * c, a * a * b, a * b * b, 12 * a * b * c]
+    return cases
+
+
+@pytest.mark.parametrize("n", _boundary_cases())
+def test_split_matches_oracle_around_the_small_prime_bound(n):
+    """Primes just below B are found by the gcd with their product and those
+    just above by trial division, which runs only on a cofactor above B**3."""
+    assert squarefree_split(n) == trial_division_split(n)
+
+
+def test_importing_the_threefold_builds_no_prime_product():
+    """The prime product is built by the first split, not at import: importing
+    zlab.cutkosky and building the abelian surface model leave it unbuilt."""
+    probe = (
+        "import zlab.cutkosky, zlab.lattice\n"
+        "zlab.cutkosky.abelian_surface_model()\n"
+        "print(zlab.lattice._small_prime_product.cache_info().currsize)\n"
+        "zlab.lattice.squarefree_split(12)\n"
+        "print(zlab.lattice._small_prime_product.cache_info().currsize)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(zlab.lattice.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert done.stdout.split() == ["0", "1"]
 
 
 def test_split_settles_a_square_with_one_isqrt():
