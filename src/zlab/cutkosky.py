@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import OutOfDomain, TooFewSamples
+from .errors import OutOfDomain, OutOfRange, TooFewSamples
 from .lattice import (
     DivisorClass,
     IntersectionLattice,
@@ -45,24 +45,11 @@ class AbelianSurfaceData(_Value, fields=("lattice", "f1", "f2", "delta", "d", "h
     d: DivisorClass
     h: DivisorClass
 
-    def __init__(self, lattice: IntersectionLattice, f1: DivisorClass, f2: DivisorClass,
-                 delta: DivisorClass, d: DivisorClass, h: DivisorClass) -> None:
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "f1", f1)
-        object.__setattr__(self, "f2", f2)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "h", h)
-
 
 @cache  # frozen data, built once: q_poly and h0_section_count read it per call
 def abelian_surface() -> AbelianSurfaceData:
-    lattice = IntersectionLattice(
-        [[0, 1, 1], [1, 0, 1], [1, 1, 0]], ["f1", "f2", "delta"]
-    )
-    f1 = lattice.basis_divisor(0)
-    f2 = lattice.basis_divisor(1)
-    delta = lattice.basis_divisor(2)
+    lattice = IntersectionLattice([[0, 1, 1], [1, 0, 1], [1, 1, 0]], ["f1", "f2", "delta"])
+    f1, f2, delta = (lattice.basis_divisor(i) for i in range(3))
     d = f1 + f2
     h = 3 * f2 + 3 * delta
     data = AbelianSurfaceData(lattice, f1, f2, delta, d, h)
@@ -105,11 +92,6 @@ class QuadraticPolynomial(_Value, fields=("c2", "c1", "c0")):
     c2: Fraction
     c1: Fraction
     c0: Fraction
-
-    def __init__(self, c2: Fraction, c1: Fraction, c0: Fraction) -> None:
-        object.__setattr__(self, "c2", c2)
-        object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "c0", c0)
 
     def __call__(self, x):
         return (self.c2 * x + self.c1) * x + self.c0
@@ -237,13 +219,6 @@ class CertificateReport(_Value, fields=("degrees", "residuals", "residual_floor"
     residual_floor: float
     passed: bool
 
-    def __init__(self, degrees: tuple[int, ...], residuals: tuple[float, ...],
-                 residual_floor: float, passed: bool) -> None:
-        object.__setattr__(self, "degrees", degrees)
-        object.__setattr__(self, "residuals", residuals)
-        object.__setattr__(self, "residual_floor", residual_floor)
-        object.__setattr__(self, "passed", passed)
-
 
 def _interpolate_exact(
     xs: Sequence[Fraction], ys: Sequence[Fraction], x: Fraction
@@ -274,6 +249,8 @@ def nonpolynomiality_certificate(
     the residual to rounding level and fails the certificate, which is the
     intended negative control.
     """
+    if max_degree < 1:
+        raise OutOfRange("max_degree must be at least 1")
     samples = sorted(Fraction(e) for e in eps_samples)
     if len(set(samples)) != len(samples):
         raise TooFewSamples("samples must be distinct")

@@ -81,21 +81,12 @@ class QuadraticIrrational:
     __slots__ = ("_p", "_q", "_m", "_d")
 
     def __init__(self, a: Rational = 0, b: Rational = 0, m: int = 0) -> None:
-        a = Fraction(a)
-        b = Fraction(b)
-        m = int(m)
-        if m < 0:
-            raise ValueError("radicand must be non-negative")
-        if b and m:
-            s, m = squarefree_split(m)
-            b *= s
-        if b == 0 or m <= 1:  # rational: b or m is 0, or the radicand was a square
-            a, b, m = a + b * m, Fraction(0), 0
-        # no prime divides p, q and the lcm of two reduced denominators
-        d = math.lcm(a.denominator, b.denominator)
-        self._p = a.numerator * (d // a.denominator)
-        self._q = b.numerator * (d // b.denominator)
-        self._m, self._d = m, d
+        n = int(m)
+        if n != m or n < 0:
+            raise ValueError(f"radicand must be {'an integer' if n != m else 'non-negative'}")
+        (p, q), d = clear_denominators((a, b))
+        x = _from_radicand(p, q, n, d) if q and n else self._coerce(Fraction(a))
+        self._p, self._q, self._m, self._d = x._p, x._q, x._m, x._d
 
     @classmethod
     def _reduced(cls, p: int, q: int, m: int, d: int) -> "QuadraticIrrational":
@@ -270,9 +261,10 @@ def sqrt_fraction(value: Rational) -> QuadraticIrrational:
 
 
 def _from_radicand(x0: int, x1: int, n: int, d: int) -> QuadraticIrrational:
-    """(x0 + x1*sqrt(n))/d for integers, n > 0 and d != 0, after one split of n."""
+    """(x0 + x1*sqrt(n))/d for integers, n >= 0 and d != 0, after one split of n;
+    a zero or square radicand folds into the rational part."""
     s, m = squarefree_split(n)
-    x0, x1 = (x0 + x1 * s, 0) if m == 1 else (x0, x1 * s)
+    x0, x1 = (x0 + x1 * s * m, 0) if m <= 1 else (x0, x1 * s)
     return QuadraticIrrational._reduced(x0, x1, m, d)
 
 
@@ -419,8 +411,10 @@ class _Value:
     """Base of zlab's frozen value classes, in place of ``dataclasses``, whose
     import and class building cost a CLI process more than its computation.
 
-    A subclass names its ``fields``; its own ``__init__`` sets them with
-    ``object.__setattr__`` (and calls ``__post_init__`` where it validates).
+    A subclass names its ``fields``; the one ``__init__`` binds them by
+    position or keyword, a class attribute named like a field being its
+    default, then calls ``__post_init__``, where a class validates or coerces.
+    A class that transforms its input or takes a non-field keeps its own.
     Equality and hashing read the field tuple and repr shows it, as a frozen
     dataclass would; instances refuse assignment and deletion.
     """
@@ -429,6 +423,30 @@ class _Value:
         get = attrgetter(*fields)
         cls._fields = fields
         cls._key = staticmethod(get if len(fields) > 1 else lambda obj: (get(obj),))
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        vars(self).update(zip(self._fields, args))
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """The field values in order; TypeError for a surplus, unknown, repeated or missing one."""
+        name, rest = cls.__qualname__, cls._fields[len(args):]
+        if len(args) > len(cls._fields):
+            raise TypeError(f"{name}() got {len(args)} arguments for {len(cls._fields)} fields")
+        for key in kwargs:
+            if key not in rest:
+                why = "multiple values for" if key in cls._fields else "an unexpected keyword"
+                raise TypeError(f"{name}() got {why} argument {key!r}")
+        for key in rest:
+            if key not in kwargs and key not in vars(cls):
+                raise TypeError(f"{name}() missing required argument {key!r}")
+        return [*args, *(kwargs[f] if f in kwargs else vars(cls)[f] for f in rest)]
+
+    def __post_init__(self) -> None:
+        pass
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

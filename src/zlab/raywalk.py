@@ -14,10 +14,10 @@ QuadraticIrrational (rational values embed with radicand 0).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 from .errors import InstableDivisor, LatticeMismatch, NotAmple
-from .lattice import DivisorClass, QuadraticIrrational, _Value, sqrt_fraction
+from .lattice import DivisorClass, QuadraticIrrational, _from_radicand, _Value
 from .surface import SurfaceModel
 from .zariski import (
     ChamberDescriptor,
@@ -36,26 +36,14 @@ class RaySegment(_Value, fields=("lambda_start", "lambda_end", "support")):
     lambda_end: Endpoint
     support: ChamberDescriptor
 
-    def __init__(self, lambda_start: Fraction, lambda_end: Endpoint,
-                 support: ChamberDescriptor) -> None:
-        object.__setattr__(self, "lambda_start", lambda_start)
-        object.__setattr__(self, "lambda_end", lambda_end)
-        object.__setattr__(self, "support", support)
-
 
 class RayWalkResult(_Value, fields=("segments", "breakpoints", "bigness_threshold")):
     segments: tuple[RaySegment, ...]
     breakpoints: tuple[Fraction, ...]
     bigness_threshold: QuadraticIrrational
 
-    def __init__(self, segments: Iterable[RaySegment], breakpoints: Iterable[Fraction],
-                 bigness_threshold: QuadraticIrrational) -> None:
-        object.__setattr__(self, "segments", tuple(segments))
-        object.__setattr__(self, "breakpoints", tuple(breakpoints))
-        object.__setattr__(self, "bigness_threshold", bigness_threshold)
-        self.__post_init__()
-
     def __post_init__(self) -> None:
+        vars(self).update(segments=tuple(self.segments), breakpoints=tuple(self.breakpoints))
         segments = self.segments
         if not segments:
             raise ValueError("a walk has at least one segment")
@@ -159,8 +147,7 @@ def destabilizing_numbers(
                 lam = segments[-1].lambda_end
                 continue
         # the smaller root -(f01 + sqrt(f01**2 - f00*f11)) * q1/(q0*f11) is the threshold
-        root = sqrt_fraction(f01 * f01 - f00 * f11)
-        threshold = (QuadraticIrrational(-f01) - root) * Fraction(q1, q0 * f11)
+        threshold = _from_radicand(-f01 * q1, -q1, f01 * f01 - f00 * f11, q0 * f11)
         segments.append(RaySegment(lam, threshold, descriptor))
         return RayWalkResult(segments, (s.lambda_start for s in segments[1:]), threshold)
     raise RuntimeError("ray walk did not terminate")

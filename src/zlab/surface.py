@@ -73,17 +73,10 @@ class NegativeCurve(_Value, fields=("label", "cls")):
     label: str
     cls: DivisorClass
 
-    def __init__(self, label: str, cls: DivisorClass) -> None:
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "cls", cls)
-        self.__post_init__()
-
     def __post_init__(self) -> None:
         v = self.cls.cleared[0]
         if self.cls.lattice.form(v, v) >= 0:
-            raise CurvePairingError(
-                f"curve {self.label} has non-negative self-intersection"
-            )
+            raise CurvePairingError(f"curve {self.label} has non-negative self-intersection")
 
 
 class SurfaceModel(_Value, fields=("lattice", "ample", "curves", "canonical")):
@@ -100,17 +93,10 @@ class SurfaceModel(_Value, fields=("lattice", "ample", "curves", "canonical")):
     lattice: IntersectionLattice
     ample: DivisorClass
     curves: tuple[NegativeCurve, ...]
-    canonical: Optional[DivisorClass]
-
-    def __init__(self, lattice: IntersectionLattice, ample: DivisorClass,
-                 curves: Sequence[NegativeCurve], canonical: Optional[DivisorClass] = None) -> None:
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "ample", ample)
-        object.__setattr__(self, "curves", tuple(curves))
-        object.__setattr__(self, "canonical", canonical)
-        self.__post_init__()
+    canonical: Optional[DivisorClass] = None
 
     def __post_init__(self) -> None:
+        vars(self)["curves"] = tuple(self.curves)
         if self.ample.lattice != self.lattice:
             raise LatticeMismatch("ample witness lives in a different lattice")
         if self.ample.square <= 0:

@@ -23,7 +23,7 @@ from zlab import (
     volume_L_eps,
     volume_closed_form,
 )
-from zlab.errors import OutOfDomain, TooFewSamples
+from zlab.errors import OutOfDomain, OutOfRange, TooFewSamples
 
 SAMPLES = [Fraction(0), Fraction(1, 8), Fraction(1, 4), Fraction(3, 8),
            Fraction(1, 2), Fraction(5, 8), Fraction(3, 4), Fraction(1)]
@@ -167,6 +167,17 @@ def test_certificate_needs_enough_samples():
         nonpolynomiality_certificate(SAMPLES[:6])
     with pytest.raises(TooFewSamples):
         nonpolynomiality_certificate(SAMPLES + [Fraction(0)])
+
+
+@pytest.mark.parametrize("max_degree", [0, -3])
+def test_certificate_refuses_a_degree_below_one_before_any_value(max_degree):
+    """With no degree to fit, the certificate would pass vacuously, even on e*e."""
+    def unreached(eps):
+        raise AssertionError("a value was computed")
+
+    for value_fn in (unreached, lambda e: e * e):
+        with pytest.raises(OutOfRange):
+            nonpolynomiality_certificate(SAMPLES, value_fn=value_fn, max_degree=max_degree)
 
 
 # -- the integer routes against the field-arithmetic routes they replaced ------

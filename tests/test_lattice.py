@@ -451,10 +451,30 @@ def test_qi_hash_matches_rational_embedding():
 
 
 def test_qi_negative_radicand_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-negative"):
         QuadraticIrrational(0, 1, -5)
     with pytest.raises(ValueError):
         sqrt_fraction(-1)
+
+
+@pytest.mark.parametrize("m", [Fraction(9, 2), 2.5, Fraction(-9, 2)])
+def test_qi_radicand_that_is_not_an_integer_rejected(m):
+    """Truncating would turn 9/2 into the square 4 and 2.5 into 2."""
+    with pytest.raises(ValueError, match="integer"):
+        QuadraticIrrational(0, 1, m)
+
+
+def test_qi_integral_radicand_of_another_type_accepted():
+    assert QuadraticIrrational(0, 1, Fraction(8)) == QuadraticIrrational(0, 2, 2)
+    assert QuadraticIrrational(1, 1, 9.0) == 4
+
+
+def test_zero_and_square_radicands_fold_into_the_rational_part():
+    for n, value in [(0, Fraction(1, 3)), (9, Fraction(7, 3)), (16, 3)]:
+        x = zlab.lattice._from_radicand(1, 2, n, 3)
+        assert (x.a, x.b, x.m) == (value, 0, 0) and hash(x) == hash(value)
+    x = zlab.lattice._from_radicand(1, 2, 8, -3)
+    assert (x.a, x.b, x.m) == (Fraction(-1, 3), Fraction(-4, 3), 2)
 
 
 @settings(max_examples=80, deadline=None)

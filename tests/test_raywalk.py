@@ -38,7 +38,7 @@ from zlab import (
     volume_polynomial,
     zariski_decompose,
 )
-import zlab.raywalk
+import zlab.lattice
 from zlab.errors import InstableDivisor, NotAmple, NotBig
 from zlab.lattice import is_negative_definite
 from zlab.raywalk import RaySegment, RayWalkResult
@@ -85,15 +85,16 @@ def test_abelian_walk_has_irrational_threshold():
 
 
 def test_sixteen_digit_walk_takes_one_square_root(dp2, monkeypatch):
-    """Walls are decided on ints, so only the last segment takes a root: a
-    root per closed segment would trial-divide each segment's large radicand."""
-    roots = []
+    """Walls are decided on ints, so only the last segment takes a root, by
+    one radicand split: a root per closed segment would trial-divide each
+    segment's large radicand."""
+    roots, split = [], zlab.lattice.squarefree_split
 
     def counting(value):
         roots.append(value)
-        return sqrt_fraction(value)
+        return split(value)
 
-    monkeypatch.setattr(zlab.raywalk, "sqrt_fraction", counting)
+    monkeypatch.setattr(zlab.lattice, "squarefree_split", counting)
     lat = dp2.lattice
     bundle = lat.divisor([19922054172509764, -215883242609972, -807440948040823])
     walk = destabilizing_numbers(dp2, bundle, lat.divisor([5, -1, -2]))

@@ -1,5 +1,6 @@
-"""The frozen value classes: equality and hashing over their fields, the
-dataclass repr, refused assignment, and pickle and copy round trips."""
+"""The frozen value classes: binding by position or keyword, equality and
+hashing over their fields, the dataclass repr, refused assignment, and
+pickle and copy round trips."""
 
 from __future__ import annotations
 
@@ -19,13 +20,17 @@ from zlab import (
     ChamberDescriptor,
     IntersectionLattice,
     NegativeCurve,
+    QuadraticIrrational,
     RaySegment,
+    RayWalkResult,
+    SurfaceModel,
     abelian_surface,
     destabilizing_numbers,
     q_poly,
     volume_polynomial,
     zariski_decompose,
 )
+from zlab.errors import CurvePairingError
 
 
 def examples() -> dict[str, tuple[object, tuple[str, ...]]]:
@@ -57,6 +62,61 @@ def examples() -> dict[str, tuple[object, tuple[str, ...]]]:
 
 
 NAMES = sorted(examples())
+# QuadraticVolumePolynomial also takes its lattice, a non-field, by position
+NON_FIELD_POSITIONALS = {"QuadraticVolumePolynomial": 1}
+DEFAULTED = {("SurfaceModel", "canonical")}
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_keyword_construction_equals_positional_construction(name):
+    value, fields = examples()[name]
+    cls, values = type(value), [getattr(value, f) for f in fields]
+    keywords = dict(zip(fields, values))
+    assert cls(**keywords) == cls(*values) == value
+    assert cls(values[0], **dict(zip(fields[1:], values[1:]))) == value
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_unknown_missing_repeated_and_surplus_fields_are_type_errors(name):
+    value, fields = examples()[name]
+    cls, values = type(value), [getattr(value, f) for f in fields]
+    keywords = dict(zip(fields, values))
+    with pytest.raises(TypeError, match="'not_a_field'"):
+        cls(*values, not_a_field=None)
+    for field in fields:
+        if (name, field) not in DEFAULTED:
+            with pytest.raises(TypeError, match=f"'{field}'"):
+                cls(**{f: v for f, v in keywords.items() if f != field})
+        with pytest.raises(TypeError, match=f"'{field}'"):
+            cls(*values, **{field: keywords[field]})
+    with pytest.raises(TypeError):
+        cls(*values, *[None] * (1 + NON_FIELD_POSITIONALS.get(name, 0)))
+
+
+def test_keyword_construction_still_validates():
+    dp2 = dp_model(2)
+    with pytest.raises(CurvePairingError):
+        NegativeCurve(label="A", cls=dp2.ample)
+    with pytest.raises(ValueError):
+        RayWalkResult(segments=(), breakpoints=(), bigness_threshold=QuadraticIrrational(1))
+
+
+def test_a_surface_model_built_without_canonical_has_none():
+    dp2 = dp_model(2)
+    assert SurfaceModel(dp2.lattice, dp2.ample, dp2.curves).canonical is None
+    assert SurfaceModel(lattice=dp2.lattice, ample=dp2.ample, curves=dp2.curves).canonical is None
+
+
+def test_list_and_generator_inputs_come_back_as_tuples():
+    dp2 = dp_model(2)
+    walk = examples()["RayWalkResult"][0]
+    for make in (list, lambda items: (x for x in items)):
+        model = SurfaceModel(dp2.lattice, dp2.ample, make(dp2.curves), dp2.canonical)
+        assert type(model.curves) is tuple and model == dp2
+        again = RayWalkResult(segments=make(walk.segments), breakpoints=make(walk.breakpoints),
+                              bigness_threshold=walk.bigness_threshold)
+        assert type(again.segments) is tuple and type(again.breakpoints) is tuple
+        assert again == walk
 
 
 @pytest.mark.parametrize("name", NAMES)
