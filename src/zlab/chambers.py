@@ -4,12 +4,10 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .errors import (
-    NotNef, NotNegativeDefinite, NullMismatch, RankTooLargeForEnumeration, UnrealizableSupport
-)
+from .errors import NotNef, NotNegativeDefinite, NullMismatch, RankTooLargeForEnumeration
 from .lattice import (DivisorClass, _negative_definite_factor, is_negative_definite,
                       solve_negative_definite)
-from .surface import SurfaceModel, is_nef
+from .surface import SurfaceModel
 from .zariski import ChamberDescriptor
 
 MAX_ENUMERABLE_CURVES = 63
@@ -29,13 +27,8 @@ def construct_nef_with_null(
     relies on; the tests use it as an oracle for that theorem.
     """
     if not isinstance(support, ChamberDescriptor):
-        support = ChamberDescriptor.from_labels(support)  # each label once, sorted
-    try:
-        indices = [model.curve_index(label) for label in support.support]
-    except KeyError as exc:
-        raise UnrealizableSupport(exc.args[0]) from exc
-    if not indices:
-        return model.ample
+        support = ChamberDescriptor(support)  # each label once, sorted
+    indices = [model.curve_index(label) for label in support.support]
     try:
         [projected], (xs,), _ = model.project([model.ample.cleared], indices)
     except NotNegativeDefinite as exc:
@@ -43,10 +36,10 @@ def construct_nef_with_null(
     if any(x >= 0 for x in xs):  # x_i = xs[i] / (e*d) with e, d > 0
         raise NotNegativeDefinite("orthogonality system produced a non-positive coefficient")
     result = DivisorClass._reduced(model.lattice, *projected)
-    nums = model.pairing_sum(result)[0].values()  # one pairing serves both checks
-    if not is_nef(model, result, nums):
+    sums = model._nef_read(result)  # one pairing serves both checks
+    if sums is None:
         raise NullMismatch("constructed class is not nef")
-    if {i for i, p in enumerate(nums) if p == 0} != set(indices):
+    if set(sums.zeros()) != set(indices):
         raise NullMismatch("constructed class has extra null curves")
     return result
 
@@ -65,10 +58,10 @@ def face_of(model: SurfaceModel, nef_class: DivisorClass) -> Face:
     ker R^T R, and column j of R is a pivot exactly when -R^T R is negative
     definite on the earlier pivots plus j; one solve of the normal equations
     then gives the pivot coordinates of every free column's basis vector."""
-    nums = model.pairing_sum(nef_class)[0].values()  # one pairing: the nef test and the null set
-    if not is_nef(model, nef_class, nums):
+    sums = model._nef_read(nef_class)  # one pairing: the nef test and the null set
+    if sums is None:
         raise NotNef("face is only defined for nef classes")
-    null = [i for i, p in enumerate(nums) if p == 0]
+    null = sums.zeros()
     rows = model.kernel_rows(null)
     rank = model.lattice.rank
     neg = [[-sum(r[i] * r[j] for r in rows) for j in range(rank)] for i in range(rank)]  # -R^T R

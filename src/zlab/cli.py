@@ -186,10 +186,9 @@ def _volume(model: SurfaceModel, divisor: DivisorClass) -> Any:
 
 def _volpoly(model: SurfaceModel, support: str) -> Any:
     from .volume import volume_polynomial
-    from .zariski import ChamberDescriptor
 
     labels = [] if not support else support.split(",")
-    poly = volume_polynomial(model, ChamberDescriptor.from_labels(labels))
+    poly = volume_polynomial(model, labels)
     matrix = [[_fraction_str(q) for q in row] for row in poly.matrix]
     return {"support": list(poly.chamber.support), "matrix": matrix}
 

@@ -219,6 +219,9 @@ class CertificateReport(_Value, fields=("degrees", "residuals", "residual_floor"
     residual_floor: float
     passed: bool
 
+    def __post_init__(self) -> None:
+        vars(self).update(degrees=tuple(self.degrees), residuals=tuple(self.residuals))
+
 
 def _interpolate_exact(
     xs: Sequence[Fraction], ys: Sequence[Fraction], x: Fraction

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-from .errors import InstableDivisor, LatticeMismatch, NotAmple
+from .errors import InstableDivisor, NotAmple
 from .lattice import DivisorClass, QuadraticIrrational, _from_radicand, _Value
 from .surface import SurfaceModel
 from .zariski import (
@@ -68,13 +68,11 @@ class RayWalkResult(_Value, fields=("segments", "breakpoints", "bigness_threshol
 
 
 def is_ample(model: SurfaceModel, divisor: DivisorClass) -> bool:
-    """Strict positivity against the square, the witness and every curve."""
-    if divisor.lattice != model.lattice:
-        raise LatticeMismatch("class lives in a different lattice")
-    v, form = divisor.cleared[0], model.lattice.form  # signs of D**2 and D.A, on ints
-    if form(v, v) <= 0 or form(v, model.ample.cleared[0]) <= 0:
-        return False
-    return min(model.pairing_sum(divisor)[0].values(), default=1) > 0
+    """Strict positivity against the square, the witness and every curve: nef,
+    no null curve and D**2 > 0, read on ints.  D.A > 0 then follows by the
+    Hodge index theorem, as D.A >= 0 and D**2 > 0 with A**2 > 0."""
+    sums, v = model._nef_read(divisor), divisor.cleared[0]
+    return sums is not None and not sums.zeros() and model.lattice.form(v, v) > 0
 
 
 def destabilizing_numbers(
@@ -138,7 +136,7 @@ def destabilizing_numbers(
         if grown:
             support.extend(entrants)
             continue
-        descriptor = ChamberDescriptor.from_labels(model.curves[i].label for i in support)
+        descriptor = ChamberDescriptor(model.curves[i].label for i in support)
         f00, f01, f11 = form(u0, u0), form(u0, u1), form(u1, u1)
         if least is not None:  # does the wall come first?  Decided on ints, see the docstring
             a, b = least

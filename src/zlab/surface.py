@@ -23,9 +23,10 @@ from .errors import (
     LatticeMismatch,
     MissingCanonical,
     OutOfRange,
+    UnrealizableSupport,
     UnsupportedLattice,
 )
-from .lattice import DivisorClass, IntersectionLattice, Rational, _Value, solve_negative_definite
+from .lattice import DivisorClass, IntersectionLattice, _Value, solve_negative_definite
 
 
 _CODES = {16: "h", 32: "i", 64: "q"}  # the struct codes of the slot widths kept packed
@@ -52,6 +53,13 @@ class PackedSum(NamedTuple):
             found.append(low.bit_length() // width - 1)
             bits ^= low
         return found
+
+    def zeros(self) -> list[int]:
+        """The indices of the zero slots.  Adding m, all ones below each offset bit,
+        to the sum's bits below it sets that bit, carrying no further, unless they are
+        0: so only for a zero slot, as ``pair_packed`` keeps |slot| < 2**(width-1)."""
+        m = self.offset - (self.offset >> (self.width - 1))
+        return PackedSum((self.total & m) + m, self.width, self.offset).negatives()
 
     def slot(self, i: int) -> int:
         width = self.width
@@ -159,6 +167,16 @@ class SurfaceModel(_Value, fields=("lattice", "ample", "curves", "canonical")):
             raise LatticeMismatch("class lives in a different lattice")
         return self.pair_packed(divisor.cleared[0]), divisor.cleared[1] * self._scale
 
+    def _nef_read(self, divisor: DivisorClass) -> Optional[PackedSum]:
+        """The one read of a class: ``pairing_sum``'s slots when the class is nef
+        under the model assumption, else None.  D**2 >= 0 and D.A >= 0 are read
+        on ints first, then the offset bits: none cleared, no negative slot."""
+        v, form, same = divisor.cleared[0], self.lattice.form, divisor.lattice == self.lattice
+        if same and (form(v, v) < 0 or form(v, self.ample.cleared[0]) < 0):
+            return None
+        sums = self.pairing_sum(divisor)[0]  # LatticeMismatch unless same
+        return None if sums.offset & ~sums.total else sums
+
     def curve_pairings(self, divisor: DivisorClass) -> list[Fraction]:
         """[D . C for C in curves] as Fractions, built from ``pairing_sum``."""
         sums, den = self.pairing_sum(divisor)
@@ -194,7 +212,7 @@ class SurfaceModel(_Value, fields=("lattice", "ample", "curves", "canonical")):
         try:
             return self._index[label]
         except KeyError:
-            raise KeyError(f"no curve labelled {label!r}") from None
+            raise UnrealizableSupport(f"no curve labelled {label!r}") from None
 
     def curve_by_label(self, label: str) -> NegativeCurve:
         return self.curves[self.curve_index(label)]
@@ -203,22 +221,9 @@ class SurfaceModel(_Value, fields=("lattice", "ample", "curves", "canonical")):
         return is_nef(self, divisor)
 
 
-def is_nef(
-    model: SurfaceModel, divisor: DivisorClass, pairings: "Sequence[Rational] | None" = None
-) -> bool:
-    """Nefness test under the model assumption (complete curve list).  Only the
-    signs of ``pairings`` are read, so a caller holding the class's curve
-    pairings or their numerators (the slots of ``model.pairing_sum``) passes
-    them; else the negative slots of ``model.pairing_sum`` are read."""
-    if divisor.lattice != model.lattice:
-        raise LatticeMismatch("class lives in a different lattice")
-    v, form = divisor.cleared[0], model.lattice.form  # signs of D**2 and D.A, on ints
-    if form(v, v) < 0 or form(v, model.ample.cleared[0]) < 0:
-        return False
-    if pairings is None:
-        sums = model.pairing_sum(divisor)[0]
-        return not sums.offset & ~sums.total  # no offset bit cleared: no negative slot
-    return min(pairings, default=0) >= 0
+def is_nef(model: SurfaceModel, divisor: DivisorClass) -> bool:
+    """Nefness test under the model assumption (complete curve list)."""
+    return model._nef_read(divisor) is not None
 
 
 # ---------------------------------------------------------------------------

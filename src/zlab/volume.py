@@ -42,7 +42,7 @@ class QuadraticVolumePolynomial(_Value, fields=("chamber", "matrix")):
 
     def __init__(self, chamber: ChamberDescriptor, matrix: tuple[tuple[Fraction, ...], ...],
                  lattice: "IntersectionLattice | None" = None) -> None:
-        vars(self).update(chamber=chamber, matrix=matrix, lattice=lattice)
+        vars(self).update(chamber=chamber, matrix=tuple(map(tuple, matrix)), lattice=lattice)
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -84,11 +84,9 @@ def volume_polynomial(
     ints and each entry is one Fraction.  Raises UnrealizableSupport unless
     the support's intersection matrix is negative definite.
     """
-    if not isinstance(chamber, ChamberDescriptor):
-        chamber = ChamberDescriptor.from_labels(chamber)
     gram = model.lattice.gram
     rank = model.lattice.rank
-    _, rows, xs, det = _resolve_support(model, chamber, range(rank))
+    chamber, _, rows, xs, det = _resolve_support(model, chamber, range(rank))
     quadratic = tuple(
         tuple(
             Fraction(gram[i][j] * det - sum(row[i] * x for row, x in zip(rows, xs[j])), det)

@@ -8,7 +8,7 @@ from math import factorial
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import (LatticeMismatch, NotFiniteCoxeterType, NotMinusTwoClass, NotNef, OrbitTooLarge,
-                     OutOfRange, RankTooLargeForEnumeration)
+                     OutOfRange, RankTooLargeForEnumeration, UnrealizableSupport)
 from .lattice import DivisorClass
 from .surface import NegativeCurve, SurfaceModel, is_nef, simple_roots
 from .volume import vol
@@ -151,12 +151,11 @@ def k3_reflection_volume(
     """
     label = curve if isinstance(curve, str) else curve.label
     try:
-        index = model.curve_index(label)
-    except KeyError:
+        cls = model.curve_by_label(label).cls
+    except UnrealizableSupport:
         raise NotMinusTwoClass(f"{label} is not a listed (-2)-curve") from None
-    square = model.curves[index].cls.square
-    if square != -2:
-        raise NotMinusTwoClass(f"{label} has square {square}, not -2")
+    if cls.square != -2:
+        raise NotMinusTwoClass(f"{label} has square {cls.square}, not -2")
     if not is_nef(model, nef_class):
         raise NotNef("reflection volume expects a nef class")
-    return vol(model, reflect(nef_class, model.curves[index].cls))
+    return vol(model, reflect(nef_class, cls))

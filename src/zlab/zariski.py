@@ -22,7 +22,7 @@ from .errors import (
     UnrealizableSupport,
 )
 from .lattice import DivisorClass, _negative_definite_factor, _Value, solve_negative_definite
-from .surface import NegativeCurve, SurfaceModel, is_nef
+from .surface import NegativeCurve, SurfaceModel
 
 
 class ZariskiDecomposition(_Value, fields=("model", "input", "positive", "coefficients")):
@@ -59,10 +59,10 @@ class ZariskiDecomposition(_Value, fields=("model", "input", "positive", "coeffi
         negative = sum((curve.cls * x for curve, x in self.coefficients), self.model.lattice.zero())
         if self.input - negative != self.positive:
             raise ValueError("positive and negative part do not sum to the input")
-        nums = self.model.pairing_sum(self.positive)[0].values()
-        if not is_nef(self.model, self.positive, nums):
+        sums = self.model._nef_read(self.positive)
+        if sums is None:
             raise ValueError("positive part is not nef")
-        if any(nums[i] for i in indices):
+        if not set(indices).issubset(sums.zeros()):
             raise ValueError("positive part is not orthogonal to the support")
         if indices and _negative_definite_factor(self.model.kernel_gram(indices)) is None:
             raise ValueError("support pairing matrix is not negative definite")
@@ -86,6 +86,8 @@ class ChamberDescriptor(_Value, fields=("support",)):
     support: tuple[str, ...]
 
     def __init__(self, support: Iterable[str]) -> None:
+        if isinstance(support, str):  # else its characters would become the labels
+            raise TypeError(f"a support is an iterable of labels, not the string {support!r}")
         object.__setattr__(self, "support", tuple(sorted(set(support))))
 
     # _Value's comparison and hash, spelled out: chambers fill sets and dict keys
@@ -97,10 +99,6 @@ class ChamberDescriptor(_Value, fields=("support",)):
     def __hash__(self) -> int:
         return hash((self.support,))
 
-    @classmethod
-    def from_labels(cls, labels: Iterable[str]) -> "ChamberDescriptor":
-        return cls(tuple(labels))
-
     @property
     def label_set(self) -> frozenset[str]:
         return frozenset(self.support)
@@ -110,25 +108,26 @@ class ChamberDescriptor(_Value, fields=("support",)):
 
 
 def _resolve_support(
-    model: SurfaceModel, support: ChamberDescriptor, columns: Iterable[int] = ()
-) -> tuple[list[int], list[list[int]], list[list[int]], int]:
-    """(indices, rows, xs, det): a support's curve indices sorted by label, their
-    kernel rows, and one solve kernel_gram(indices) @ xs[c] = det * (column j of
-    the rows) for j in ``columns``.  Its pivots check that the set is negative
-    definite, i.e. supports a chamber (see ``enumerate_chambers``); else, and on
-    an unknown label, UnrealizableSupport.  Rank or more curves are refused
-    unread: signature (1, rank - 1) forbids them."""
+    model: SurfaceModel, support: "ChamberDescriptor | Iterable[str]", columns: Iterable[int] = ()
+) -> tuple[ChamberDescriptor, list[int], list[list[int]], list[list[int]], int]:
+    """(chamber, indices, rows, xs, det): a support as a descriptor, its curve
+    indices sorted by label, their kernel rows, and one solve kernel_gram(indices)
+    @ xs[c] = det * (column j of the rows) for j in ``columns``.  Its pivots check
+    that the set is negative definite, i.e. supports a chamber (see
+    ``enumerate_chambers``); else, and on an unknown label, UnrealizableSupport.
+    Rank or more curves are refused unread: signature (1, rank - 1) forbids them."""
+    if not isinstance(support, ChamberDescriptor):
+        support = ChamberDescriptor(support)
     try:
         indices = [model.curve_index(label) for label in support.support]
-    except KeyError as exc:
-        raise UnrealizableSupport(f"support {support}: {exc.args[0]}") from exc
-    if len(indices) < model.lattice.rank:
-        rows = model.kernel_rows(indices)
-        try:
-            return indices, rows, *solve_negative_definite(
+        if len(indices) < model.lattice.rank:
+            rows = model.kernel_rows(indices)
+            return support, indices, rows, *solve_negative_definite(
                 model.kernel_gram(indices), [[row[j] for row in rows] for j in columns])
-        except NotNegativeDefinite:
-            pass
+    except UnrealizableSupport as exc:
+        raise UnrealizableSupport(f"support {support}: {exc}") from None
+    except NotNegativeDefinite:
+        pass
     raise UnrealizableSupport(
         f"support {support} has an intersection matrix that is not negative definite"
     )
@@ -138,9 +137,7 @@ def support_curves(
     model: SurfaceModel, support: "ChamberDescriptor | Iterable[str]"
 ) -> list[NegativeCurve]:
     """The curves of a chamber support, sorted by label (see ``_resolve_support``)."""
-    if not isinstance(support, ChamberDescriptor):
-        support = ChamberDescriptor.from_labels(support)
-    return [model.curves[i] for i in _resolve_support(model, support)[0]]
+    return [model.curves[i] for i in _resolve_support(model, support)[1]]
 
 
 def zariski_decompose(model: SurfaceModel, divisor: DivisorClass) -> ZariskiDecomposition:
@@ -199,10 +196,10 @@ def neg_set(model: SurfaceModel, divisor: DivisorClass) -> frozenset[str]:
 
 def null_set(model: SurfaceModel, nef_class: DivisorClass) -> frozenset[str]:
     """Labels of the listed curves pairing to zero with a nef class."""
-    nums = model.pairing_sum(nef_class)[0].values()
-    if not is_nef(model, nef_class, nums):
+    sums = model._nef_read(nef_class)
+    if sums is None:
         raise NotNef("null set is only defined for nef classes")
-    return frozenset(c.label for c, p in zip(model.curves, nums) if p == 0)
+    return frozenset(model.curves[i].label for i in sums.zeros())
 
 
 def is_big(model: SurfaceModel, divisor: DivisorClass) -> bool:
@@ -227,7 +224,7 @@ def _decompose_big(model: SurfaceModel, divisor: DivisorClass) -> ZariskiDecompo
 
 def chamber_of(model: SurfaceModel, divisor: DivisorClass) -> ChamberDescriptor:
     """The chamber descriptor (negative-part support) of a big class."""
-    return ChamberDescriptor.from_labels(_decompose_big(model, divisor).support_labels)
+    return ChamberDescriptor(_decompose_big(model, divisor).support_labels)
 
 
 def on_chamber_boundary(model: SurfaceModel, divisor: DivisorClass) -> bool:

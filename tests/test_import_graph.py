@@ -124,7 +124,6 @@ def test_every_import_is_used():
 # Methods no library code reads, each with the reason it stays.
 UNREFERENCED_BY_DESIGN = {
     "DivisorClass.is_zero": "public predicate; the tests compare it with a reference class",
-    "SurfaceModel.curve_by_label": "public lookup; users and the tests name curves by it",
     "QuadraticIrrational.inverse": "public arithmetic beside the division operators",
     "QuadraticVolumePolynomial.evaluate": "public; the tests and the benchmark evaluate forms",
     "_Parser.error": "argparse calls it on a usage error",

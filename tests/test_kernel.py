@@ -37,11 +37,13 @@ from zlab import (
     is_ample,
     is_big,
     is_nef,
+    null_set,
     stable_base_locus,
     zariski_decompose,
 )
 from zlab.cutkosky import abelian_surface, abelian_surface_model
-from zlab.errors import CurvePairingError, LatticeMismatch
+from zlab.errors import (CurvePairingError, LatticeMismatch, NotNef, NotNegativeDefinite,
+                         NotPseudoEffective)
 from zlab.lattice import gram_matrix
 
 FACTORS = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(3, 2), Fraction(5, 6)]
@@ -193,6 +195,62 @@ def test_construct_and_face_pair_their_class_once(monkeypatch):
     assert len(face.orthogonal_basis) == dp5.lattice.rank - 3
 
 
+def test_nef_null_and_ample_reads_pair_their_class_once(monkeypatch):
+    """``is_nef``, ``null_set`` and ``is_ample`` each read their class through
+    one pairing: the nef verdict and the zero slots come from the same sums."""
+    dp5 = del_pezzo(5)
+    chamber = next(c for c in enumerate_chambers(dp5) if len(c.support) == 3)
+    nef = construct_nef_with_null(dp5, chamber)
+    calls = count_pairings(monkeypatch)
+    for read, expected in ((is_nef, True), (null_set, chamber.label_set), (is_ample, False)):
+        calls[0] = 0
+        assert read(dp5, nef) == expected and calls == [1]
+    calls[0] = 0
+    assert is_ample(dp5, dp5.ample) and calls == [1]
+
+
+def fraction_reads(model: SurfaceModel, divisor: DivisorClass) -> tuple[bool, bool, frozenset]:
+    """(nef, ample, null labels) by definition, on the Fraction pairings: nef is
+    D**2 >= 0, D.A >= 0 and D.C >= 0 for every listed curve, ample the same
+    with strict signs."""
+    pairings = [divisor.dot(c.cls) for c in model.curves]
+    square, witness = divisor.square, divisor.dot(model.ample)
+    return (square >= 0 and witness >= 0 and all(p >= 0 for p in pairings),
+            square > 0 and witness > 0 and all(p > 0 for p in pairings),
+            frozenset(c.label for c, p in zip(model.curves, pairings) if p == 0))
+
+
+@st.composite
+def models_and_classes(draw):
+    """A user model or dp2-dp8 with a class of it: drawn coordinates, or the
+    positive part of their decomposition (nef, often with null curves), or that
+    plus a multiple of the ample witness."""
+    model = draw(st.one_of(user_models(), st.sampled_from(range(2, 9)).map(dp_model)))
+    rank = model.lattice.rank
+    divisor = model.lattice.divisor(draw(st.lists(RATIONALS, min_size=rank, max_size=rank)))
+    if draw(st.booleans()):
+        try:
+            divisor = zariski_decompose(model, divisor).positive
+        except (NotPseudoEffective, NotNegativeDefinite):
+            pass
+    return model, divisor + draw(st.sampled_from([0, 0, Fraction(1, 3), 1, 3])) * model.ample
+
+
+@settings(max_examples=200, deadline=None)
+@given(models_and_classes())
+def test_nef_ample_and_null_reads_match_the_fraction_definition(case):
+    model, divisor = case
+    nef, ample, null = fraction_reads(model, divisor)
+    assert is_nef(model, divisor) == nef
+    assert is_ample(model, divisor) == ample
+    if nef:
+        assert null_set(model, divisor) == face_of(model, divisor).null_labels == null
+        return
+    for read in (null_set, face_of):
+        with pytest.raises(NotNef):
+            read(model, divisor)
+
+
 def count_eliminations(monkeypatch) -> list[int]:
     """Record the size of every negative-definiteness elimination, in the
     solves and in the public constructor's re-check alike."""
@@ -289,7 +347,8 @@ def test_pairing_numerators_over_one_positive_denominator(model, data):
     assert type(den) is int and den > 0
     assert all(type(n) is int for n in nums)
     assert [Fraction(n, den) for n in nums] == [divisor.dot(c.cls) for c in model.curves]
-    assert is_nef(model, divisor, nums) == is_nef(model, divisor, model.curve_pairings(divisor))
+    assert is_nef(model, divisor) == (divisor.square >= 0 and divisor.dot(model.ample) >= 0
+                                      and min(model.curve_pairings(divisor)) >= 0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -367,9 +426,9 @@ def test_packed_kernel_matches_one_dot_product_per_row(model, data):
 @settings(max_examples=150, deadline=None)
 @given(KERNEL_MODELS, st.data())
 def test_sign_and_slot_read_outs_match_the_unpacked_slots(model, data):
-    """The negative slots read off the offset bits, and each slot read alone,
-    agree with the full list at every width; on the abelian model, which has
-    no curves, all three are empty."""
+    """The negative and the zero slots read off the offset bits, and each slot
+    read alone, agree with the full list at every width; on the abelian model,
+    which has no curves, all four are empty."""
     rank = model.lattice.rank
     bits = data.draw(WIDTHS)
     v = data.draw(st.lists(st.integers(-(2**bits), 2**bits), min_size=rank, max_size=rank))
@@ -377,6 +436,7 @@ def test_sign_and_slot_read_outs_match_the_unpacked_slots(model, data):
     nums = sums.values()
     assert nums == oracle_numerators(model, v, 1)[0]
     assert sums.negatives() == [i for i, x in enumerate(nums) if x < 0]
+    assert sums.zeros() == [i for i, x in enumerate(nums) if x == 0]
     assert [sums.slot(i) for i in range(len(nums))] == nums
 
 

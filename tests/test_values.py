@@ -21,6 +21,7 @@ from zlab import (
     IntersectionLattice,
     NegativeCurve,
     QuadraticIrrational,
+    QuadraticVolumePolynomial,
     RaySegment,
     RayWalkResult,
     SurfaceModel,
@@ -108,8 +109,9 @@ def test_a_surface_model_built_without_canonical_has_none():
 
 
 def test_list_and_generator_inputs_come_back_as_tuples():
-    dp2 = dp_model(2)
-    walk = examples()["RayWalkResult"][0]
+    dp2, values = dp_model(2), examples()
+    walk, poly, report = (values[name][0] for name in
+                          ("RayWalkResult", "QuadraticVolumePolynomial", "CertificateReport"))
     for make in (list, lambda items: (x for x in items)):
         model = SurfaceModel(dp2.lattice, dp2.ample, make(dp2.curves), dp2.canonical)
         assert type(model.curves) is tuple and model == dp2
@@ -117,6 +119,13 @@ def test_list_and_generator_inputs_come_back_as_tuples():
                               bigness_threshold=walk.bigness_threshold)
         assert type(again.segments) is tuple and type(again.breakpoints) is tuple
         assert again == walk
+        again = QuadraticVolumePolynomial(poly.chamber, make(make(row) for row in poly.matrix))
+        assert type(again.matrix) is tuple and all(type(row) is tuple for row in again.matrix)
+        assert again == poly and hash(again) == hash(poly)
+        again = CertificateReport(make(report.degrees), make(report.residuals),
+                                  report.residual_floor, report.passed)
+        assert type(again.degrees) is tuple and type(again.residuals) is tuple
+        assert again == report and hash(again) == hash(report)
 
 
 @pytest.mark.parametrize("name", NAMES)

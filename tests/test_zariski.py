@@ -14,15 +14,18 @@ from conftest import (a2_chain_model, dp_model, k3_model, random_ample_class, ra
                       user_models)
 from test_kernel import RATIONALS, scaled_user_models
 from zlab import (
+    ChamberDescriptor,
     NegativeCurve,
     SurfaceModel,
     chamber_closure_contains,
     chamber_of,
+    construct_nef_with_null,
     is_big,
     is_nef,
     neg_set,
     null_set,
     on_chamber_boundary,
+    volume_polynomial,
     zariski_decompose,
 )
 from zlab.errors import (
@@ -110,6 +113,31 @@ def test_constructor_refuses_a_curve_that_is_not_the_model_curve_of_its_label(dp
     impostor = NegativeCurve("E1", e2.cls)
     with pytest.raises(ValueError, match="curve E1 is not the model's curve of that label"):
         ZariskiDecomposition(dp3, divisor, positive, [(impostor, Fraction(1))])
+
+
+def test_an_unknown_label_is_an_unrealizable_support(dp3):
+    """The label lookup used to raise a bare KeyError, which the public
+    constructor let escape."""
+    lat = dp3.lattice
+    stranger = NegativeCurve("X", dp3.curve_by_label("E1").cls)
+    with pytest.raises(UnrealizableSupport, match="^no curve labelled 'X'$"):
+        ZariskiDecomposition(dp3, lat.divisor([2, 1, 0, 0]), lat.divisor([2, 0, 0, 0]),
+                             [(stranger, Fraction(1))])
+    with pytest.raises(UnrealizableSupport, match="^no curve labelled 'X'$"):
+        dp3.curve_by_label("X")
+
+
+def test_a_bare_string_is_refused_as_a_support(dp2):
+    """A string used to be split into its characters: "E1" named the support
+    {1, E}, and volume_polynomial(m, "E1") reported no curve labelled '1'."""
+    with pytest.raises(TypeError, match="not the string 'E1'"):
+        ChamberDescriptor("E1")
+    entries = (support_curves, volume_polynomial, construct_nef_with_null,
+               lambda model, support: chamber_closure_contains(model, support, model.ample))
+    for entry in entries:
+        with pytest.raises(TypeError, match="not the string 'E1'"):
+            entry(dp2, "E1")
+        entry(dp2, ["E1"])  # the one-label list it meant is accepted
 
 
 # -- the public constructor as an oracle for zariski_decompose --------------
