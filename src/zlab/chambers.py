@@ -104,6 +104,8 @@ def enumerate_chambers(model: SurfaceModel) -> list[ChamberDescriptor]:
     no curve of such a set S gives the matrix diag(G_S, C**2), negative
     definite as C**2 < 0, so only candidates meeting S are eliminated.  More
     than MAX_ENUMERABLE_CURVES curves raise RankTooLargeForEnumeration.
+    The bits run by label, the first at the top, so the walk meets each support
+    sorted and all in lexicographic order; one stable sort by size ends the list.
     """
     curves = model.curves
     n = len(curves)
@@ -112,21 +114,23 @@ def enumerate_chambers(model: SurfaceModel) -> list[ChamberDescriptor]:
             f"chamber enumeration supports at most {MAX_ENUMERABLE_CURVES} curves;"
             f" the model lists {n}"
         )
-    g = model.kernel_gram(range(n))  # s**2 * C_i . C_j: pairs, meets and definiteness ignore s
-    pairs = [sum(1 << j for j in range(n) if g[i][i] * g[j][j] > g[i][j] ** 2) for i in range(n)]
-    meets = [sum(1 << j for j in range(n) if g[i][j]) for i in range(n)]
-    found = [ChamberDescriptor(())]
+    order = sorted(range(n), key=lambda i: curves[i].label, reverse=True)  # bit b: curve order[b]
+    g = model.kernel_gram(order)  # s**2 * C_b . C_c: pairs, meets and definiteness ignore s
+    pairs = [sum(1 << c for c in range(n) if g[b][b] * g[c][c] > g[b][c] ** 2) for b in range(n)]
+    meets = [sum(1 << c for c in range(n) if g[b][c]) for b in range(n)]
+    found = [ChamberDescriptor._of(())]
 
-    def descend(stack: tuple[int, ...], allowed: int, met: int) -> None:
+    def descend(stack: tuple[int, ...], names: tuple[str, ...], allowed: int, met: int) -> None:
         while allowed:
-            idx = allowed.bit_length() - 1
-            allowed ^= 1 << idx
-            support = stack + (idx,)
-            if met >> idx & 1 and not is_negative_definite(model.kernel_gram(support)):
+            b = allowed.bit_length() - 1
+            allowed ^= 1 << b
+            support = stack + (order[b],)
+            if met >> b & 1 and not is_negative_definite(model.kernel_gram(support)):
                 continue
-            found.append(ChamberDescriptor(tuple(curves[i].label for i in support)))
-            descend(support, allowed & pairs[idx], met | meets[idx])
+            chamber = ChamberDescriptor._of(names + (curves[order[b]].label,))
+            found.append(chamber)
+            descend(support, chamber.support, allowed & pairs[b], met | meets[b])
 
-    descend((), (1 << n) - 1, 0)
-    found.sort(key=lambda chamber: (len(chamber.support), chamber.support))
+    descend((), (), (1 << n) - 1, 0)
+    found.sort(key=lambda chamber: len(chamber.support))
     return found

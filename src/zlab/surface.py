@@ -318,7 +318,7 @@ def simple_roots(model: SurfaceModel) -> tuple[DivisorClass, ...]:
     r = lattice.rank - 1
     simple = [[1, -1, -1, -1] + [0] * (r - 3)] if r >= 3 else []
     simple += ([0] * (i - 1) + [-1, 1] + [0] * (r - i) for i in range(2, r + 1))  # E_i - E_{i-1}
-    return tuple(map(lattice.divisor, simple))
+    return tuple(DivisorClass._reduced(lattice, v, 1) for v in simple)  # integral rows
 
 
 def enumerate_roots(model: SurfaceModel) -> RootSystem:

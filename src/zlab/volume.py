@@ -45,12 +45,16 @@ class QuadraticVolumePolynomial(_Value, fields=("chamber", "matrix")):
         vars(self).update(chamber=chamber, matrix=tuple(map(tuple, matrix)), lattice=lattice)
         self.__post_init__()
 
+    @classmethod
+    def _of(cls, chamber: ChamberDescriptor, matrix: tuple[tuple[Fraction, ...], ...],
+            lattice: IntersectionLattice) -> "QuadraticVolumePolynomial":
+        out = object.__new__(cls)  # tuple rows, symmetric as built: no check
+        vars(out).update(chamber=chamber, matrix=matrix, lattice=lattice)
+        return out
+
     def __post_init__(self) -> None:
-        n = len(self.matrix)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if self.matrix[i][j] != self.matrix[j][i]:
-                    raise ValueError("volume form matrix must be symmetric")
+        if tuple(zip(*self.matrix)) != self.matrix:  # the transpose, of tuple rows like the matrix
+            raise ValueError("volume form matrix must be symmetric")
 
     def evaluate_coords(self, coords: Iterable[Fraction]) -> Fraction:
         xs = tuple(Fraction(c) for c in coords)
@@ -81,8 +85,8 @@ def volume_polynomial(
     G @ C_i and G_S the support's matrix.  The kernel's ints leave it
     unscaled, R^T G_S^-1 R = R_s^T K^-1 R_s with R_s = s*R and K = s**2 * G_S,
     so one Bareiss solve K @ xs[j] = det * (column j of R_s) gives det * Q in
-    ints and each entry is one Fraction.  Raises UnrealizableSupport unless
-    the support's intersection matrix is negative definite.
+    ints, each entry one Fraction, and Q symmetric as built and so unchecked.
+    Raises UnrealizableSupport unless G_S is negative definite.
     """
     gram = model.lattice.gram
     rank = model.lattice.rank
@@ -94,7 +98,7 @@ def volume_polynomial(
         )
         for i in range(rank)
     )
-    return QuadraticVolumePolynomial(chamber, quadratic, model.lattice)
+    return QuadraticVolumePolynomial._of(chamber, quadratic, model.lattice)
 
 
 def kunneth_volume(volume_1, dimension_1: int, volume_2, dimension_2: int):

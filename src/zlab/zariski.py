@@ -90,6 +90,12 @@ class ChamberDescriptor(_Value, fields=("support",)):
             raise TypeError(f"a support is an iterable of labels, not the string {support!r}")
         object.__setattr__(self, "support", tuple(sorted(set(support))))
 
+    @classmethod
+    def _of(cls, support: tuple[str, ...]) -> "ChamberDescriptor":  # enumeration's hot path
+        out = object.__new__(cls)  # distinct labels already sorted, stored as given
+        object.__setattr__(out, "support", support)  # no instance dict: a smaller object
+        return out
+
     # _Value's comparison and hash, spelled out: chambers fill sets and dict keys
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

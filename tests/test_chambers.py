@@ -9,11 +9,13 @@ from itertools import combinations
 from math import factorial, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import a2_chain_model, dp_model, k3_model, random_big_class, user_models
 import zlab.chambers
 from zlab import (
+    ChamberDescriptor,
     Face,
     IntersectionLattice,
     NegativeCurve,
@@ -183,22 +185,24 @@ def bundled_model(key):
     return dp_model(key) if isinstance(key, int) else BUNDLED_MODELS[key]()
 
 
-def negative_definite_subsets(curves):
+def negative_definite_subsets(curves, sizes=None):
     """Every curve subset with a negative definite Gram matrix (the empty one
-    included), found by scanning the full power set with no size bound."""
+    included), found by scanning the full power set, or its ``sizes``."""
     return [
         subset
-        for size in range(len(curves) + 1)
+        for size in (range(len(curves) + 1) if sizes is None else sizes)
         for subset in combinations(curves, size)
         if is_negative_definite(gram_matrix([c.cls for c in subset]))
     ]
 
 
-def brute_force_chambers(model):
+def brute_force_chambers(model, below_rank=False):
     """The chamber supports the theorem predicts: all negative definite curve
-    subsets, sorted like ``enumerate_chambers``."""
-    out = [tuple(sorted(c.label for c in s)) for s in negative_definite_subsets(model.curves)]
-    return sorted(out, key=lambda s: (len(s), s))
+    subsets, sorted like ``enumerate_chambers``.  ``below_rank`` scans only the
+    sets of fewer than rank curves, all that signature (1, rank - 1) allows."""
+    sizes = range(model.lattice.rank) if below_rank else None
+    subsets = negative_definite_subsets(model.curves, sizes)
+    return sorted((tuple(sorted(c.label for c in s)) for s in subsets), key=lambda s: (len(s), s))
 
 
 @pytest.mark.parametrize("key", [1, 2, 3, 4, "a2", "k3(1)", "k3(2)"])
@@ -318,15 +322,90 @@ def test_single_curve_enumeration_eliminates_nothing(key, monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("make", [a2_chain_model, affine_triangle_model])
-def test_meeting_curves_are_eliminated(make, monkeypatch):
+@pytest.mark.parametrize("make, sizes", [(a2_chain_model, [2]), (affine_triangle_model, [2, 3, 2, 2])],
+                         ids=["a2_chain_model", "affine_triangle_model"])
+def test_meeting_curves_are_eliminated(make, sizes, monkeypatch):
     """Curves that meet the stack take the elimination, which keeps the A2
-    pairs and refuses the semi-definite triangle."""
+    pairs and refuses the semi-definite triangle: the chain's one pair, and
+    the triangle's three pairs and the triple after its first pair."""
     model = make()
     calls = counting_eliminations(monkeypatch)
     chambers = [c.support for c in enumerate_chambers(model)]
-    assert calls and all(size >= 2 for size in calls)
+    assert calls == sizes
     assert chambers == brute_force_chambers(model)
+
+
+def relabelled(model, rng):
+    """The model with its curves shuffled and renamed at random, so that list
+    order, label order and the original names' order all differ."""
+    curves = list(model.curves)
+    rng.shuffle(curves)
+    names = [f"{rng.choice('abc')}{rng.randrange(100)}.{i}" for i in range(len(curves))]
+    renamed = tuple(NegativeCurve(name, c.cls) for name, c in zip(names, curves))
+    return SurfaceModel(model.lattice, model.ample, renamed, model.canonical)
+
+
+def assert_label_ordered(chambers):
+    """Every support strictly increasing and stored as the public constructor
+    stores it, equal descriptors hashing equal, the list sorted by size and
+    then by support."""
+    for chamber in chambers:
+        s = chamber.support
+        assert all(a < b for a, b in zip(s, s[1:]))
+        again = ChamberDescriptor(reversed(s))
+        assert again.support == s and again == chamber and hash(again) == hash(chamber)
+    keys = [(len(c.support), c.support) for c in chambers]
+    assert keys == sorted(keys) and len(set(chambers)) == len(chambers)
+
+
+@pytest.mark.parametrize("r", [4, 5, 6])
+@pytest.mark.parametrize("rename", [False, True], ids=["shuffled", "renamed"])
+def test_enumeration_order_does_not_follow_the_curve_list(r, rename):
+    """The walk runs its bits by label, not by list position: on dp4-dp6 with
+    the curves shuffled, and shuffled and renamed, it returns the predicted
+    list.  dp4 and dp5 are scanned (dp5 below its rank); dp6's 2**27 subsets
+    are not, and its list is the unshuffled one, renamed and sorted anew."""
+    base, rng = dp_model(r), random.Random(r)
+    if rename:
+        model = relabelled(base, rng)
+    else:
+        curves = list(base.curves)
+        rng.shuffle(curves)
+        model = SurfaceModel(base.lattice, base.ample, tuple(curves), base.canonical)
+    assert [c.label for c in model.curves] != sorted(c.label for c in model.curves)
+    chambers = enumerate_chambers(model)
+    assert_label_ordered(chambers)
+    if r < 6:
+        expected = brute_force_chambers(model, below_rank=r == 5)
+    else:
+        label_of = {c.cls: c.label for c in model.curves}  # the same classes, maybe renamed
+        supports = (tuple(sorted(label_of[base.curve_by_label(label).cls] for label in c.support))
+                    for c in enumerate_chambers(base))
+        expected = sorted(supports, key=lambda s: (len(s), s))
+    assert [c.support for c in chambers] == expected
+
+
+@st.composite
+def renamed_user_models(draw):
+    """A drawn user model with labels drawn anew, of one to three letters so
+    that some are prefixes of others, in a list order other than label order."""
+    model = draw(user_models())
+    n = len(model.curves)
+    assume(n >= 2)
+    letters = st.text(alphabet="ab", min_size=1, max_size=3)
+    names = draw(st.lists(letters, min_size=n, max_size=n, unique=True))
+    if names == sorted(names):
+        names.reverse()
+    curves = tuple(NegativeCurve(name, c.cls) for name, c in zip(names, model.curves))
+    return SurfaceModel(model.lattice, model.ample, curves)
+
+
+@settings(max_examples=60, deadline=None)
+@given(renamed_user_models())
+def test_enumeration_is_label_ordered_on_renamed_user_models(model):
+    chambers = enumerate_chambers(model)
+    assert_label_ordered(chambers)
+    assert [c.support for c in chambers] == brute_force_chambers(model)
 
 
 def test_supports_are_pairwise_orthogonal_on_del_pezzo():

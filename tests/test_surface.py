@@ -198,6 +198,19 @@ def test_simple_roots_r3():
     assert all(s.coords in root_coords for s in simple)
 
 
+@pytest.mark.parametrize("r", range(1, 9))
+def test_simple_roots_equal_their_fraction_build(r):
+    """The integral rows are built unreduced; the ``lattice.divisor`` build,
+    through Fraction coordinates, gives the same classes."""
+    model = dp_model(r)
+    lattice, simple = model.lattice, simple_roots(model)
+    rows = [[1, -1, -1, -1] + [0] * (r - 3)] if r >= 3 else []
+    rows += ([0] * (i - 1) + [-1, 1] + [0] * (r - i) for i in range(2, r + 1))
+    assert simple == tuple(lattice.divisor(row) for row in rows)
+    assert [alpha.cleared for alpha in simple] == [(tuple(row), 1) for row in rows]
+    assert all(alpha.square == -2 and alpha.dot(model.canonical) == 0 for alpha in simple)
+
+
 def test_rank_two_root_pair():
     # only +-(E2 - E1) solve square -2 with canonical degree 0 at rank 3
     system = enumerate_roots(dp_model(2))

@@ -276,6 +276,30 @@ def test_evaluate_refuses_a_class_of_another_lattice():
 
 
 @pytest.mark.parametrize("model", [lambda: dp_model(3), lambda: dp_model(4), lambda: dp_model(5),
+                                   lambda: dp_model(6), a2_chain_model],
+                         ids=["dp3", "dp4", "dp5", "dp6", "a2"])
+def test_library_forms_are_symmetric_on_every_chamber(model):
+    """Oracle for the check ``volume_polynomial`` skips: each form it returns
+    is symmetric, as G - R^T K^-1 R is, and equals the same matrix built
+    through the public constructor, which checks symmetry and refuses a
+    matrix with one entry changed or one row missing."""
+    surface = model()
+    for chamber in enumerate_chambers(surface):
+        form = volume_polynomial(surface, chamber)
+        matrix, n = form.matrix, len(form.matrix)
+        assert type(matrix) is tuple and all(type(row) is tuple for row in matrix)
+        assert all(matrix[i][j] == matrix[j][i] for i in range(n) for j in range(i))
+        checked = QuadraticVolumePolynomial(chamber, [list(row) for row in matrix], surface.lattice)
+        assert checked == form and checked.lattice is form.lattice
+        assert form.chamber == chamber
+    skewed = [list(row) for row in matrix]
+    skewed[0][1] += 1
+    for bad in (skewed, matrix[:-1]):  # one entry off, or one row short
+        with pytest.raises(ValueError, match="volume form matrix must be symmetric"):
+            QuadraticVolumePolynomial(chamber, bad, surface.lattice)
+
+
+@pytest.mark.parametrize("model", [lambda: dp_model(3), lambda: dp_model(4), lambda: dp_model(5),
                                    lambda: dp_model(6), a2_chain_model, lambda: k3_model(1)],
                          ids=["dp3", "dp4", "dp5", "dp6", "a2", "k3(1)"])
 def test_volume_gradient_is_twice_the_positive_part(model):
