@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional, Sequence
@@ -364,10 +365,21 @@ def _run(args: argparse.Namespace) -> None:
             print(",".join(str(cell) for cell in row))
 
 
+def _glue_values(argv: Sequence[str]) -> list[str]:
+    """'--class -1,1,0' as '--class=-1,1,0': argparse takes a token that starts
+    with '-' for an option unless the whole token reads as a negative number."""
+    out: list[str] = []
+    for token in argv:
+        if out and re.fullmatch(r"--[^=]+", out[-1]) and re.match(r"-\d", token):
+            token = out.pop() + "=" + token
+        out.append(token)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_glue_values(sys.argv[1:] if argv is None else argv))
         _run(args)
     except (UsageError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

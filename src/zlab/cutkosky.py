@@ -65,7 +65,7 @@ def abelian_surface_model() -> SurfaceModel:
 
 
 def _check_domain(eps: Rational) -> Fraction:
-    eps = Fraction(eps)
+    eps = eps if type(eps) is Fraction else Fraction(eps)  # a subclass is converted
     if not 0 <= 2 * eps.numerator < 3 * eps.denominator:
         raise OutOfDomain("eps must satisfy 0 <= eps < 3/2")
     return eps

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache, cached_property
-from operator import attrgetter, mul
+from operator import attrgetter, itemgetter, mul
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import LatticeMismatch, NotNegativeDefinite, SignatureError
@@ -25,29 +25,31 @@ _SMALL_PRIME_BOUND = 1 << 12  # B in squarefree_split
 # ---------------------------------------------------------------------------
 
 
-@cache  # the 5,811-bit product of the primes below B, built on the first split
-def _small_prime_product() -> int:
-    sieve = bytearray([1]) * _SMALL_PRIME_BOUND
-    for d in range(2, math.isqrt(_SMALL_PRIME_BOUND) + 1):
-        sieve[d * d :: d] = bytes(len(range(d * d, _SMALL_PRIME_BOUND, d)))
-    return math.prod(d for d in range(2, _SMALL_PRIME_BOUND) if sieve[d])
+@cache  # P_L, keyed by min(L, 36): from L = 36 on it holds every prime below B = 2**12
+def _small_prime_product(bits: int) -> int:
+    end = min(_SMALL_PRIME_BOUND, 1 << -(-bits // 3))  # p**3 < 2**bits gives p < end
+    sieve = bytearray([1]) * end
+    for d in range(2, math.isqrt(end) + 1):
+        sieve[d * d :: d] = bytes(len(range(d * d, end, d)))
+    return math.prod(d for d in range(2, end) if sieve[d] and d**3 < 1 << bits)
 
 
 def squarefree_split(n: int) -> tuple[int, int]:
     """Write n = s**2 * m with m squarefree; return (s, m).
 
-    A perfect square costs one isqrt.  Otherwise h = gcd(n, P), P the product
-    of the primes below B = 2**12, holds each small prime of n once; repeating
-    h = gcd(rest, h) peels one power per round, odd rounds into m and even
-    ones from m into s.  Trial division by odd d > B stops once d**3 exceeds
-    the unfactored r: r is then 1, p, p*q or p**2 and isqrt decides.
+    A perfect square costs one isqrt.  Otherwise h = gcd(n, P_L), P_L the product
+    of the primes p < B = 2**12 with p**3 < 2**L for L = n.bit_length(), holds
+    each such prime of n once; repeating h = gcd(rest, h) peels one power per
+    round, odd rounds into m and even ones from m into s.  Any other prime q of
+    the rest r has q > B or q**3 >= 2**L > r, and trial division by odd d > B
+    stops once d**3 exceeds r: r is then 1, p, p*q or p**2 and isqrt decides.
     """
     if n < 0:
         raise ValueError("negative radicand")
     t = math.isqrt(n)
     if t * t == n:
         return (t, 1) if n else (1, 0)
-    s, m, r, h = 1, 1, n, math.gcd(n, _small_prime_product())
+    s, m, r, h = 1, 1, n, math.gcd(n, _small_prime_product(min(n.bit_length(), 36)))
     while h > 1:
         r, m = r // h, m * h
         h = math.gcd(r, h)
@@ -430,6 +432,12 @@ class _Value:
         vars(self).update(zip(self._fields, args))
         self.__post_init__()
 
+    @classmethod  # binds unchecked, for a caller that establishes what __post_init__ checks
+    def _of(cls, *args: object, **extra: object):  # the fields in order, then non-fields
+        out = object.__new__(cls)
+        vars(out).update(zip(cls._fields, args), **extra)
+        return out
+
     @classmethod
     def _bind(cls, args: tuple, kwargs: dict) -> list:
         """The field values in order; TypeError for a surplus, unknown, repeated or missing one."""
@@ -499,8 +507,8 @@ class IntersectionLattice(_Value, fields=("gram", "basis_labels")):
         object.__setattr__(self, "gram", rows)
         object.__setattr__(self, "basis_labels", labels)
         object.__setattr__(self, "_hash", hash((rows, labels)))
-        object.__setattr__(self, "_entries", tuple(zip(*(  # non-zero (i, j, g), as 3 tuples
-            (i, j, g) for i, row in enumerate(rows) for j, g in enumerate(row) if g))))
+        i, j, g = zip(*((i, j, g) for i, row in enumerate(rows) for j, g in enumerate(row) if g))
+        object.__setattr__(self, "_entries", (itemgetter(*i, 0), itemgetter(*j, 0), (*g, 0)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -513,10 +521,10 @@ class IntersectionLattice(_Value, fields=("gram", "basis_labels")):
         return len(self.gram)
 
     def form(self, u: Sequence[int], v: Sequence[int]) -> int:
-        """u^T G v on integer vectors, over G's non-zero entries (not by itemgetter,
-        which returns a bare value for one index)."""
-        i, j, g = self._entries
-        return sum(map(mul, g, map(mul, map(u.__getitem__, i), map(v.__getitem__, j))))
+        """u^T G v on integer vectors, over G's non-zero entries (a zero-weight
+        entry keeps a one-entry Gram's getters returning tuples)."""
+        ui, vj, g = self._entries
+        return sum(map(mul, g, map(mul, ui(u), vj(v))))
 
     def divisor(self, coords: Sequence[Rational]) -> "DivisorClass":
         return DivisorClass(self, coords)

@@ -108,6 +108,7 @@ def destabilizing_numbers(
     (f00 + 2*f01*tau + f11*tau**2) / q0**2 with fij = ui . uj, and the wall is
     a/b = g0/-g1.  It comes first exactly when f00*b*b + 2*f01*a*b + f11*a*a > 0
     (P is big there; a tie ends the walk) and f11*a + f01*b < 0 (left of the vertex).
+    So segments abut, supports strictly grow and breakpoints lie in (0, threshold).
     """
     if not is_ample(model, ample):
         raise NotAmple("the direction class must be ample in the model")
@@ -147,7 +148,8 @@ def destabilizing_numbers(
         # the smaller root -(f01 + sqrt(f01**2 - f00*f11)) * q1/(q0*f11) is the threshold
         threshold = _from_radicand(-f01 * q1, -q1, f01 * f01 - f00 * f11, q0 * f11)
         segments.append(RaySegment(lam, threshold, descriptor))
-        return RayWalkResult(segments, (s.lambda_start for s in segments[1:]), threshold)
+        breaks = tuple(s.lambda_start for s in segments[1:])
+        return RayWalkResult._of(tuple(segments), breaks, threshold)  # checked on the way
     raise RuntimeError("ray walk did not terminate")
 
 

@@ -45,13 +45,6 @@ class QuadraticVolumePolynomial(_Value, fields=("chamber", "matrix")):
         vars(self).update(chamber=chamber, matrix=tuple(map(tuple, matrix)), lattice=lattice)
         self.__post_init__()
 
-    @classmethod
-    def _of(cls, chamber: ChamberDescriptor, matrix: tuple[tuple[Fraction, ...], ...],
-            lattice: IntersectionLattice) -> "QuadraticVolumePolynomial":
-        out = object.__new__(cls)  # tuple rows, symmetric as built: no check
-        vars(out).update(chamber=chamber, matrix=matrix, lattice=lattice)
-        return out
-
     def __post_init__(self) -> None:
         if tuple(zip(*self.matrix)) != self.matrix:  # the transpose, of tuple rows like the matrix
             raise ValueError("volume form matrix must be symmetric")
@@ -98,7 +91,7 @@ def volume_polynomial(
         )
         for i in range(rank)
     )
-    return QuadraticVolumePolynomial._of(chamber, quadratic, model.lattice)
+    return QuadraticVolumePolynomial._of(chamber, quadratic, lattice=model.lattice)
 
 
 def kunneth_volume(volume_1, dimension_1: int, volume_2, dimension_2: int):

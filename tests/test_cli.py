@@ -379,8 +379,15 @@ def test_k3_reflect_unknown_curve_is_one_json_error_line(capsys, tmp_path):
          "expected 3 comma-separated coordinates, got 4"),
         (["k3-reflect", "--delpezzo", "2", "--nef", "3,-1,-1", "--curve", "E1"],
          "NotMinusTwoClass", "E1 has square -1, not -2"),
+        # a flag value that starts with '-' and a digit is the flag's value, not an option
+        (["zariski", "--delpezzo", "2", "--class", "-1,1,0"], "NotPseudoEffective",
+         "class pairs non-positively with the ample witness and is not nef"),
+        (["walk", "--delpezzo", "2", "--bundle", "6,-2,-1", "--ample", "-3,1,1"], "NotAmple",
+         "the direction class must be ample in the model"),
+        (["cutkosky-vol", "--eps", "-1/2"], "OutOfDomain", "eps must satisfy 0 <= eps < 3/2"),
     ],
-    ids=["too-few", "too-many", "not-minus-two"],
+    ids=["too-few", "too-many", "not-minus-two", "negative-class", "negative-ample",
+         "negative-eps"],
 )
 def test_domain_refusal_is_one_json_error_line(capsys, argv, error, message):
     code, out, err = run_cli(capsys, argv)
@@ -388,6 +395,17 @@ def test_domain_refusal_is_one_json_error_line(capsys, argv, error, message):
     lines = err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0]) == {"error": error, "message": message}
+
+
+def test_negative_flag_values_read_as_with_an_equals_sign(capsys, monkeypatch):
+    """'--class -1,1,0' reads as '--class=-1,1,0', also from sys.argv; a second
+    such token after a glued value is still refused as a stray argument."""
+    spaced = run_cli(capsys, ["zariski", "--delpezzo", "2", "--class", "-1,1,0"])
+    assert spaced == run_cli(capsys, ["zariski", "--delpezzo", "2", "--class=-1,1,0"])
+    monkeypatch.setattr(sys, "argv", ["zlab", "cutkosky-vol", "--eps", "-1/2"])
+    assert run_cli(capsys, None)[0] == 2
+    code, out, err = run_cli(capsys, ["zariski", "--delpezzo", "2", "--class", "-1,1,0", "-2"])
+    assert (code, out) == (1, "") and "unrecognized arguments: -2" in err
 
 
 @pytest.mark.parametrize(

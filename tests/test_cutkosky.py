@@ -63,6 +63,34 @@ def test_sigma_domain():
         sigma_eps(-1)
 
 
+class _Eps(Fraction):
+    """A Fraction subclass: the threefold routes convert it, as any non-Fraction."""
+
+
+EPS_ROUTES = {
+    "sigma_eps": sigma_eps,
+    "volume_L_eps": volume_L_eps,
+    "volume_closed_form": volume_closed_form,
+    "h0_section_count": lambda eps: h0_section_count(3, eps),
+    "quadrature_volume": quadrature_volume,
+}
+
+
+@pytest.mark.parametrize("route", EPS_ROUTES)
+def test_eps_of_every_rational_type_gives_one_result(route):
+    """A Fraction eps is taken as given and any other converted, so int,
+    Fraction, Fraction-subclass and bool eps give equal results, and an eps
+    outside [0, 3/2) is refused whatever its type."""
+    fn = EPS_ROUTES[route]
+    for value in (0, 1):
+        results = [fn(eps) for eps in (value, Fraction(value), _Eps(value), bool(value))]
+        assert all(result == results[0] for result in results)
+    assert fn(_Eps(5, 7)) == fn(Fraction(5, 7))
+    for eps in (Fraction(3, 2), Fraction(-1, 7), Fraction(7, 2), _Eps(3, 2), 2):
+        with pytest.raises(OutOfDomain):
+            fn(eps)
+
+
 def test_q_poly_worked_values():
     q0 = q_poly(0)
     assert (q0.c2, q0.c1, q0.c0) == (38, -54, 18)

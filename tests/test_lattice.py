@@ -106,11 +106,16 @@ def test_form_matches_the_dense_product_on_user_models(model, data):
 
 
 @pytest.mark.parametrize("build", [
-    lambda: IntersectionLattice([[3]], ["H"]),  # one entry: no itemgetter-style scalar
+    lambda: IntersectionLattice([[3]], ["H"]),  # one entry: the padded getter still gives tuples
+    lambda: IntersectionLattice([[2]], ["H"]),
+    lambda: IntersectionLattice(  # every entry non-zero: J - 2I has signature (1, 9)
+        [[1 if i != j else -1 for j in range(10)] for i in range(10)], [f"e{i}" for i in range(10)]),
     lambda: abelian_surface().lattice,  # zero diagonal
+    lambda: dp_model(8).lattice,
     lambda: pickle.loads(pickle.dumps(abelian_surface().lattice)),
     lambda: pickle.loads(pickle.dumps(dp_model(8).lattice)),
-], ids=["rank-1", "abelian", "pickled-abelian", "pickled-dp8"])
+], ids=["rank-1", "rank-1-square-2", "dense-rank-10", "abelian", "dp8", "pickled-abelian",
+        "pickled-dp8"])
 def test_form_matches_the_dense_product_on_edge_lattices(build):
     lattice, rng = build(), random.Random(11)
     for _ in range(50):
@@ -399,6 +404,65 @@ def test_split_settles_a_square_with_one_isqrt():
     assert _line_events(zlab.lattice.squarefree_split, p * p, 8) is not None
     assert squarefree_split(p * p) == (p, 1)
     assert squarefree_split(12 * p * p) == (2 * p, 3)
+
+
+def _primes_below(bound):
+    """The primes below ``bound``, by a sieve of Eratosthenes on a list of flags."""
+    flags = [True] * bound
+    for d in range(2, bound):
+        if flags[d]:
+            flags[d * d :: d] = [False] * len(range(d * d, bound, d))
+    return [d for d in range(2, bound) if flags[d]]
+
+
+def _least_cube_at_least(bits):
+    """The least c with c**3 >= 2**bits."""
+    c = round(2 ** (bits / 3))
+    while c**3 < 1 << bits:
+        c += 1
+    while (c - 1) ** 3 >= 1 << bits:
+        c -= 1
+    return c
+
+
+def test_prime_product_holds_the_primes_below_the_cube_root():
+    """P_L is the product of the primes p < B with p**3 < 2**L, for every L up to
+    36, checked against a sieve here; from L = 36 on it holds every prime below B.
+    Products of distinct primes are equal exactly when their prime sets are."""
+    primes, product = _primes_below(SMALL_PRIME_BOUND), zlab.lattice._small_prime_product
+    for bits in range(1, 37):
+        assert product(bits) == math.prod(p for p in primes if p**3 < 1 << bits), bits
+    assert product(36) == math.prod(primes)
+
+
+@pytest.mark.parametrize("bits", range(2, 38))
+def test_split_matches_oracle_around_each_cube_root_tier(bits):
+    """An L-bit input is split with P_L, which holds a prime p exactly when
+    p**3 < 2**L.  The two primes just below 2**(L/3) and the two just above,
+    alone, squared, times each other, cubed and scaled, and squared times the
+    cofactor that brings the input to L bits, all split as the oracle does."""
+    c = _least_cube_at_least(bits)
+    below = [p for p in range(c - 1, 1, -1) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    near = below[:2] + _primes_from(c, 2)
+    cases = set()
+    for p in near:
+        cases |= {p, p * p, *(p * q for q in near if q != p), *(p**3 * k for k in (1, 2, 3, 6))}
+        k = -(-(1 << (bits - 1)) // (p * p))  # the least k with p**2 * k >= 2**(L-1)
+        cases |= {p * p * k, p * p * (k + 1), p * p * k * 3}
+    for n in sorted(cases):
+        assert squarefree_split(n) == trial_division_split(n), n
+
+
+def test_split_builds_at_most_36_prime_products():
+    """The products are cached by min(L, 36): splits of 1- to 200-bit inputs
+    leave one product per bit length from 2 to 36 and none above."""
+    product = zlab.lattice._small_prime_product
+    product.cache_clear()
+    for bits in range(1, 201):
+        n = 3 << (bits - 2) if bits > 1 else 1  # 3 * 2**(L-2) has L bits and is no square
+        assert n.bit_length() == bits
+        assert squarefree_split(n) == trial_division_split(n)
+    assert product.cache_info().currsize == len(range(2, 37)) <= 36
 
 
 # -- quadratic irrationals ---------------------------------------------------

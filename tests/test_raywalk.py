@@ -44,6 +44,23 @@ from zlab.lattice import is_negative_definite
 from zlab.raywalk import RaySegment, RayWalkResult
 
 
+@pytest.fixture(autouse=True)
+def walks_equal_their_public_rebuild(monkeypatch):
+    """destabilizing_numbers binds its result unchecked, through RayWalkResult._of;
+    every walk a test here produces must equal its rebuild through the checking
+    public constructor."""
+    bind, built = RayWalkResult._of, []
+
+    def checked(cls, *args):
+        walk = bind(*args)
+        assert RayWalkResult(walk.segments, walk.breakpoints, walk.bigness_threshold) == walk
+        built.append(walk)
+        return walk
+
+    monkeypatch.setattr(RayWalkResult, "_of", classmethod(checked))
+    return built
+
+
 def dp2_walk(dp2):
     lat = dp2.lattice
     return destabilizing_numbers(
@@ -292,6 +309,27 @@ def test_walk_segments_agree_with_chambers_on_dp5_dp6(r):
     for _ in range(6):
         bundle = random_big_class(model, rng)
         assert_segments_match_chambers(model, bundle, random_ample_class(model, rng))
+
+
+REBUILD_MODELS = {
+    **{f"dp{r}": (lambda r=r: dp_model(r)) for r in range(2, 8)},
+    "abelian": abelian_surface_model,
+    "a2": a2_chain_model,
+    "k3(1)": lambda: k3_model(1),
+    "k3(2)": lambda: k3_model(2),
+}
+
+
+@pytest.mark.parametrize("key", REBUILD_MODELS)
+def test_seeded_walks_equal_their_public_rebuild(key, walks_equal_their_public_rebuild):
+    """Eight seeded walks per model family, each rebuilt by the autouse fixture
+    through the public constructor; where the model has curves, some cross a wall."""
+    model, rng = REBUILD_MODELS[key](), random.Random(f"rebuild-{key}")
+    for _ in range(8):
+        destabilizing_numbers(model, random_big_class(model, rng), random_ample_class(model, rng))
+    walks = walks_equal_their_public_rebuild
+    assert len(walks) == 8
+    assert any(walk.breakpoints for walk in walks) == bool(model.curves)
 
 
 def test_stability_worked_values(dp2):
