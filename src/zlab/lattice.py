@@ -308,10 +308,22 @@ def _eliminate(a: list[list[int]]) -> Iterator[int]:
     a_kj != 0 folded in; an all-zero row yields 0 and is skipped.  The signs
     are the signature (Sylvester); all are negative, (-1)^k d_k > 0 for every
     k, exactly when the block is negative definite, and then no repair ran.
+
+    Rows are scaled lazily: row j holds its Bareiss values times since[j] /
+    last, since[j] the value of last when it was written.  A step leaves a row
+    that is 0 in the pivot column as it is, since it would only multiply it by
+    pivot / last (its minors factor as d_k * a_jl).  Its values x * last //
+    since[j] are written back when a pivot column meets it, at its own pivot
+    step, and for every remaining row before a repair: k disjoint curves cost
+    k row rescales, not k(k-1)/2 row updates.
     """
     n = len(a)
-    last = 1
+    last, since = 1, [1] * n
     for k in range(n):
+        for j in range(k, n) if a[k][k] == 0 else (k,):  # a repair mixes the rows
+            if since[j] != last:
+                a[j][k:] = [x * last // since[j] for x in a[j][k:]]
+                since[j] = last
         if a[k][k] == 0:
             swap = next((j for j in range(k + 1, n) if a[j][j] != 0), None)
             if swap is not None:
@@ -330,9 +342,14 @@ def _eliminate(a: list[list[int]]) -> Iterator[int]:
         if pivot == 0:
             continue
         tail = a[k][k + 1:]
-        for row in a[k + 1:]:
-            f = row[k]
-            row[k + 1:] = [(x * pivot - f * y) // last for x, y in zip(row[k + 1:], tail)]
+        for j in range(k + 1, n):
+            row = a[j]
+            if row[k]:  # else the row is left scaled, see above
+                if since[j] != last:
+                    row[k:] = [x * last // since[j] for x in row[k:]]
+                f = row[k]
+                row[k + 1:] = [(x * pivot - f * y) // last for x, y in zip(row[k + 1:], tail)]
+                since[j] = pivot
         last = pivot
 
 

@@ -19,12 +19,7 @@ from typing import Union
 from .errors import InstableDivisor, NotAmple
 from .lattice import DivisorClass, QuadraticIrrational, _from_radicand, _Value
 from .surface import SurfaceModel
-from .zariski import (
-    ChamberDescriptor,
-    _decompose_big,
-    null_set,
-    on_chamber_boundary,
-)
+from .zariski import ChamberDescriptor, _big, on_chamber_boundary
 
 Endpoint = Union[Fraction, QuadraticIrrational]
 
@@ -112,7 +107,7 @@ def destabilizing_numbers(
     """
     if not is_ample(model, ample):
         raise NotAmple("the direction class must be ample in the model")
-    support = [model.curve_index(c.label) for c in _decompose_big(model, bundle).support]
+    support = _big(model, bundle)[0]
     classes, form = [bundle.cleared, (-ample).cleared], model.lattice.form
     lam, grown = Fraction(0), True
     segments: list[RaySegment] = []
@@ -169,7 +164,7 @@ def stable_base_locus(model: SurfaceModel, divisor: DivisorClass) -> frozenset[s
     negative part of the decomposition.  On chamber boundaries the model
     cannot see the finer base-locus behaviour, so InstableDivisor is raised.
     """
-    decomposition = _decompose_big(model, divisor)
-    if decomposition.support_labels != null_set(model, decomposition.positive):
+    support, sums = _big(model, divisor)
+    if sorted(support) != sums.zeros():  # the null set of P, from the same pairings
         raise InstableDivisor("the class lies on a chamber boundary")
-    return decomposition.support_labels
+    return frozenset(model.curves[i].label for i in support)

@@ -9,7 +9,7 @@ from typing import Iterable
 from .errors import LatticeMismatch, NegativeDimension, NotNegativeDefinite, NotPseudoEffective
 from .lattice import DivisorClass, IntersectionLattice, _Value
 from .surface import SurfaceModel
-from .zariski import ChamberDescriptor, _resolve_support, zariski_decompose
+from .zariski import ChamberDescriptor, _decompose, _resolve_support
 
 
 def vol(model: SurfaceModel, divisor: DivisorClass) -> Fraction:
@@ -20,11 +20,10 @@ def vol(model: SurfaceModel, divisor: DivisorClass) -> Fraction:
     vanishes outside the big cone.
     """
     try:
-        decomposition = zariski_decompose(model, divisor)
+        _, q, pp, *_ = _decompose(model, divisor)  # P**2 = pp / q**2
     except (NotPseudoEffective, NotNegativeDefinite):
         return Fraction(0)
-    square = decomposition.positive.square
-    return square if square > 0 else Fraction(0)
+    return Fraction(max(pp, 0), q * q)
 
 
 class QuadraticVolumePolynomial(_Value, fields=("chamber", "matrix")):

@@ -12,7 +12,7 @@ exact solves small.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import (
     NotBig,
@@ -22,7 +22,7 @@ from .errors import (
     UnrealizableSupport,
 )
 from .lattice import DivisorClass, _negative_definite_factor, _Value, solve_negative_definite
-from .surface import NegativeCurve, SurfaceModel
+from .surface import NegativeCurve, PackedSum, SurfaceModel
 
 
 class ZariskiDecomposition(_Value, fields=("model", "input", "positive", "coefficients")):
@@ -155,49 +155,62 @@ def zariski_decompose(model: SurfaceModel, divisor: DivisorClass) -> ZariskiDeco
     (the candidate positive part fails nefness with no curve left to add, or
     the class already pairs non-positively with the ample witness).
     """
+    p, q, _, _, pairs, den = _decompose(model, divisor)
+    if not pairs:  # N = 0, so P = D
+        return ZariskiDecomposition._of(model, divisor, divisor, ())
+    positive = DivisorClass._reduced(model.lattice, p, q)  # = D - N for exactly these xs
+    return ZariskiDecomposition._of(
+        model, divisor, positive, [(model.curves[i], Fraction(x, den)) for i, x in pairs])
+
+
+def _decompose(model: SurfaceModel, divisor: DivisorClass
+               ) -> tuple[Sequence[int], int, int, PackedSum, list[tuple[int, int]], int]:
+    """``zariski_decompose`` on ints, the one core of every reader of D = P + N:
+    (p, q, pp, sums, pairs, den) with P = p/q, q > 0, pp = p . p, sums =
+    ``pair_packed(p)`` (the input's on the nef fast path, where p = D's
+    cleared ints), and N = sum(x/den * C_i) over pairs (i, x), every x > 0."""
     sums = model.pairing_sum(divisor)[0]  # every sign below reads its slots
     v, d = divisor.cleared
     form, ample = model.lattice.form, model.ample.cleared[0]
-    witness, negative = form(v, ample), sums.offset & ~sums.total  # a set bit per negative slot
-    if form(v, v) >= 0 and witness >= 0 and not negative:  # is_nef inlined, reusing the witness
-        return ZariskiDecomposition._of(model, divisor, divisor, ())
+    pp, witness, negative = form(v, v), form(v, ample), sums.offset & ~sums.total
+    if pp >= 0 and witness >= 0 and not negative:  # is_nef inlined, reusing the witness
+        return v, d, pp, sums, [], d
     if witness <= 0:
         raise NotPseudoEffective(
             "class pairs non-positively with the ample witness and is not nef"
         )
     rank, size = model.lattice.rank, negative.bit_count()
-    if size >= rank:  # refused before its slots are read, see the docstring
+    if size >= rank:  # refused before its slots are read, see zariski_decompose
         raise NotNegativeDefinite(f"{size} classes in rank {rank} are never negative definite")
     support = sums.negatives()
     for _ in range(len(model.curves) + 1):
-        if len(support) >= rank:  # refused unread, see the docstring
+        if len(support) >= rank:  # refused unread, see zariski_decompose
             raise NotNegativeDefinite(
                 f"{len(support)} classes in rank {rank} are never negative definite"
             )
         [(p, q)], (xs,), e = model.project([(v, d)], support)
-        candidate = model.pair_packed(p)
-        entrants = candidate.negatives()
+        sums = model.pair_packed(p)
+        entrants = sums.negatives()
         if not entrants:
             break
         # the exact solve makes P . C = 0 on the support, so no support curve is listed
         support.extend(entrants)
-    if entrants or form(p, p) < 0 or form(p, ample) < 0:  # is_nef on P = p/q, q > 0
+    pp = form(p, p)
+    if entrants or pp < 0 or form(p, ample) < 0:  # is_nef on P = p/q, q > 0
         raise NotPseudoEffective(
             "no curve left to add but the candidate positive part is not nef"
         )
     if any(x < 0 for x in xs):  # never, as the decomposition exists; cheap on ints
         raise ValueError("negative-part coefficients must be strictly positive")
-    if any(candidate.slot(i) for i in support):
+    if any(sums.slot(i) for i in support):
         raise ValueError("positive part is not orthogonal to the support")
     # negative definite, as the solve's pivots showed; dropping zeros leaves a principal submatrix
-    pairs = tuple((model.curves[i], Fraction(x, e * d)) for i, x in zip(support, xs) if x)
-    positive = DivisorClass._reduced(model.lattice, p, q)  # = D - N for exactly these xs
-    return ZariskiDecomposition._of(model, divisor, positive, pairs)
+    return p, q, pp, sums, [(i, x) for i, x in zip(support, xs) if x], e * d
 
 
 def neg_set(model: SurfaceModel, divisor: DivisorClass) -> frozenset[str]:
     """Labels of the curves carrying the negative part of the decomposition."""
-    return zariski_decompose(model, divisor).support_labels
+    return frozenset(model.curves[i].label for i, _ in _decompose(model, divisor)[4])
 
 
 def null_set(model: SurfaceModel, nef_class: DivisorClass) -> frozenset[str]:
@@ -211,26 +224,28 @@ def null_set(model: SurfaceModel, nef_class: DivisorClass) -> frozenset[str]:
 def is_big(model: SurfaceModel, divisor: DivisorClass) -> bool:
     """True iff the class decomposes with a positive part of positive square."""
     try:
-        _decompose_big(model, divisor)
+        _big(model, divisor)
     except NotBig:
         return False
     return True
 
 
-def _decompose_big(model: SurfaceModel, divisor: DivisorClass) -> ZariskiDecomposition:
+def _big(model: SurfaceModel, divisor: DivisorClass) -> tuple[list[int], PackedSum]:
+    """(support, sums) of a big class: the curve indices of N and P's pairings,
+    whose zero slots are its null set; else NotBig, also when D does not decompose."""
     try:
-        decomposition = zariski_decompose(model, divisor)
+        _, _, pp, sums, pairs, _ = _decompose(model, divisor)
     except (NotPseudoEffective, NotNegativeDefinite) as exc:
         raise NotBig(str(exc)) from exc
-    v = decomposition.positive.cleared[0]  # the sign of P**2, on ints
-    if model.lattice.form(v, v) <= 0:
+    if pp <= 0:  # the sign of P**2, on ints
         raise NotBig("positive part has non-positive square")
-    return decomposition
+    return [i for i, _ in pairs], sums
 
 
 def chamber_of(model: SurfaceModel, divisor: DivisorClass) -> ChamberDescriptor:
     """The chamber descriptor (negative-part support) of a big class."""
-    return ChamberDescriptor(_decompose_big(model, divisor).support_labels)
+    labels = sorted(model.curves[i].label for i in _big(model, divisor)[0])
+    return ChamberDescriptor._of(tuple(labels))
 
 
 def on_chamber_boundary(model: SurfaceModel, divisor: DivisorClass) -> bool:
@@ -240,8 +255,8 @@ def on_chamber_boundary(model: SurfaceModel, divisor: DivisorClass) -> bool:
     when the support of the negative part differs from the null set of the
     positive part.
     """
-    decomposition = _decompose_big(model, divisor)
-    return decomposition.support_labels != null_set(model, decomposition.positive)
+    support, sums = _big(model, divisor)
+    return sorted(support) != sums.zeros()
 
 
 def chamber_closure_contains(
@@ -251,7 +266,6 @@ def chamber_closure_contains(
 ) -> bool:
     """Closure test: Neg(D) inside the reference support inside Null(P_D)."""
     labels = frozenset(c.label for c in support_curves(model, reference_support))
-    decomposition = _decompose_big(model, divisor)
-    if not decomposition.support_labels <= labels:
-        return False
-    return labels <= null_set(model, decomposition.positive)
+    support, sums = _big(model, divisor)
+    return (labels.issuperset(model.curves[i].label for i in support)
+            and labels.issubset(model.curves[i].label for i in sums.zeros()))

@@ -445,3 +445,32 @@ def test_random_big_classes_land_in_exactly_one_chamber(dp2, dp3):
 def test_enumeration_cap():
     with pytest.raises(RankTooLargeForEnumeration):
         enumerate_chambers(dp_model(8))
+
+
+def chain_model(n: int) -> SurfaceModel:
+    """n curves C_i = L - E_i - E_{i+1} on diag(1, -1, ..., -1) of rank n + 2,
+    witness 9L - sum(E): C_i**2 = -1, neighbours are disjoint and all other
+    pairs meet once, so the chambers are the empty set, the n singletons and
+    the n - 1 neighbouring pairs."""
+    rank = n + 2
+    lattice = IntersectionLattice(
+        [[1 if i == j == 0 else -(i == j) for j in range(rank)] for i in range(rank)],
+        ["L"] + [f"E{i}" for i in range(1, rank)])
+    curves = [NegativeCurve(f"C{i}", lattice.divisor([1] + [-(j in (i, i + 1))
+                                                             for j in range(1, rank)]))
+              for i in range(1, n + 1)]
+    return SurfaceModel(lattice=lattice, ample=lattice.divisor([9] + [-1] * (rank - 1)),
+                        curves=curves)
+
+
+def test_enumeration_cap_sits_between_63_and_64_curves():
+    """The largest enumerable list is enumerated in full; one more curve is refused."""
+    n = zlab.chambers.MAX_ENUMERABLE_CURVES
+    assert n == 63
+    chambers = enumerate_chambers(chain_model(n))
+    expected = {()} | {(f"C{i}",) for i in range(1, n + 1)} | {
+        tuple(sorted((f"C{i}", f"C{i + 1}"))) for i in range(1, n)}
+    assert len(chambers) == 1 + 63 + 62 == len(expected)
+    assert {c.support for c in chambers} == expected
+    with pytest.raises(RankTooLargeForEnumeration, match="at most 63 curves; the model lists 64"):
+        enumerate_chambers(chain_model(n + 1))

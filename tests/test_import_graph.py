@@ -127,6 +127,8 @@ UNREFERENCED_BY_DESIGN = {
     "QuadraticIrrational.inverse": "public arithmetic beside the division operators",
     "QuadraticVolumePolynomial.evaluate": "public; the tests and the benchmark evaluate forms",
     "_Parser.error": "argparse calls it on a usage error",
+    "ZariskiDecomposition.support_labels": "public; the tests' oracle for chamber_of and the "
+                                           "stable base locus, which read the integer core",
 }
 
 

@@ -24,10 +24,12 @@ from conftest import (
 )
 from test_acceptance import _negative_definite_subsets, _oracle_decompose
 from zlab import (
+    ChamberDescriptor,
     DivisorClass,
     IntersectionLattice,
     NegativeCurve,
     SurfaceModel,
+    chamber_closure_contains,
     chamber_of,
     construct_nef_with_null,
     del_pezzo,
@@ -38,7 +40,9 @@ from zlab import (
     is_big,
     is_nef,
     null_set,
+    on_chamber_boundary,
     stable_base_locus,
+    vol,
     zariski_decompose,
 )
 from zlab.cutkosky import abelian_surface, abelian_surface_model
@@ -169,9 +173,21 @@ def test_each_class_is_paired_once(monkeypatch):
     own."""
     dp7, dp8 = del_pezzo(7), del_pezzo(8)
     calls = count_pairings(monkeypatch)
-    dec = zariski_decompose(dp8, dp8.lattice.divisor([10, -6, -5, -2, -2, -1, -1, -1, -1]))
+    big = dp8.lattice.divisor([10, -6, -5, -2, -2, -1, -1, -1, -1])
+    dec = zariski_decompose(dp8, big)
     assert [c.label for c in dec.support] == ["L-E1-E2"]
     assert calls == [2]  # the input and one round's candidate
+    # the readers of the decomposition pair nothing more: the null set of P is
+    # the zero slots of the last candidate's pairings (3 while the stable base
+    # locus, the boundary and the closure tests paired P again)
+    reads = [(vol, 28), (chamber_of, ChamberDescriptor(["L-E1-E2"])), (is_big, True),
+             (stable_base_locus, frozenset({"L-E1-E2"})), (on_chamber_boundary, False),
+             (lambda m, d: chamber_closure_contains(m, ["L-E1-E2"], d), True)]
+    for read, expected in reads:
+        calls[0] = 0
+        assert read(dp8, big) == expected and calls == [2]
+    calls[0] = 0
+    assert stable_base_locus(dp8, 3 * dp8.ample) == frozenset() and calls == [1]  # nef: 2 before
     calls[0] = 0
     sizes = count_eliminations(monkeypatch)
     bundle = dp7.lattice.divisor([9, -3, -3, -2, -2, -1, -1, -1])

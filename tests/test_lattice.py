@@ -910,6 +910,98 @@ def test_solve_returns_the_adjugate_over_the_determinant():
         zlab.lattice.solve_negative_definite([[-1, 1], [1, -1]], [[1, 0]])
 
 
+def eager_eliminate(a):
+    """The Bareiss elimination as the library ran it before its rows were
+    scaled lazily, kept as the oracle: every step rewrites every later row,
+    also a row that is 0 in the pivot column."""
+    n = len(a)
+    last = 1
+    for k in range(n):
+        if a[k][k] == 0:
+            swap = next((j for j in range(k + 1, n) if a[j][j] != 0), None)
+            if swap is not None:
+                a[k], a[swap] = a[swap], a[k]
+                for row in a:
+                    row[k], row[swap] = row[swap], row[k]
+            else:
+                j = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
+                if j is not None:
+                    for i in range(k, n):
+                        a[k][i] += a[j][i]
+                    for i in range(k, n):
+                        a[i][k] += a[i][j]
+        pivot = a[k][k]
+        yield pivot if last > 0 else -pivot
+        if pivot == 0:
+            continue
+        tail = a[k][k + 1:]
+        for row in a[k + 1:]:
+            f = row[k]
+            row[k + 1:] = [(x * pivot - f * y) // last for x, y in zip(row[k + 1:], tail)]
+        last = pivot
+
+
+def eager_solve(matrix, columns):
+    """``solve_negative_definite``'s back substitution on the eager rows: (xs, det),
+    or None unless every pivot is negative."""
+    n = len(matrix)
+    a = [list(row) + [col[i] for col in columns] for i, row in enumerate(matrix)]
+    if not all(p < 0 for p in eager_eliminate(a)):
+        return None
+    det = a[-1][n - 1] if n else 1
+    xs = [[0] * n for _ in columns]
+    for c, x in enumerate(xs, start=n):
+        for i in reversed(range(n)):
+            row = a[i]
+            x[i] = (det * row[c] - sum(row[j] * x[j] for j in range(i + 1, n))) // row[i]
+    return xs, det
+
+
+@st.composite
+def int_symmetric_matrices(draw):
+    """Symmetric int matrices of size 0-8: diagonal, block-diagonal (so many
+    rows are 0 in a pivot column), dense, indefinite or singular, some with
+    zero diagonal entries so the swap and the fold run, some shifted to be
+    negative definite."""
+    n = draw(st.integers(0, 8))
+    kind = draw(st.sampled_from(["diagonal", "blocks", "dense", "zero diagonal"]))
+    cut = set(draw(st.lists(st.integers(1, max(n - 1, 1)), max_size=3)))
+    block = [sum(c <= i for c in cut) for i in range(n)]
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i == j or kind == "dense" or kind == "zero diagonal" or (
+                    kind == "blocks" and block[i] == block[j]):
+                a[i][j] = a[j][i] = draw(st.integers(-4, 4))
+    if kind == "zero diagonal":
+        for i in draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=n)) if n else ():
+            a[i][i] = 0
+    elif draw(st.booleans()):  # diagonally dominant, so negative definite
+        for i in range(n):
+            a[i][i] = -sum(abs(x) for x in a[i]) - draw(st.integers(1, 3))
+    return a
+
+
+@settings(max_examples=600, deadline=None)
+@given(int_symmetric_matrices(), st.data())
+def test_lazy_rows_match_the_eager_elimination(matrix, data):
+    """The same pivots, the same final rows a[i][i:] (right-hand sides
+    included) and the same solve as the eager elimination."""
+    n = len(matrix)
+    columns = data.draw(st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+                                 max_size=3))
+    lazy, eager = ([list(row) + [col[i] for col in columns] for i, row in enumerate(matrix)]
+                   for _ in range(2))
+    assert list(zlab.lattice._eliminate(lazy)) == list(eager_eliminate(eager))
+    assert [row[i:] for i, row in enumerate(lazy)] == [row[i:] for i, row in enumerate(eager)]
+    expected = eager_solve(matrix, columns)
+    if expected is None:
+        with pytest.raises(NotNegativeDefinite):
+            zlab.lattice.solve_negative_definite(matrix, columns)
+    else:
+        assert zlab.lattice.solve_negative_definite(matrix, columns) == expected
+
+
 # -- the ADE rule: (-2)-curve configurations ------------------------------------
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (a2_chain_model, dp_model, k3_model, random_ample_class, random_big_class,
-                      user_models)
+                      random_class, user_models)
 from test_kernel import RATIONALS, scaled_user_models
 from zlab import (
     ChamberDescriptor,
@@ -22,13 +22,18 @@ from zlab import (
     construct_nef_with_null,
     is_big,
     is_nef,
+    is_stable,
     neg_set,
     null_set,
     on_chamber_boundary,
+    stable_base_locus,
+    vol,
     volume_polynomial,
     zariski_decompose,
 )
+from zlab.cutkosky import abelian_surface_model
 from zlab.errors import (
+    InstableDivisor,
     LatticeMismatch,
     NotBig,
     NotNef,
@@ -194,6 +199,117 @@ def test_every_decomposition_passes_the_constructor_on_user_models(model, data):
         rebuilds_through_the_constructor(model, model.ample + model.lattice.divisor(coords))
 
 
+# -- the public decomposition as the oracle of the integer core ------------------
+# vol, chamber_of, the stable base locus and the boundary predicates read the
+# private integer core; their definitions on ZariskiDecomposition are kept here.
+
+
+def outcome(read, *args):
+    """("ok", value), or (error class, message) when ``read`` raises."""
+    try:
+        return "ok", read(*args)
+    except Exception as exc:  # any error: its class and message are what is compared
+        return type(exc), str(exc)
+
+
+def oracle_big(model, divisor):
+    """The decomposition of a big class; else NotBig, with the message of the
+    refusal or of the non-positive square."""
+    try:
+        dec = zariski_decompose(model, divisor)
+    except (NotPseudoEffective, NotNegativeDefinite) as exc:
+        raise NotBig(str(exc)) from exc
+    if dec.positive.square <= 0:
+        raise NotBig("positive part has non-positive square")
+    return dec
+
+
+def oracle_vol(model, divisor):
+    try:
+        square = zariski_decompose(model, divisor).positive.square
+    except (NotPseudoEffective, NotNegativeDefinite):
+        return Fraction(0)
+    return max(square, Fraction(0))
+
+
+def oracle_boundary(model, divisor):
+    dec = oracle_big(model, divisor)
+    return dec.support_labels != null_set(model, dec.positive)
+
+
+def oracle_locus(model, divisor):
+    if oracle_boundary(model, divisor):
+        raise InstableDivisor("the class lies on a chamber boundary")
+    return oracle_big(model, divisor).support_labels
+
+
+def oracle_closure(model, reference, divisor):
+    labels = frozenset(c.label for c in support_curves(model, reference))
+    dec = oracle_big(model, divisor)
+    return dec.support_labels <= labels <= null_set(model, dec.positive)
+
+
+READS = [
+    (vol, oracle_vol),
+    (chamber_of, lambda m, d: ChamberDescriptor(oracle_big(m, d).support_labels)),
+    (stable_base_locus, oracle_locus),
+    (is_stable, lambda m, d: not oracle_boundary(m, d)),
+    (on_chamber_boundary, oracle_boundary),
+    (is_big, lambda m, d: outcome(oracle_big, m, d)[0] == "ok"),
+]
+
+
+def assert_reads_match_the_oracles(model, divisor):
+    """Every reader of the core equals its oracle, or raises the same error
+    class with the same message; chamber_closure_contains against the empty
+    support, the class's own support and the null set of its positive part."""
+    for read, oracle in READS:
+        assert outcome(read, model, divisor) == outcome(oracle, model, divisor), read.__name__
+    references = [()]
+    if outcome(oracle_big, model, divisor)[0] == "ok":
+        dec = oracle_big(model, divisor)
+        references += [dec.support_labels, null_set(model, dec.positive)]
+    for reference in references:
+        assert (outcome(chamber_closure_contains, model, reference, divisor)
+                == outcome(oracle_closure, model, reference, divisor))
+
+
+def core_classes(model, rng, count):
+    """Seeded classes: drawn coordinates, big classes, and positive parts of
+    big classes, which often sit on a chamber boundary."""
+    big = [random_big_class(model, rng) for _ in range(count)]
+    return ([random_class(model, rng) for _ in range(count)] + big
+            + [zariski_decompose(model, d).positive for d in big]
+            + [model.ample, -model.ample, model.lattice.zero()])
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_core_readers_match_the_decomposition_on_del_pezzo(r):
+    model, rng = dp_model(r), random.Random(900 + r)
+    for divisor in core_classes(model, rng, 12):
+        assert_reads_match_the_oracles(model, divisor)
+
+
+@pytest.mark.parametrize(
+    "model", [a2_chain_model, lambda: k3_model(1), lambda: k3_model(2), abelian_surface_model],
+    ids=["a2", "k3(1)", "k3(2)", "abelian"])
+def test_core_readers_match_the_decomposition_off_del_pezzo(model):
+    surface, rng = model(), random.Random(917)
+    for divisor in core_classes(surface, rng, 20):
+        assert_reads_match_the_oracles(surface, divisor)
+
+
+@settings(max_examples=60, deadline=None)
+@given(user_models(), st.data())
+def test_core_readers_match_the_decomposition_on_user_models(model, data):
+    rank = model.lattice.rank
+    for _ in range(3):
+        divisor = model.lattice.divisor(data.draw(st.lists(RATIONALS, min_size=rank,
+                                                           max_size=rank)))
+        assert_reads_match_the_oracles(model, divisor)
+        assert_reads_match_the_oracles(model, divisor + model.ample)
+
+
 def test_not_pseudo_effective_class_is_not_big(dp2):
     with pytest.raises(NotBig) as excinfo:
         chamber_of(dp2, -dp2.ample)
@@ -226,6 +342,21 @@ def test_not_pseudo_effective_inputs(dp2):
     # pairs positively with the witness but supports no decomposition
     hopeless = lat.divisor([1, -5, 4])
     assert not is_big(dp2, hopeless)
+
+
+def test_decompositions_where_a_sign_is_zero(dp2):
+    """The zero class is nef; a (-1)-curve is its own negative part, with P = 0,
+    so P**2 = P.A = 0 and vol 0; E1 - E2 pairs to 0 with the witness but is not
+    nef, so the witness test refuses it."""
+    lat = dp2.lattice
+    zero = zariski_decompose(dp2, lat.zero())
+    assert zero.positive == lat.zero() and zero.coefficients == ()
+    curve = zariski_decompose(dp2, lat.divisor([0, 1, 0]))
+    assert curve.positive == lat.zero()
+    assert [(c.label, x) for c, x in curve.coefficients] == [("E1", 1)]
+    assert vol(dp2, curve.input) == 0 and not is_big(dp2, curve.input)
+    with pytest.raises(NotPseudoEffective, match="ample witness"):
+        zariski_decompose(dp2, lat.divisor([0, 1, -1]))
 
 
 def test_lattice_mismatch(dp2):
