@@ -44,10 +44,6 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
-def _fraction_str(value: Fraction) -> str:
-    return str(Fraction(value))
-
-
 def _parse_fraction(text: str) -> Fraction:
     text = str(text)
     if "e" in text.lower():  # "1e3000000" takes seconds to build, then cannot print
@@ -71,15 +67,15 @@ def _parse_coords(text: str, lattice: IntersectionLattice) -> DivisorClass:
 
 def _qi_json(value: QuadraticIrrational) -> dict[str, Any]:
     return {
-        "a": _fraction_str(value.a),
-        "b": _fraction_str(value.b),
+        "a": str(value.a),
+        "b": str(value.b),
         "m": value.m,
         "approx": float(value),
     }
 
 
 def _coords_json(divisor: DivisorClass) -> list[str]:
-    return [_fraction_str(c) for c in divisor.coords]
+    return [str(c) for c in divisor.coords]
 
 
 def parse_surface(text: str) -> SurfaceModel:
@@ -169,7 +165,7 @@ def _zariski(model: SurfaceModel, divisor: DivisorClass) -> Any:
     from .zariski import zariski_decompose
 
     dec = zariski_decompose(model, divisor)
-    negative = {curve.label: _fraction_str(coeff) for curve, coeff in dec.coefficients}
+    negative = {curve.label: str(coeff) for curve, coeff in dec.coefficients}
     return {"positive": _coords_json(dec.positive), "negative": negative}
 
 
@@ -182,7 +178,7 @@ def _chamber(model: SurfaceModel, divisor: DivisorClass) -> Any:
 def _volume(model: SurfaceModel, divisor: DivisorClass) -> Any:
     from .volume import vol
 
-    return {"volume": _fraction_str(vol(model, divisor))}
+    return {"volume": str(vol(model, divisor))}
 
 
 def _volpoly(model: SurfaceModel, support: str) -> Any:
@@ -190,7 +186,7 @@ def _volpoly(model: SurfaceModel, support: str) -> Any:
 
     labels = [] if not support else support.split(",")
     poly = volume_polynomial(model, labels)
-    matrix = [[_fraction_str(q) for q in row] for row in poly.matrix]
+    matrix = [[str(q) for q in row] for row in poly.matrix]
     return {"support": list(poly.chamber.support), "matrix": matrix}
 
 
@@ -208,8 +204,8 @@ def _chambers_enum(model: SurfaceModel) -> tuple[Any, list]:
 def _segment_json(seg: RaySegment) -> dict[str, Any]:
     end = seg.lambda_end
     return {
-        "start": _fraction_str(seg.lambda_start),
-        "end": _qi_json(end) if isinstance(end, QuadraticIrrational) else _fraction_str(end),
+        "start": str(seg.lambda_start),
+        "end": _qi_json(end) if isinstance(end, QuadraticIrrational) else str(end),
         "support": list(seg.support.support),
     }
 
@@ -220,7 +216,7 @@ def _walk(model: SurfaceModel, bundle: DivisorClass, direction: DivisorClass) ->
     result = destabilizing_numbers(model, bundle, direction)
     return {
         "segments": [_segment_json(seg) for seg in result.segments],
-        "breakpoints": [_fraction_str(b) for b in result.breakpoints],
+        "breakpoints": [str(b) for b in result.breakpoints],
         "threshold": _qi_json(result.bigness_threshold),
     }
 
@@ -253,7 +249,7 @@ def _k3_reflect(model: SurfaceModel, nef_class: DivisorClass, curve: str) -> Any
     from .weyl import k3_reflection_volume
 
     value = k3_reflection_volume(model, nef_class, curve)
-    return {"volume": _fraction_str(value)}
+    return {"volume": str(value)}
 
 
 def _cutkosky_vol(eps: str) -> Any:
@@ -272,7 +268,7 @@ def _cutkosky_scan(start: str, stop: str, num: int) -> tuple[Any, list]:
         raise UsageError(f"need --num <= {MAX_SCAN_POINTS}")
     steps = [first + (last - first) * Fraction(i, num - 1) for i in range(num)]
     rows = [(eps, volume_L_eps(eps)) for eps in steps]
-    payload = [{"eps": _fraction_str(e), "volume": _qi_json(v)} for e, v in rows]
+    payload = [{"eps": str(e), "volume": _qi_json(v)} for e, v in rows]
     csv_rows = [("eps", "approx", "a", "b", "m")] + [
         (e, float(v), v.a, v.b, v.m) for e, v in rows
     ]

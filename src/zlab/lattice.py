@@ -414,9 +414,9 @@ def invert_matrix(matrix: Matrix) -> list[list[Fraction]]:
 def inverse_is_nonpositive(matrix: Matrix) -> bool:
     """True iff every entry of the inverse of a negative definite matrix is <= 0.
 
-    For negative definite matrices whose off-diagonal entries are all
-    non-negative this is expected to hold; the point of keeping it as a
-    runtime check is that the property is *tested*, never assumed.
+    A public predicate that no library code calls.  The tests use it to check
+    the M-matrix fact that ``enumerate_chambers`` and the ray walk rely on:
+    with non-negative off-diagonal entries, the inverse is entrywise <= 0.
     """
     return all(entry <= 0 for row in invert_matrix(matrix) for entry in row)
 
@@ -432,8 +432,9 @@ class _Value:
 
     A subclass names its ``fields``; the one ``__init__`` binds them by
     position or keyword, a class attribute named like a field being its
-    default, then calls ``__post_init__``, where a class validates or coerces.
-    A class that transforms its input or takes a non-field keeps its own.
+    default, then calls ``__post_init__``, the one place where a class checks
+    or transforms its input.  Only a class that stores other than its fields
+    or takes a non-field keeps its own ``__init__``; ``_of`` binds unchecked.
     Equality and hashing read the field tuple and repr shows it, as a frozen
     dataclass would; instances refuse assignment and deletion.
     """
@@ -504,9 +505,9 @@ class IntersectionLattice(_Value, fields=("gram", "basis_labels")):
     gram: tuple[tuple[int, ...], ...]
     basis_labels: tuple[str, ...]
 
-    def __init__(self, gram: Matrix, basis_labels: Sequence[str]) -> None:
-        rows = tuple(tuple(int(x) for x in row) for row in gram)
-        labels = tuple(str(s) for s in basis_labels)
+    def __post_init__(self) -> None:
+        rows = tuple(tuple(int(x) for x in row) for row in self.gram)
+        labels = tuple(str(s) for s in self.basis_labels)
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise ValueError("gram matrix must be square and non-empty")
@@ -514,18 +515,16 @@ class IntersectionLattice(_Value, fields=("gram", "basis_labels")):
             for j in range(n):
                 if rows[i][j] != rows[j][i]:
                     raise ValueError("gram matrix must be symmetric")
-        if any(x != y for row, given in zip(rows, gram) for x, y in zip(row, given)):
+        if any(x != y for row, given in zip(rows, self.gram) for x, y in zip(row, given)):
             raise ValueError("gram matrix must be integral")
         if len(labels) != n or len(set(labels)) != n:
             raise ValueError("basis labels must be distinct and match the rank")
         sig = signature(rows)
         if sig != (1, n - 1, 0):
             raise SignatureError(f"signature {sig} is not (1, {n - 1}, 0)")
-        object.__setattr__(self, "gram", rows)
-        object.__setattr__(self, "basis_labels", labels)
-        object.__setattr__(self, "_hash", hash((rows, labels)))
         i, j, g = zip(*((i, j, g) for i, row in enumerate(rows) for j, g in enumerate(row) if g))
-        object.__setattr__(self, "_entries", (itemgetter(*i, 0), itemgetter(*j, 0), (*g, 0)))
+        vars(self).update(gram=rows, basis_labels=labels, _hash=hash((rows, labels)),
+                          _entries=(itemgetter(*i, 0), itemgetter(*j, 0), (*g, 0)))
 
     def __hash__(self) -> int:
         return self._hash

@@ -132,7 +132,7 @@ def destabilizing_numbers(
         if grown:
             support.extend(entrants)
             continue
-        descriptor = ChamberDescriptor(model.curves[i].label for i in support)
+        descriptor = ChamberDescriptor._of(tuple(sorted(model.curves[i].label for i in support)))
         f00, f01, f11 = form(u0, u0), form(u0, u1), form(u1, u1)
         if least is not None:  # does the wall come first?  Decided on ints, see the docstring
             a, b = least

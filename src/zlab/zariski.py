@@ -28,8 +28,9 @@ from .surface import NegativeCurve, PackedSum, SurfaceModel
 class ZariskiDecomposition(_Value, fields=("model", "input", "positive", "coefficients")):
     """D = P + sum(a_C * C) with P nef, P.C = 0 on the support, its pairing
     matrix negative definite, and every listed coefficient strictly positive
-    (zeros are pruned).  The constructor re-checks each exactly.  ``_of`` checks
-    none: ``zariski_decompose`` establishes each on its way, as its comments say.
+    (zeros are pruned), listed by label.  The constructor sorts the listing and
+    re-checks each exactly.  ``_of`` does neither: ``zariski_decompose``
+    establishes each on its way, as its comments say.
     """
 
     model: SurfaceModel
@@ -37,19 +38,9 @@ class ZariskiDecomposition(_Value, fields=("model", "input", "positive", "coeffi
     positive: DivisorClass
     coefficients: tuple[tuple[NegativeCurve, Fraction], ...]
 
-    def __init__(self, model: SurfaceModel, input: DivisorClass, positive: DivisorClass,
-                 coefficients: Iterable[tuple[NegativeCurve, Fraction]]) -> None:
-        vars(self).update(vars(self._of(model, input, positive, coefficients)))
-        self.__post_init__()
-
-    @classmethod
-    def _of(cls, model: SurfaceModel, input: DivisorClass, positive: DivisorClass,
-            pairs: Iterable[tuple[NegativeCurve, Fraction]]) -> "ZariskiDecomposition":
-        out, pairs = object.__new__(cls), tuple(sorted(pairs, key=lambda item: item[0].label))
-        vars(out).update(model=model, input=input, positive=positive, coefficients=pairs)
-        return out
-
     def __post_init__(self) -> None:
+        by_label = sorted(self.coefficients, key=lambda item: item[0].label)
+        vars(self)["coefficients"] = tuple(by_label)
         if any(coeff <= 0 for _, coeff in self.coefficients):
             raise ValueError("negative-part coefficients must be strictly positive")
         indices = [self.model.curve_index(curve.label) for curve, _ in self.coefficients]
@@ -85,25 +76,18 @@ class ChamberDescriptor(_Value, fields=("support",)):
 
     support: tuple[str, ...]
 
-    def __init__(self, support: Iterable[str]) -> None:
-        if isinstance(support, str):  # else its characters would become the labels
-            raise TypeError(f"a support is an iterable of labels, not the string {support!r}")
-        object.__setattr__(self, "support", tuple(sorted(set(support))))
+    def __post_init__(self) -> None:
+        if isinstance(self.support, str):  # else its characters would become the labels
+            raise TypeError(f"a support is an iterable of labels, not the string {self.support!r}")
+        vars(self)["support"] = tuple(sorted(set(self.support)))
 
     @classmethod
-    def _of(cls, support: tuple[str, ...]) -> "ChamberDescriptor":  # enumeration's hot path
+    def _of(cls, support: tuple[str, ...]) -> "ChamberDescriptor":  # enumeration and the walk
         out = object.__new__(cls)  # distinct labels already sorted, stored as given
-        object.__setattr__(out, "support", support)  # no instance dict: a smaller object
+        # 0.3 µs against the base _of's 0.8; and unlike vars(out), which builds an instance
+        # dict, it leaves 88 bytes a descriptor against 152, of thousands an enumeration keeps
+        object.__setattr__(out, "support", support)
         return out
-
-    # _Value's comparison and hash, spelled out: chambers fill sets and dict keys
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.support == other.support
-
-    def __hash__(self) -> int:
-        return hash((self.support,))
 
     @property
     def label_set(self) -> frozenset[str]:
@@ -159,8 +143,9 @@ def zariski_decompose(model: SurfaceModel, divisor: DivisorClass) -> ZariskiDeco
     if not pairs:  # N = 0, so P = D
         return ZariskiDecomposition._of(model, divisor, divisor, ())
     positive = DivisorClass._reduced(model.lattice, p, q)  # = D - N for exactly these xs
-    return ZariskiDecomposition._of(
-        model, divisor, positive, [(model.curves[i], Fraction(x, den)) for i, x in pairs])
+    coefficients = sorted(((model.curves[i], Fraction(x, den)) for i, x in pairs),
+                          key=lambda item: item[0].label)
+    return ZariskiDecomposition._of(model, divisor, positive, tuple(coefficients))
 
 
 def _decompose(model: SurfaceModel, divisor: DivisorClass

@@ -548,6 +548,17 @@ def test_rank_many_negative_slots_are_refused_by_count(monkeypatch):
         zariski_decompose(model, model.canonical)
 
 
+def test_a_support_grown_to_rank_curves_is_refused_unread(dp2, monkeypatch):
+    """3L - 4E1 - 4E2 pairs negatively with L-E1-E2 alone; after one solve on
+    that curve both exceptional curves enter, and the 3-curve support, as many
+    as the rank, is refused by its size before its matrix is read."""
+    sizes = count_kernel_reads(monkeypatch)
+    with pytest.raises(NotNegativeDefinite) as excinfo:
+        zariski_decompose(dp2, dp2.lattice.divisor([3, -4, -4]))
+    assert str(excinfo.value) == "3 classes in rank 3 are never negative definite"
+    assert sizes == [1]
+
+
 # -- continuity across a wall ----------------------------------------------
 
 
