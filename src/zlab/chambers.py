@@ -116,8 +116,15 @@ def enumerate_chambers(model: SurfaceModel) -> list[ChamberDescriptor]:
         )
     order = sorted(range(n), key=lambda i: curves[i].label, reverse=True)  # bit b: curve order[b]
     g = model.kernel_gram(order)  # s**2 * C_b . C_c: pairs, meets and definiteness ignore s
-    pairs = [sum(1 << c for c in range(n) if g[b][b] * g[c][c] > g[b][c] ** 2) for b in range(n)]
-    meets = [sum(1 << c for c in range(n) if g[b][c]) for b in range(n)]
+    pairs, meets = [0] * n, [1 << b for b in range(n)]  # C_b**2 < 0: each curve meets itself
+    for b in range(n):
+        for c in range(b + 1, n):
+            if x := g[b][c]:
+                meets[b] |= 1 << c
+                meets[c] |= 1 << b
+            if g[b][b] * g[c][c] > x * x:
+                pairs[b] |= 1 << c
+                pairs[c] |= 1 << b
     found = [ChamberDescriptor._of(())]
 
     def descend(stack: tuple[int, ...], names: tuple[str, ...], allowed: int, met: int) -> None:

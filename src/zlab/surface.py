@@ -307,15 +307,20 @@ class RootSystem(NamedTuple):
     simple: tuple[DivisorClass, ...]
 
 
+def _root_rank(model: SurfaceModel) -> int:
+    """r, for a model with a canonical class on the standard basis L, E1..Er,
+    where the simple roots live; MissingCanonical, then UnsupportedLattice."""
+    if model.canonical is None:
+        raise MissingCanonical("root enumeration needs a canonical class")
+    if not _is_standard_del_pezzo(model.lattice):
+        raise UnsupportedLattice("root enumeration needs the standard basis")
+    return model.lattice.rank - 1
+
+
 def simple_roots(model: SurfaceModel) -> tuple[DivisorClass, ...]:
     """L-E1-E2-E3 (when r >= 3) and E_{i+1}-E_i for i = 1..r-1; for r >= 3
     they generate the whole reflection group."""
-    if model.canonical is None:
-        raise MissingCanonical("root enumeration needs a canonical class")
-    lattice = model.lattice
-    if not _is_standard_del_pezzo(lattice):
-        raise UnsupportedLattice("root enumeration needs the standard basis")
-    r = lattice.rank - 1
+    r, lattice = _root_rank(model), model.lattice
     simple = [[1, -1, -1, -1] + [0] * (r - 3)] if r >= 3 else []
     simple += ([0] * (i - 1) + [-1, 1] + [0] * (r - i) for i in range(2, r + 1))  # E_i - E_{i-1}
     return tuple(DivisorClass._reduced(lattice, v, 1) for v in simple)  # integral rows

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from math import factorial
+from itertools import combinations
+from math import factorial, prod
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import (LatticeMismatch, NotFiniteCoxeterType, NotMinusTwoClass, NotNef, OrbitTooLarge,
                      OutOfRange, RankTooLargeForEnumeration, UnrealizableSupport)
 from .lattice import DivisorClass
-from .surface import NegativeCurve, SurfaceModel, is_nef, simple_roots
+from .surface import NegativeCurve, SurfaceModel, _root_rank, is_nef, simple_roots
 from .volume import vol
 
 DEFAULT_ORBIT_CAP = 10_000_000
@@ -37,35 +38,46 @@ def _orbit_cap(explicit: "int | None") -> int:
     return cap
 
 
-def _orbit(start: DivisorClass, generators: tuple[DivisorClass, ...],
-           cap: "int | None") -> tuple[list[tuple[int, ...]], int]:
-    """Closure of a class under reflections in ``generators``, by breadth-first
-    search on the ints v = d * class (d the start's common denominator): alpha
-    sends v to v + (v . alpha) * alpha, read off the nonzero entries of alpha
-    and G @ alpha.  Exceeding ``cap`` (None: no cap) raises OrbitTooLarge."""
-    gram, steps = start.lattice.gram, []
-    for alpha in generators:
-        if alpha.square != -2 or alpha.cleared[1] != 1:
-            raise NotMinusTwoClass(f"{alpha} is not an integral class of square -2")
-        a = [(i, x) for i, x in enumerate(alpha.cleared[0]) if x]
-        row = [(i, s) for i, g in enumerate(gram) if (s := sum(g[j] * y for j, y in a))]
-        steps.append((a, row))
-    orbit, d = [start.cleared[0]], start.cleared[1]
-    seen = set(orbit)
-    for v in orbit:
-        for a, row in steps:
-            t = sum(v[i] * s for i, s in row)
-            if t:
-                image = list(v)
-                for i, y in a:
-                    image[i] += t * y
-                image = tuple(image)
+def _orbit(v: Sequence[int], cap: int) -> list[tuple[int, ...]]:
+    """Orbit of the ints v on the standard basis L, E1..Er, whose group is
+    generated by the permutations of E1..Er and the reflection in L-E1-E2-E3,
+    (v0, v1, v2, v3, ...) -> (v0+t, v1-t, v2-t, v3-t, ...) with t = v0+v1+v2+v3
+    (Manin, Cubic Forms, sec. 23): a union of S_r-orbits.  The search runs on types
+    (v0, sorted(v1..vr)), reflecting each distinct value triple; each type's
+    r!/prod(k!) arrangements are counted as it is taken, and a count above
+    ``cap`` raises OrbitTooLarge before any is listed.  Then every type's
+    arrangements are listed by Knuth's Algorithm L (TAOCP 7.2.1.2)."""
+    r, types = len(v) - 1, [(v[0], tuple(sorted(v[1:])))]
+    seen, count = set(types), 0
+    for v0, m in types:
+        count += factorial(r) // prod(factorial(m.count(x)) for x in set(m))
+        if count > cap:
+            raise OrbitTooLarge(f"orbit exceeded the cap of {cap}")
+        for triple in set(combinations(m, 3)):
+            if t := v0 + sum(triple):
+                rest = list(m)
+                for x in triple:
+                    rest.remove(x)
+                image = (v0 + t, tuple(sorted(rest + [x - t for x in triple])))
                 if image not in seen:
-                    if cap is not None and len(seen) >= cap:
-                        raise OrbitTooLarge(f"orbit exceeded the cap of {cap}")
                     seen.add(image)
-                    orbit.append(image)
-    return orbit, d
+                    types.append(image)
+    orbit = []
+    for v0, m in types:
+        a = [v0, *m]
+        while True:
+            orbit.append(tuple(a))
+            j = r - 1  # the last ascent a[j] < a[j+1] of a[1:]
+            while j and a[j] >= a[j + 1]:
+                j -= 1
+            if not j:
+                break
+            k = r  # the last entry above a[j]
+            while a[j] >= a[k]:
+                k -= 1
+            a[j], a[k] = a[k], a[j]
+            a[j + 1:] = a[:j:-1]
+    return orbit
 
 
 def _components(graph: Sequence[set[int]], nodes: Iterable[int]) -> Iterator[set[int]]:
@@ -106,7 +118,10 @@ def _coxeter_order(nodes: Sequence[Any], meets: Callable[[Any, Any], int]) -> in
 
 def weyl_orbit(model: SurfaceModel, start: DivisorClass,
                cap: "int | None" = None) -> set[DivisorClass]:
-    """Closure of a class under the simple-root reflections (see ``_orbit``).
+    """Closure of a class under the simple-root reflections: the type search of
+    ``_orbit`` on its stored (v, d), after the checks of ``simple_roots``, which
+    it never builds; each class w / d is bound as it stands (W acts by integer
+    matrices with integer inverses, so gcd(*w, d) = gcd(*v, d) = 1).
     When |W| > cap its size is predicted first: the simple roots, in reverse and
     each negated if it pairs negatively with an earlier one, pair >= 0 with each
     other; descent reflects the start into their closed chamber, where its
@@ -114,8 +129,8 @@ def weyl_orbit(model: SurfaceModel, start: DivisorClass,
     (Humphreys, 1.12), and an orbit of |W| / |W_J| > cap is refused."""
     if start.lattice != model.lattice:
         raise LatticeMismatch("class lives in a different lattice")
-    cap, gram = _orbit_cap(cap), model.lattice.gram
-    if len(gram) - 1 <= MAX_FINITE_R and gram not in _ORDERS:
+    cap, r, gram = _orbit_cap(cap), _root_rank(model), model.lattice.gram
+    if r <= MAX_FINITE_R and gram not in _ORDERS:
         _ORDERS[gram] = weyl_group_order(model)
     if (order := _ORDERS.get(gram, 0)) > cap:
         form, v, roots = model.lattice.form, start.cleared[0], []
@@ -126,8 +141,11 @@ def weyl_orbit(model: SurfaceModel, start: DivisorClass,
             v = [x + t * y for x, y in zip(v, a)]
         if (size := order // _coxeter_order([a for a in roots if not form(v, a)], form)) > cap:
             raise OrbitTooLarge(f"the orbit has {size} classes, above the cap of {cap}")
-    orbit, d = _orbit(start, simple_roots(model), cap)
-    return {DivisorClass._reduced(start.lattice, v, d) for v in orbit}
+    (v, d), lattice, orbit = start.cleared, start.lattice, set()
+    for w in _orbit(v, cap):  # bound as __neg__ binds: _of's zip and keywords cost twice as much
+        vars(cls := object.__new__(DivisorClass)).update(lattice=lattice, cleared=(w, d))
+        orbit.add(cls)
+    return orbit
 
 
 def weyl_group_order(model: SurfaceModel) -> int:

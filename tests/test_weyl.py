@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 from fractions import Fraction
@@ -13,6 +14,8 @@ import zlab.surface
 import zlab.weyl
 from zlab import (
     DivisorClass,
+    IntersectionLattice,
+    SurfaceModel,
     enumerate_roots,
     is_nef,
     k3_reflection_volume,
@@ -26,12 +29,14 @@ from zlab import (
 )
 from zlab.errors import (
     LatticeMismatch,
+    MissingCanonical,
     NotFiniteCoxeterType,
     NotMinusTwoClass,
     NotNef,
     OrbitTooLarge,
     OutOfRange,
     RankTooLargeForEnumeration,
+    UnsupportedLattice,
 )
 
 
@@ -52,17 +57,48 @@ def test_reflect_requires_minus_two(dp2):
         reflect(dp2.ample, dp2.lattice.basis_divisor(1))  # square -1
 
 
+def generator_orbit(start, generators, cap):
+    """Oracle: closure of a class under reflections in any ``generators``, by
+    breadth-first search on the ints v = d * class (d the start's common
+    denominator): alpha sends v to v + (v . alpha) * alpha, read off the nonzero
+    entries of alpha and G @ alpha.  Exceeding ``cap`` (None: no cap) raises
+    OrbitTooLarge.  Returns the orbit's int tuples."""
+    gram, steps = start.lattice.gram, []
+    for alpha in generators:
+        if alpha.square != -2 or alpha.cleared[1] != 1:
+            raise NotMinusTwoClass(f"{alpha} is not an integral class of square -2")
+        a = [(i, x) for i, x in enumerate(alpha.cleared[0]) if x]
+        row = [(i, s) for i, g in enumerate(gram) if (s := sum(g[j] * y for j, y in a))]
+        steps.append((a, row))
+    orbit = [start.cleared[0]]
+    seen = set(orbit)
+    for v in orbit:
+        for a, row in steps:
+            t = sum(v[i] * s for i, s in row)
+            if t:
+                image = list(v)
+                for i, y in a:
+                    image[i] += t * y
+                image = tuple(image)
+                if image not in seen:
+                    if cap is not None and len(seen) >= cap:
+                        raise OrbitTooLarge(f"orbit exceeded the cap of {cap}")
+                    seen.add(image)
+                    orbit.append(image)
+    return orbit
+
+
 def test_orbit_search_refuses_generators_reflect_would_refuse(dp3):
-    """The integer search keeps reflect's guard: a generator of square -1, and
+    """The generator oracle keeps reflect's guard: a generator of square -1, and
     the class (L - 3E1)/2 of square -2 that is not integral, both raise."""
     lat = dp3.lattice
     start = dp3.ample
     with pytest.raises(NotMinusTwoClass):
-        zlab.weyl._orbit(start, (lat.basis_divisor(1),), None)
+        generator_orbit(start, (lat.basis_divisor(1),), None)
     half = lat.divisor([Fraction(1, 2), Fraction(-3, 2), 0, 0])
     assert half.square == -2
     with pytest.raises(NotMinusTwoClass):
-        zlab.weyl._orbit(start, (half,), None)
+        generator_orbit(start, (half,), None)
 
 
 def test_reflection_is_an_involutive_isometry():
@@ -142,15 +178,15 @@ def test_orbit_of_a_class_from_another_lattice_is_refused_unsearched(model_r, cl
         weyl_orbit(model, start)
 
 
-def count_orbit_searches(monkeypatch) -> list[tuple[int, int]]:
-    """Patch ``zlab.weyl._orbit`` to record (orbit size, generator count) per search."""
+def count_orbit_searches(monkeypatch) -> list[int]:
+    """Patch ``zlab.weyl._orbit`` to record the orbit size of each search."""
     searches = []
     plain = zlab.weyl._orbit
 
-    def counting(start, generators, cap):
-        orbit, d = plain(start, generators, cap)
-        searches.append((len(orbit), len(generators)))
-        return orbit, d
+    def counting(v, cap):
+        orbit = plain(v, cap)
+        searches.append(len(orbit))
+        return orbit
 
     monkeypatch.setattr(zlab.weyl, "_orbit", counting)
     return searches
@@ -194,7 +230,7 @@ def test_dp8_orbit_above_the_cap_is_refused_unsearched(monkeypatch):
         weyl_orbit(model, start)
     assert searches == []
     assert len(weyl_orbit(model, model.lattice.basis_divisor(1))) == 240
-    assert searches == [(240, 8)]
+    assert searches == [240]
 
 
 def test_rank_two_orbits_document_the_small_cases(dp2):
@@ -245,7 +281,7 @@ def test_group_orders():
     assert weyl_group_order(dp_model(8)) == 696_729_600
 
 
-def tower_group_order(model) -> int:
+def tower_group_order(model, searches=None) -> int:
     """Oracle: the orbit-stabiliser tower |W_k| = |W_k . E_k| * |W_{k-1}|, W_k
     generated by the simple roots supported on L, E1..Ek, so the order is a
     product of r orbits of at most 240 classes.  For k != 3, E_k pairs -1 with
@@ -253,12 +289,16 @@ def tower_group_order(model) -> int:
     closed fundamental chamber of W_k, whose stabiliser is the parabolic
     subgroup of the generators orthogonal to it: W_{k-1} (Humphreys,
     Reflection Groups and Coxeter Groups, 1.12).  E_3 pairs +1 with
-    L-E1-E2-E3, so that step (12 = 6 * 2) rests on the permutation oracle."""
+    L-E1-E2-E3, so that step (12 = 6 * 2) rests on the permutation oracle.
+    Each step's (orbit size, generator count) is appended to ``searches``."""
     generators = simple_roots(model)
     order = 1
     for k in range(1, model.lattice.rank):
         tower = tuple(alpha for alpha in generators if not any(alpha.coords[k + 1 :]))
-        order *= len(zlab.weyl._orbit(model.lattice.basis_divisor(k), tower, None)[0])
+        orbit = generator_orbit(model.lattice.basis_divisor(k), tower, None)
+        if searches is not None:
+            searches.append((len(orbit), len(tower)))
+        order *= len(orbit)
     return order
 
 
@@ -276,9 +316,12 @@ def test_group_order_work_is_the_orbit_tower(monkeypatch):
     """The tower's search pairs every state with every generator of its step
     once, so its work is the sum over k = 1..8 of |W_k . E_k| times the
     number of W_k generators: 2,614 state-generator pairs, as many as the
-    reflections the search made when it ran on ``reflect``."""
-    searches = count_orbit_searches(monkeypatch)
-    assert tower_group_order(dp_model(8)) == 696_729_600
+    reflections the search made when it ran on ``reflect``.  The tower runs on
+    the generator oracle, never on the library's type search."""
+    library = count_orbit_searches(monkeypatch)
+    searches = []
+    assert tower_group_order(dp_model(8), searches) == 696_729_600
+    assert library == []
     orbits = [1, 2, 6, 10, 16, 27, 56, 240]
     generators = [0, 1, 3, 4, 5, 6, 7, 8]
     assert searches == list(zip(orbits, generators))
@@ -388,11 +431,13 @@ def reflect_orbit(model, start, cap):
 ORACLE_CAP = 600
 
 
-@pytest.mark.parametrize("r", [3, 4, 5, 6, 7])
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_integer_orbit_matches_reflect_oracle(r):
     """Seeded integer and fractional classes, in the span of K and one or two
     curves so that most orbits stay below the cap, and a generic one above it:
-    the same set, and OrbitTooLarge at the same cap."""
+    the same set, and OrbitTooLarge at the same cap.  Every class w / d comes
+    back in lowest terms, gcd(*w, d) = 1, though the search binds it with no
+    gcd: W acts by integer matrices with integer inverses, so gcd(*w) = gcd(*v)."""
     model = dp_model(r)
     rng = random.Random(61 + r)
     curves = [c.cls for c in model.curves]
@@ -400,7 +445,7 @@ def test_integer_orbit_matches_reflect_oracle(r):
     for trial in range(8):
         den = 1 if trial % 2 else rng.randint(2, 5)
         start = Fraction(rng.randint(-3, 3), den) * model.canonical
-        for cls in rng.sample(curves, 1 + trial % 3 // 2):
+        for cls in rng.sample(curves, min(len(curves), 1 + trial % 3 // 2)):
             start = start + Fraction(rng.randint(1, 4), den) * cls
         starts.append(start)
     for start in starts:
@@ -411,12 +456,52 @@ def test_integer_orbit_matches_reflect_oracle(r):
                 weyl_orbit(model, start, cap=ORACLE_CAP)
             continue
         size = len(expected)
-        assert weyl_orbit(model, start, cap=size) == expected
+        orbit = weyl_orbit(model, start, cap=size)
+        assert orbit == expected
+        assert all(math.gcd(*cls.cleared[0], cls.cleared[1]) == 1 for cls in orbit)
+        # a finite orbit above the cap is refused by the prediction, so only here
+        # does the search's own count of arrangements meet a cap it exceeds by one
+        assert len(zlab.weyl._orbit(start.cleared[0], size)) == size
+        with pytest.raises(OrbitTooLarge, match=f"orbit exceeded the cap of {size - 1}"):
+            zlab.weyl._orbit(start.cleared[0], size - 1)
         if size > 1:
             with pytest.raises(OrbitTooLarge):
                 reflect_orbit(model, start, size - 1)
             with pytest.raises(OrbitTooLarge):
                 weyl_orbit(model, start, cap=size - 1)
+
+
+def test_orbits_of_the_infinite_group_at_rank_ten():
+    """At r = 9 the group is infinite: K is fixed, and the orbit of E1 (the
+    exceptional curves of a blow-up in nine points) exceeds any cap."""
+    model = rank_ten_model()
+    K, E1 = model.canonical, model.lattice.basis_divisor(1)
+    assert weyl_orbit(model, K) == {K}
+    with pytest.raises(OrbitTooLarge, match="orbit exceeded the cap of 1000"):
+        weyl_orbit(model, E1, cap=1000)
+    with pytest.raises(OrbitTooLarge, match="orbit exceeded the cap of 1000"):
+        reflect_orbit(model, E1, 1000)
+
+
+def test_orbit_checks_the_model_as_simple_roots_does(dp3, monkeypatch):
+    """The lattice, then the cap, then a canonical class, then the standard
+    basis: the same errors and messages as ``simple_roots``, which the type
+    search does not build."""
+    standard, odd = dp3.lattice, IntersectionLattice([[4, 2], [2, -2]], ["H", "E"])
+    bare = SurfaceModel(lattice=standard, ample=dp3.ample, curves=dp3.curves)
+    odd_bare = SurfaceModel(lattice=odd, ample=odd.divisor([1, 0]), curves=())
+    skew = SurfaceModel(lattice=odd, ample=odd.divisor([1, 0]), curves=(), canonical=odd.zero())
+    with pytest.raises(LatticeMismatch):
+        weyl_orbit(odd_bare, dp3.ample, cap=0)
+    with pytest.raises(OutOfRange):
+        weyl_orbit(odd_bare, odd.zero(), cap=0)
+    for model, error, message in [(bare, MissingCanonical, "a canonical class"),
+                                  (odd_bare, MissingCanonical, "a canonical class"),
+                                  (skew, UnsupportedLattice, "the standard basis")]:
+        with pytest.raises(error, match=f"root enumeration needs {message}"):
+            simple_roots(model)
+        with pytest.raises(error, match=f"root enumeration needs {message}"):
+            weyl_orbit(model, model.ample)
 
 
 def test_simple_roots_skip_the_root_enumeration(monkeypatch):
