@@ -314,8 +314,8 @@ def _eliminate(a: list[list[int]]) -> Iterator[int]:
     that is 0 in the pivot column as it is, since it would only multiply it by
     pivot / last (its minors factor as d_k * a_jl).  Its values x * last //
     since[j] are written back when a pivot column meets it, at its own pivot
-    step, and for every remaining row before a repair: k disjoint curves cost
-    k row rescales, not k(k-1)/2 row updates.
+    step, and for every remaining row before a repair: a row the pivot columns
+    miss costs one rescale, not one update per step.
     """
     n = len(a)
     last, since = 1, [1] * n
@@ -362,8 +362,16 @@ def solve_negative_definite(matrix: Matrix, columns: Matrix) -> tuple[list[list[
     """(xs, det) with matrix @ xs[c] = det * columns[c] for a symmetric (not
     re-checked) integer matrix of determinant det; xs[c] = adj(matrix) @
     columns[c] is integral (Cramer), so each back-substitution step divides
-    exactly.  NotNegativeDefinite unless the matrix is negative definite."""
+    exactly.  NotNegativeDefinite unless the matrix is negative definite.  A
+    diagonal matrix diag(g), as disjoint curves give, is not eliminated: det =
+    prod(g) and adj = diag(det // g_i), the (xs, det) Bareiss would return."""
     n = len(matrix)
+    if not any(any(row[i + 1:]) for i, row in enumerate(matrix)):
+        g = [row[i] for i, row in enumerate(matrix)]
+        if any(x >= 0 for x in g):
+            raise NotNegativeDefinite("matrix is not negative definite")
+        det = math.prod(g)
+        return [[det // x * c for x, c in zip(g, col)] for col in columns], det
     a = [list(row) + [col[i] for col in columns] for i, row in enumerate(matrix)]
     if _negative_definite_factor(a) is None:
         raise NotNegativeDefinite("matrix is not negative definite")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import struct
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import lcm
 from operator import mul
@@ -132,16 +133,17 @@ class SurfaceModel(_Value, fields=("lattice", "ample", "curves", "canonical")):
             _index=index, _scale=scale, _vectors=vectors, _rows=rows, _packings={},
             _column_max=[max(map(abs, c)) for c in zip(*rows)],
         )
-        gram = vars(self)["_gram"] = [self.pair_packed(v).values() for v in vectors]
+        sums = [self.pair_packed(v) for v in vectors]
+        vars(self)["_gram"] = [s.values() for s in sums]
         for curve, p in zip(self.curves, self.pairing_sum(self.ample)[0].values()):
             if p <= 0:
                 raise AmpleWitnessError(f"ample witness pairs non-positively with {curve.label}")
-        for i, ci in enumerate(self.curves):
-            for j in range(i + 1, len(self.curves)):
-                if gram[i][j] < 0:
-                    raise CurvePairingError(
-                        f"distinct curves {ci.label}, {self.curves[j].label} pair negatively"
-                    )
+        for i, s in enumerate(sums):  # slot i holds C_i**2 < 0; a row before i named any j < i
+            if s.offset & ~s.total != 1 << (s.width * (i + 1) - 1):
+                j = next((j for j in s.negatives() if j > i), None)
+                if j is not None:
+                    raise CurvePairingError(f"distinct curves {self.curves[i].label}, "
+                                            f"{self.curves[j].label} pair negatively")
 
     def pair_packed(self, v: Sequence[int]) -> PackedSum:
         """The kernel's one multiply-accumulate sum(v_k * column_k) for integral
@@ -186,8 +188,9 @@ class SurfaceModel(_Value, fields=("lattice", "ample", "curves", "canonical")):
                 ) -> tuple[list[tuple[list[int], int]], list[list[int]], int]:
         """P_S(v/d) = v/d - sum(x_j * C_j) for each cleared pair (v, d), x solving
         sum_j (C_i . C_j) x_j = v/d . C_i over the curves at ``indices``.  One integer
-        elimination K @ ys[c] = det * (v @ rows[i]) serves every class, with K =
-        ``kernel_gram(indices)`` and v @ rows[i] slot i of ``pair_packed(v)``.  Returns
+        solve K @ ys[c] = det * (v @ rows[i]) serves every class, with K =
+        ``kernel_gram(indices)`` (diagonal for disjoint curves, so solved without an
+        elimination) and v @ rows[i] slot i of ``pair_packed(v)``.  Returns
         ([(p, q)], xss, e): P_S(v/d) = p/q, p = det*v - sum(y_j * c_j) and q = |det|*d
         with the sign that makes q > 0, and x_j = xss[c][j] / (e*d) with e = |det|.
         NotNegativeDefinite unless the curves' matrix is negative definite."""
@@ -231,6 +234,7 @@ def is_nef(model: SurfaceModel, divisor: DivisorClass) -> bool:
 # ---------------------------------------------------------------------------
 
 
+@cache  # read by every standard-basis check
 def _standard_gram(r: int) -> tuple[tuple[int, ...], ...]:
     """diag(1, -1, ..., -1), the form on L, E1, ..., Er."""
     return tuple(tuple(1 if i == j == 0 else -(i == j) for j in range(r + 1)) for i in range(r + 1))

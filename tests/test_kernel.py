@@ -11,7 +11,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import zlab.chambers
 import zlab.lattice
+import zlab.surface
 import zlab.zariski
 from conftest import (
     a2_chain_model,
@@ -166,11 +168,12 @@ def test_each_class_is_paired_once(monkeypatch):
     forms them from the kernel rows).
 
     The walk also solves the bundle's and the direction's right-hand sides on
-    one elimination per support: the nef bundle decomposes with none, the
-    round at 0 starts on the empty support (a 0 x 0 solve), three curves
-    enter at 1 and two more at 2.  That is 3 eliminations, 5 while each
-    round solved its starting support again and 10 while each side had its
-    own."""
+    one solve per support: the nef bundle decomposes with none, the round at
+    0 starts on the empty support (a 0 x 0 solve), three curves enter at 1
+    and two more at 2.  That is 3 solves, 5 while each round solved its
+    starting support again and 10 while each side had its own.  None of them
+    eliminates: the supports are disjoint (-1)-curves, whose diagonal matrix
+    is solved directly (each solve was one elimination before)."""
     dp7, dp8 = del_pezzo(7), del_pezzo(8)
     calls = count_pairings(monkeypatch)
     big = dp8.lattice.divisor([10, -6, -5, -2, -2, -1, -1, -1, -1])
@@ -189,11 +192,11 @@ def test_each_class_is_paired_once(monkeypatch):
     calls[0] = 0
     assert stable_base_locus(dp8, 3 * dp8.ample) == frozenset() and calls == [1]  # nef: 2 before
     calls[0] = 0
-    sizes = count_eliminations(monkeypatch)
+    solves, sizes = count_solves(monkeypatch), count_eliminations(monkeypatch)
     bundle = dp7.lattice.divisor([9, -3, -3, -2, -2, -1, -1, -1])
     walk = destabilizing_numbers(dp7, bundle, dp7.ample)
     assert walk.breakpoints == (1, 2) and len(walk.segments) == 3
-    assert calls == [8] and sizes == [0, 3, 5]
+    assert calls == [8] and solves == [0, 3, 5] and sizes == []
 
 
 def test_construct_and_face_pair_their_class_once(monkeypatch):
@@ -267,31 +270,57 @@ def test_nef_ample_and_null_reads_match_the_fraction_definition(case):
             read(model, divisor)
 
 
-def count_eliminations(monkeypatch) -> list[int]:
-    """Record the size of every negative-definiteness elimination, in the
-    solves and in the public constructor's re-check alike."""
+def count_calls(monkeypatch, name: str) -> list[int]:
+    """Record the size of the matrix of every call of ``zlab.lattice.<name>``,
+    under each module's name for it."""
     sizes: list[int] = []
-    plain = zlab.lattice._negative_definite_factor
+    plain = getattr(zlab.lattice, name)
 
-    def counting(matrix):
+    def counting(matrix, *args):
         sizes.append(len(matrix))
-        return plain(matrix)
+        return plain(matrix, *args)
 
-    monkeypatch.setattr(zlab.lattice, "_negative_definite_factor", counting)
-    monkeypatch.setattr(zlab.zariski, "_negative_definite_factor", counting)
+    for module in (zlab.lattice, zlab.surface, zlab.zariski, zlab.chambers):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, counting)
     return sizes
+
+
+def count_solves(monkeypatch) -> list[int]:
+    """The sizes of the ``solve_negative_definite`` calls: every projection,
+    support resolution and face solve."""
+    return count_calls(monkeypatch, "solve_negative_definite")
+
+
+def count_eliminations(monkeypatch) -> list[int]:
+    """The sizes of the negative-definiteness eliminations: in a solve of a
+    matrix that is not diagonal, in ``face_of``'s pivot search and in the
+    public constructor's re-check alike."""
+    return count_calls(monkeypatch, "_negative_definite_factor")
 
 
 def test_nef_class_is_paired_once_and_eliminates_nothing(monkeypatch):
     """The nef fast path returns after pairing the input once; the big class
-    of the test above solves its one-curve support by one elimination."""
+    of the test above solves its one-curve support without an elimination
+    (one before the diagonal solve)."""
     dp8 = del_pezzo(8)
-    calls, sizes = count_pairings(monkeypatch), count_eliminations(monkeypatch)
+    calls, solves = count_pairings(monkeypatch), count_solves(monkeypatch)
+    sizes = count_eliminations(monkeypatch)
     dec = zariski_decompose(dp8, 3 * dp8.ample)
     assert dec.positive == 3 * dp8.ample and dec.coefficients == ()
-    assert calls == [1] and sizes == []
+    assert calls == [1] and solves == [] and sizes == []
     zariski_decompose(dp8, dp8.lattice.divisor([10, -6, -5, -2, -2, -1, -1, -1, -1]))
-    assert sizes == [1]
+    assert solves == [1] and sizes == []
+
+
+def test_meeting_support_is_eliminated_once(monkeypatch):
+    """On the A2 chain E1 and E2 meet, so the solve of the support they form
+    is the decomposition's one elimination; its one-curve start is diagonal."""
+    model = a2_chain_model()
+    solves, sizes = count_solves(monkeypatch), count_eliminations(monkeypatch)
+    dec = zariski_decompose(model, model.lattice.divisor([1, 3, 2]))  # E2 enters second
+    assert dec.coefficients == ((model.curves[0], 2), (model.curves[1], 1))
+    assert solves == [1, 2] and sizes == [2]
 
 
 def test_decomposition_pairs_its_input_with_the_witness_once(monkeypatch):

@@ -16,15 +16,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zlab.lattice
-from conftest import dp_model, user_models
+from conftest import dp_model, random_big_class, user_models
 from zlab import (
     IntersectionLattice,
     QuadraticIrrational,
+    destabilizing_numbers,
     inverse_is_nonpositive,
     pair,
     signature,
     solve_gram_system,
     sqrt_fraction,
+    zariski_decompose,
 )
 from zlab.cutkosky import abelian_surface
 from zlab.errors import LatticeMismatch, NotNegativeDefinite, SignatureError
@@ -1000,6 +1002,75 @@ def test_lazy_rows_match_the_eager_elimination(matrix, data):
             zlab.lattice.solve_negative_definite(matrix, columns)
     else:
         assert zlab.lattice.solve_negative_definite(matrix, columns) == expected
+
+
+def count_entries(monkeypatch) -> list[int]:
+    """Record the size of every matrix that enters ``_eliminate``."""
+    entered: list[int] = []
+    plain = zlab.lattice._eliminate
+
+    def counting(a):
+        entered.append(len(a))
+        return plain(a)
+
+    monkeypatch.setattr(zlab.lattice, "_eliminate", counting)
+    return entered
+
+
+BIG = 1 << 64
+
+
+@pytest.mark.parametrize("diagonal, columns", [
+    ([], []),
+    ([], [[], []]),
+    ([-3], [[2]]),
+    ([-3], [[0], [-7], [5]]),
+    ([-1, 0, -2], [[1, 1, 1]]),  # a zero entry
+    ([0, -1], [[1, 1]]),
+    ([-1, 2], [[1, 0]]),  # a positive entry
+    ([4], [[1]]),
+    ([-2, -3, -5], [[1, 0, 0], [0, 1, 0], [0, 0, 1], [4, -5, 6]]),  # several columns
+    ([-4, -6, -1, -9], [[3, -2, 5, 1], [0, 0, 0, 0]]),
+    ([-BIG - 3, -2, -(BIG << 5) + 1], [[BIG + 7, -1, 3], [1, BIG, -BIG]]),  # above 2**64
+    ([-2, BIG], [[1, 1]]),
+])
+def test_diagonal_solve_matches_the_eager_elimination(diagonal, columns, monkeypatch):
+    """A diagonal matrix is solved without entering the elimination, to the
+    (xs, det) the eager elimination gives, and refused with its message."""
+    n = len(diagonal)
+    matrix = [[g * (i == j) for j in range(n)] for i, g in enumerate(diagonal)]
+    expected = eager_solve(matrix, columns)
+    entered = count_entries(monkeypatch)
+    if expected is None:
+        with pytest.raises(NotNegativeDefinite, match="^matrix is not negative definite$"):
+            zlab.lattice.solve_negative_definite(matrix, columns)
+    else:
+        assert zlab.lattice.solve_negative_definite(matrix, columns) == expected
+    assert entered == []
+
+
+def test_an_entry_above_the_diagonal_is_eliminated(monkeypatch):
+    """One non-zero entry above the diagonal, however far out, takes the elimination."""
+    matrix = [[-3, 0, 0], [0, -2, 0], [0, 0, -5]]
+    matrix[0][2] = matrix[2][0] = 1
+    expected = eager_solve(matrix, [[1, 2, 3]])
+    entered = count_entries(monkeypatch)
+    assert zlab.lattice.solve_negative_definite(matrix, [[1, 2, 3]]) == expected
+    assert entered == [3]
+
+
+def test_del_pezzo_decompositions_and_walks_never_eliminate(monkeypatch):
+    """Supports of (-1)-curves are pairwise disjoint (two that meet span a
+    matrix [[-1, m], [m, -1]], m >= 1, not negative definite), so their
+    matrices are diagonal: dp8 decompositions and a dp7 walk eliminate nothing."""
+    dp7, dp8 = dp_model(7), dp_model(8)
+    rng = random.Random(0)
+    classes = [random_big_class(dp8, rng) for _ in range(40)]
+    bundle = dp7.lattice.divisor([9, -3, -3, -2, -2, -1, -1, -1])
+    entered = count_entries(monkeypatch)
+    supports = [len(zariski_decompose(dp8, d).support) for d in classes]
+    walk = destabilizing_numbers(dp7, bundle, dp7.ample)
+    assert entered == [] and max(supports) >= 3 and len(walk.segments) == 3
 
 
 # -- the ADE rule: (-2)-curve configurations ------------------------------------

@@ -122,6 +122,12 @@ def _dp2_model_with(**parts) -> SurfaceModel:
     return SurfaceModel(**{"lattice": dp2.lattice, "ample": dp2.ample, "curves": (), **parts})
 
 
+def _dp3_model_with_curves(*coords) -> SurfaceModel:
+    lat = dp_model(3).lattice
+    curves = [NegativeCurve(label, lat.divisor(v)) for label, v in zip("ABC", coords)]
+    return SurfaceModel(lattice=lat, ample=lat.divisor([3, -1, -1, -1]), curves=curves)
+
+
 @pytest.mark.parametrize(
     "build, error, message",
     [
@@ -151,13 +157,22 @@ def _dp2_model_with(**parts) -> SurfaceModel:
             lambda: _dp2_model_with(curves=(k3_model(2).curves[0],)),
             LatticeMismatch, "curve E in a different lattice",
         ),
+        (  # E1, E2, E1+E2: pairs (A, C) and (B, C) meet negatively, row A names C first
+            lambda: _dp3_model_with_curves((0, 1, 0, 0), (0, 0, 1, 0), (0, 1, 1, 0)),
+            CurvePairingError, "distinct curves A, C pair negatively",
+        ),
+        (  # E1+E2, E1, E2: pairs (A, B) and (A, C), row A names its first negative slot
+            lambda: _dp3_model_with_curves((0, 1, 1, 0), (0, 1, 0, 0), (0, 0, 1, 0)),
+            CurvePairingError, "distinct curves A, B pair negatively",
+        ),
         (
             lambda: exceptional_classes(k3_model(2).lattice),
             UnsupportedLattice, "exceptional-class enumeration needs the standard basis",
         ),
     ],
     ids=["foreign-ample", "foreign-canonical", "repeated-label", "repeated-class",
-         "foreign-curve", "nonstandard-basis"],
+         "foreign-curve", "negative-pairs-in-two-rows", "negative-pairs-in-one-row",
+         "nonstandard-basis"],
 )
 def test_model_refuses_foreign_or_repeated_parts(build, error, message):
     with pytest.raises(error) as excinfo:

@@ -9,9 +9,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-import zlab.lattice
 from conftest import a2_chain_model, dp_model, k3_model, random_big_class, user_models
-from test_kernel import scaled_user_models
+from test_kernel import count_eliminations, count_solves, scaled_user_models
 from zlab import (
     IntersectionLattice,
     QuadraticIrrational,
@@ -67,28 +66,26 @@ def test_volume_polynomial_requires_realizable_support(dp2):
         volume_polynomial(dp2, ("nope",))
 
 
-def count_eliminations(monkeypatch) -> list[int]:
-    calls = []
-    plain = zlab.lattice._negative_definite_factor
-
-    def counting(matrix):
-        calls.append(len(matrix))
-        return plain(matrix)
-
-    monkeypatch.setattr(zlab.lattice, "_negative_definite_factor", counting)
-    return calls
-
-
-def test_volume_polynomial_eliminates_once(dp2, monkeypatch):
-    calls = count_eliminations(monkeypatch)
+def test_volume_polynomial_solves_once(dp2, monkeypatch):
+    """One solve and no elimination: E1 and E2 are disjoint, their matrix diagonal."""
+    solves, sizes = count_solves(monkeypatch), count_eliminations(monkeypatch)
     volume_polynomial(dp2, ("E1", "E2"))
-    assert len(calls) == 1
+    assert solves == [2] and sizes == []
 
 
-def test_support_curves_eliminates_once(dp2, monkeypatch):
-    calls = count_eliminations(monkeypatch)
+def test_support_curves_solves_once(dp2, monkeypatch):
+    solves, sizes = count_solves(monkeypatch), count_eliminations(monkeypatch)
     assert [c.label for c in support_curves(dp2, ("E2", "E1"))] == ["E1", "E2"]
-    assert len(calls) == 1
+    assert solves == [2] and sizes == []
+
+
+@pytest.mark.parametrize("read", [volume_polynomial, support_curves])
+def test_meeting_support_is_solved_by_one_elimination(read, monkeypatch):
+    """E1 and E2 of the A2 chain meet, so their solve eliminates, once."""
+    model = a2_chain_model()
+    solves, sizes = count_solves(monkeypatch), count_eliminations(monkeypatch)
+    read(model, ("E1", "E2"))
+    assert solves == [2] and sizes == [2]
 
 
 def substitution_form(model, chamber):
