@@ -75,7 +75,9 @@ def _qi_json(value: QuadraticIrrational) -> dict[str, Any]:
 
 
 def _coords_json(divisor: DivisorClass) -> list[str]:
-    return [str(c) for c in divisor.coords]
+    """str of each coordinate, formatted from the stored ints v / d."""
+    v, d = divisor.cleared
+    return [str(x) for x in v] if d == 1 else [str(Fraction(x, d)) for x in v]
 
 
 def parse_surface(text: str) -> SurfaceModel:

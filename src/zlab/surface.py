@@ -6,6 +6,8 @@ class D is nef exactly when D**2 >= 0, D.A >= 0 and D.C >= 0 for every listed
 curve C.  Del Pezzo models (constructed here), K3 models with a known curve
 list and abelian-surface models (empty curve list) all satisfy this.
 Surfaces carrying infinitely many negative curves are out of scope.
+The standard basis L, E1..Er lives here with its one Cremona step, ``_orbit``:
+del Pezzo curves and roots are orbits of seeds, and ``weyl`` imports the search.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import struct
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import lcm
+from math import factorial, lcm, prod
 from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
@@ -23,7 +25,9 @@ from .errors import (
     CurvePairingError,
     LatticeMismatch,
     MissingCanonical,
+    OrbitTooLarge,
     OutOfRange,
+    RankTooLargeForEnumeration,
     UnrealizableSupport,
     UnsupportedLattice,
 )
@@ -233,6 +237,8 @@ def is_nef(model: SurfaceModel, divisor: DivisorClass) -> bool:
 # del Pezzo models
 # ---------------------------------------------------------------------------
 
+MAX_FINITE_R = 8  # W, the (-1)-classes and the roots are finite exactly for r <= 8
+
 
 @cache  # read by every standard-basis check
 def _standard_gram(r: int) -> tuple[tuple[int, ...], ...]:
@@ -248,47 +254,68 @@ def _is_standard_del_pezzo(lattice: IntersectionLattice) -> bool:
     return lattice.rank >= 2 and lattice.gram == _standard_gram(lattice.rank - 1)
 
 
-# dL - sum(m_i E_i) as (d, m) up to a permutation of m, zeros omitted (Manin,
-# *Cubic Forms*, ch. IV): the (-1)-curves and the (-2)-roots of a del Pezzo surface
-_EXCEPTIONAL_TYPES = (
-    (0, (-1,)), (1, (1,) * 2), (2, (1,) * 5), (3, (2,) + (1,) * 6),
-    (4, (2,) * 3 + (1,) * 5), (5, (2,) * 6 + (1,) * 2), (6, (3,) + (2,) * 7),
-)
-_ROOT_TYPES = (
-    (0, (1, -1)), (1, (1,) * 3), (-1, (-1,) * 3), (2, (1,) * 6), (-2, (-1,) * 6),
-    (3, (2,) + (1,) * 7), (-3, (-2,) + (-1,) * 7),
-)
+def _orbit(v: Sequence[int], cap: int) -> list[tuple[int, ...]]:
+    """Orbit of the ints v on the standard basis L, E1..Er, whose group is
+    generated by the permutations of E1..Er and the reflection in L-E1-E2-E3,
+    (v0, v1, v2, v3, ...) -> (v0+t, v1-t, v2-t, v3-t, ...) with t = v0+v1+v2+v3
+    (Manin, Cubic Forms, sec. 23): a union of S_r-orbits.  The search runs on types
+    (v0, sorted(v1..vr)), reflecting each distinct value triple; each type's
+    r!/prod(k!) arrangements are counted as it is taken, and a count above
+    ``cap`` raises OrbitTooLarge before any is listed.  Then every type's
+    arrangements are listed by Knuth's Algorithm L (TAOCP 7.2.1.2)."""
+    r, types = len(v) - 1, [(v[0], tuple(sorted(v[1:])))]
+    seen, count = set(types), 0
+    for v0, m in types:
+        count += factorial(r) // prod(factorial(m.count(x)) for x in set(m))
+        if count > cap:
+            raise OrbitTooLarge(f"orbit exceeded the cap of {cap}")
+        for triple in set(combinations(m, 3)):
+            if t := v0 + sum(triple):
+                rest = list(m)
+                for x in triple:
+                    rest.remove(x)
+                image = (v0 + t, tuple(sorted(rest + [x - t for x in triple])))
+                if image not in seen:
+                    seen.add(image)
+                    types.append(image)
+    orbit = []
+    for v0, m in types:
+        a = [v0, *m]
+        while True:
+            orbit.append(tuple(a))
+            j = r - 1  # the last ascent a[j] < a[j+1] of a[1:]
+            while j and a[j] >= a[j + 1]:
+                j -= 1
+            if not j:
+                break
+            k = r  # the last entry above a[j]
+            while a[j] >= a[k]:
+                k -= 1
+            a[j], a[k] = a[k], a[j]
+            a[j + 1:] = a[:j:-1]
+    return orbit
 
 
-def _classes_of_types(
-    lattice: IntersectionLattice, types: Sequence[tuple[int, tuple[int, ...]]]
-) -> list[DivisorClass]:
-    """Every class dL - sum(m_i E_i) whose m permutes a type (d, m) padded with
-    zeros, sorted by (d, m) on ints: each distinct value of m is placed on each
-    combination of the slots still empty.  Types longer than r are skipped."""
-    r = lattice.rank - 1
-    found: list[tuple[int, tuple[int, ...]]] = []
-    for d, m in types:
-        if len(m) > r:
-            continue
-        placed = [(0,) * r]
-        for value in set(m):
-            placed = [
-                tuple(value if i in slots else x for i, x in enumerate(p))
-                for p in placed
-                for slots in map(set, combinations(
-                    [i for i, x in enumerate(p) if not x], m.count(value)))
-            ]
-        found += ((d, p) for p in placed)
-    found.sort()
-    return [DivisorClass._reduced(lattice, (d,) + tuple(-x for x in p), 1) for d, p in found]
+def _orbit_classes(lattice: IntersectionLattice, seeds: Sequence[Sequence[int]]
+                   ) -> list[DivisorClass]:
+    """The classes dL - sum(m_i E_i) of the seeds' ``_orbit``s, sorted by (d, m) on
+    ints.  At r > MAX_FINITE_R both lists are infinite: RankTooLargeForEnumeration,
+    before any search."""
+    if (r := lattice.rank - 1) > MAX_FINITE_R:
+        raise RankTooLargeForEnumeration(f"the reflection group is infinite at r = {r}")
+    found = [w for seed in seeds for w in _orbit(seed, 1000)]  # 240 at most, at r = 8
+    found.sort(key=lambda w: (w[0], [-x for x in w[1:]]))
+    return [DivisorClass._reduced(lattice, w, 1) for w in found]
 
 
 def exceptional_classes(lattice: IntersectionLattice) -> list[DivisorClass]:
-    """All classes E with E**2 = -1 and E.K = -1 on a standard del Pezzo lattice."""
+    """All classes E with E**2 = -1 and E.K = -1 on a standard del Pezzo lattice:
+    the orbit of E_r, since W acts transitively on them for 3 <= r <= 8 (Manin,
+    *Cubic Forms*, secs. 23-26), and at r = 2 also L-E1-E2, which W = S_2 fixes."""
     if not _is_standard_del_pezzo(lattice):
         raise UnsupportedLattice("exceptional-class enumeration needs the standard basis")
-    return _classes_of_types(lattice, _EXCEPTIONAL_TYPES)
+    r = lattice.rank - 1
+    return _orbit_classes(lattice, [(0,) * r + (1,)] + [(1, -1, -1)] * (r == 2))
 
 
 def del_pezzo(r: int) -> SurfaceModel:
@@ -298,7 +325,7 @@ def del_pezzo(r: int) -> SurfaceModel:
     E.K = -1), the canonical class is -3L + sum(E_i) and the ample witness is
     its negative.
     """
-    if not 1 <= r <= 8:
+    if not 1 <= r <= MAX_FINITE_R:
         raise OutOfRange("del Pezzo models need 1 <= r <= 8")
     lattice = _del_pezzo_lattice(r)
     canonical = lattice.divisor([-3] + [1] * r)
@@ -332,6 +359,9 @@ def simple_roots(model: SurfaceModel) -> tuple[DivisorClass, ...]:
 
 def enumerate_roots(model: SurfaceModel) -> RootSystem:
     """All roots (square -2, orthogonal to K), both alpha and -alpha, together
-    with the simple ones."""
-    simple = simple_roots(model)
-    return RootSystem(roots=tuple(_classes_of_types(model.lattice, _ROOT_TYPES)), simple=simple)
+    with the simple ones: the orbit of E2-E1, since W acts transitively on the
+    roots of the irreducible systems A1, A4, D5 and E6-E8 (r = 2, 4..8), and at
+    r = 3, where the system is A2 x A1, also that of L-E1-E2-E3."""
+    simple, r = simple_roots(model), model.lattice.rank - 1
+    seeds = [(0, -1, 1) + (0,) * (r - 2)] * (r >= 2) + [(1, -1, -1, -1)] * (r == 3)
+    return RootSystem(roots=tuple(_orbit_classes(model.lattice, seeds)), simple=simple)

@@ -1,21 +1,21 @@
-"""Reflections in (-2)-classes, orbits, group orders and volume comparisons."""
+"""Reflections in (-2)-classes, orbits, group orders and volume comparisons.
+Orbits run the Cremona-step search ``_orbit`` of the standard basis in ``surface``."""
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
-from itertools import combinations
-from math import factorial, prod
+from math import factorial
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import (LatticeMismatch, NotFiniteCoxeterType, NotMinusTwoClass, NotNef, OrbitTooLarge,
                      OutOfRange, RankTooLargeForEnumeration, UnrealizableSupport)
 from .lattice import DivisorClass
-from .surface import NegativeCurve, SurfaceModel, _root_rank, is_nef, simple_roots
+from .surface import (MAX_FINITE_R, NegativeCurve, SurfaceModel, _orbit, _root_rank, is_nef,
+                      simple_roots)
 from .volume import vol
 
 DEFAULT_ORBIT_CAP = 10_000_000
-MAX_FINITE_R = 8
 EXCEPTIONAL_ORDERS = {6: 51_840, 7: 2_903_040, 8: 696_729_600}  # E6, E7, E8
 _ORDERS: dict = {}  # |W| by Gram matrix (at most 8 finite ones), for weyl_orbit's cap check
 
@@ -36,48 +36,6 @@ def _orbit_cap(explicit: "int | None") -> int:
     if cap < 1:
         raise OutOfRange(f"the orbit cap must be at least 1, got {cap}")
     return cap
-
-
-def _orbit(v: Sequence[int], cap: int) -> list[tuple[int, ...]]:
-    """Orbit of the ints v on the standard basis L, E1..Er, whose group is
-    generated by the permutations of E1..Er and the reflection in L-E1-E2-E3,
-    (v0, v1, v2, v3, ...) -> (v0+t, v1-t, v2-t, v3-t, ...) with t = v0+v1+v2+v3
-    (Manin, Cubic Forms, sec. 23): a union of S_r-orbits.  The search runs on types
-    (v0, sorted(v1..vr)), reflecting each distinct value triple; each type's
-    r!/prod(k!) arrangements are counted as it is taken, and a count above
-    ``cap`` raises OrbitTooLarge before any is listed.  Then every type's
-    arrangements are listed by Knuth's Algorithm L (TAOCP 7.2.1.2)."""
-    r, types = len(v) - 1, [(v[0], tuple(sorted(v[1:])))]
-    seen, count = set(types), 0
-    for v0, m in types:
-        count += factorial(r) // prod(factorial(m.count(x)) for x in set(m))
-        if count > cap:
-            raise OrbitTooLarge(f"orbit exceeded the cap of {cap}")
-        for triple in set(combinations(m, 3)):
-            if t := v0 + sum(triple):
-                rest = list(m)
-                for x in triple:
-                    rest.remove(x)
-                image = (v0 + t, tuple(sorted(rest + [x - t for x in triple])))
-                if image not in seen:
-                    seen.add(image)
-                    types.append(image)
-    orbit = []
-    for v0, m in types:
-        a = [v0, *m]
-        while True:
-            orbit.append(tuple(a))
-            j = r - 1  # the last ascent a[j] < a[j+1] of a[1:]
-            while j and a[j] >= a[j + 1]:
-                j -= 1
-            if not j:
-                break
-            k = r  # the last entry above a[j]
-            while a[j] >= a[k]:
-                k -= 1
-            a[j], a[k] = a[k], a[j]
-            a[j + 1:] = a[:j:-1]
-    return orbit
 
 
 def _components(graph: Sequence[set[int]], nodes: Iterable[int]) -> Iterator[set[int]]:

@@ -60,18 +60,24 @@ def a2_chain_model() -> SurfaceModel:
     return SurfaceModel(lattice=lattice, ample=lattice.divisor([1, 0, 0]), curves=curves)
 
 
-def rank_ten_model() -> SurfaceModel:
-    """Standard basis L, E1..E9 with K = -3L + sum(E_i): r = 9, infinite Weyl group."""
+def standard_model(r: int) -> SurfaceModel:
+    """Standard basis L, E1..Er with K = -3L + sum(E_i), ample 4L - sum(E_i)
+    and no curves: for r >= 9 the Weyl group is infinite."""
     lattice = IntersectionLattice(
-        [[1 if i == j == 0 else -(i == j) for j in range(10)] for i in range(10)],
-        ["L"] + [f"E{i}" for i in range(1, 10)],
+        [[1 if i == j == 0 else -(i == j) for j in range(r + 1)] for i in range(r + 1)],
+        ["L"] + [f"E{i}" for i in range(1, r + 1)],
     )
     return SurfaceModel(
         lattice=lattice,
-        ample=lattice.divisor([4] + [-1] * 9),
+        ample=lattice.divisor([4] + [-1] * r),
         curves=(),
-        canonical=lattice.divisor([-3] + [1] * 9),
+        canonical=lattice.divisor([-3] + [1] * r),
     )
+
+
+def rank_ten_model() -> SurfaceModel:
+    """Standard basis L, E1..E9 with K = -3L + sum(E_i): r = 9, infinite Weyl group."""
+    return standard_model(9)
 
 
 def random_rational(rng: random.Random, lo: int, hi: int, max_den: int = 4) -> Fraction:

@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 from conftest import rank_ten_model
-from zlab.cli import COMMANDS, MAX_SCAN_POINTS, _qi_json, main, parse_surface, surface_to_json
+from zlab.cli import (COMMANDS, MAX_SCAN_POINTS, _coords_json, _qi_json, main, parse_surface,
+                      surface_to_json)
 from zlab.cutkosky import volume_closed_form
 from zlab.errors import (
     AmpleWitnessError,
@@ -59,6 +60,17 @@ def test_parse_surface_roundtrip():
     once = surface_to_json(model)
     twice = surface_to_json(parse_surface(json.dumps(once)))
     assert once == twice
+
+
+@pytest.mark.parametrize("coords", [
+    ["3", "-1", "0"], ["0", "0", "0"], ["5/2", "-3/2", "0"], ["1/3", "-2", "7/6"],
+    ["-1/2", "0", "123456789012345678901/2"],
+])
+def test_coords_json_prints_as_the_fractions_do(coords):
+    """The strings are those of the class's Fraction coordinates, for integral,
+    fractional, negative and zero entries, read off the cleared ints."""
+    divisor = parse_surface(json.dumps(DP2_JSON)).lattice.divisor([Fraction(c) for c in coords])
+    assert _coords_json(divisor) == [str(c) for c in divisor.coords] == coords
 
 
 def test_parse_surface_schema_errors():

@@ -9,7 +9,8 @@ from itertools import permutations
 
 import pytest
 
-from conftest import dp_model, k3_model
+import zlab.surface
+from conftest import dp_model, k3_model, rank_ten_model, standard_model
 from zlab import (
     IntersectionLattice,
     NegativeCurve,
@@ -26,6 +27,7 @@ from zlab.errors import (
     LatticeMismatch,
     MissingCanonical,
     OutOfRange,
+    RankTooLargeForEnumeration,
     UnsupportedLattice,
 )
 
@@ -261,7 +263,7 @@ def test_roots_need_standard_basis():
 
 @cache  # the curve oracle at r = 8 takes about 2 s, and three tests read it
 def brute_force_classes(r: int, square: int, k_degree: int) -> frozenset[tuple[int, ...]]:
-    """Multiset-style enumeration, independent of the production type tables.
+    """Multiset-style enumeration, independent of the production orbit search.
 
     For each degree d, non-increasing integer vectors m with sum(m) = 3d +
     k_degree and sum(m^2) = d^2 - square are listed by bounded recursion and
@@ -297,10 +299,13 @@ def test_enumerations_match_independent_oracle(r):
     model = dp_model(r)
     produced = {tuple(int(c) for c in curve.cls.coords) for curve in model.curves}
     assert produced == brute_force_classes(r, square=-1, k_degree=-1)
-    produced_roots = {
-        tuple(int(c) for c in root.coords) for root in enumerate_roots(model).roots
-    }
-    assert produced_roots == brute_force_classes(r, square=-2, k_degree=0)
+    # the roots in the curves' order: dL - sum(m_i E_i) by (d, m)
+    oracle_roots = sorted(
+        brute_force_classes(r, square=-2, k_degree=0),
+        key=lambda coords: (coords[0], tuple(-c for c in coords[1:])),
+    )
+    roots = enumerate_roots(model).roots
+    assert [root.cleared for root in roots] == [(coords, 1) for coords in oracle_roots]
 
 
 @pytest.mark.parametrize("r", range(1, 9))
@@ -313,3 +318,19 @@ def test_del_pezzo_curves_are_listed_by_degree_then_multiplicities(r):
         key=lambda coords: (coords[0], tuple(-c for c in coords[1:])),
     )
     assert [tuple(int(c) for c in curve.cls.coords) for curve in dp_model(r).curves] == oracle
+
+
+@pytest.mark.parametrize("r", [9, 10])
+def test_enumerations_refuse_infinite_lists_before_searching(monkeypatch, r):
+    """At r >= 9 the (-1)-classes and the roots are infinitely many: both
+    enumerations raise before any orbit search, which would not end."""
+    model = rank_ten_model() if r == 9 else standard_model(r)
+
+    def search(*args):
+        raise AssertionError("an orbit was searched")
+
+    monkeypatch.setattr(zlab.surface, "_orbit", search)
+    with pytest.raises(RankTooLargeForEnumeration, match=f"infinite at r = {r}"):
+        exceptional_classes(model.lattice)
+    with pytest.raises(RankTooLargeForEnumeration, match=f"infinite at r = {r}"):
+        enumerate_roots(model)

@@ -506,14 +506,14 @@ def test_orbit_checks_the_model_as_simple_roots_does(dp3, monkeypatch):
 
 def test_simple_roots_skip_the_root_enumeration(monkeypatch):
     calls = 0
-    plain = zlab.surface._classes_of_types
+    plain = zlab.surface._orbit
 
     def counting(*args, **kwargs):
         nonlocal calls
         calls += 1
         return plain(*args, **kwargs)
 
-    monkeypatch.setattr(zlab.surface, "_classes_of_types", counting)
+    monkeypatch.setattr(zlab.surface, "_orbit", counting)
     simple = simple_roots(dp_model(8))
     assert calls == 0
     assert simple == enumerate_roots(dp_model(8)).simple and len(simple) == 8
